@@ -79,7 +79,7 @@ func run() error {
 	serve := flag.Bool("serve", false, "run as a long-lived daemon: poll the forums incrementally and keep the report projection current (implies -stream)")
 	pollInterval := flag.Duration("poll-interval", 2*time.Second, "idle time between daemon collection rounds (with -serve)")
 	serveRounds := flag.Int("serve-rounds", 0, "stop the daemon after N rounds (0 = run until interrupted; with -serve)")
-	checkpointDir := flag.String("checkpoint-dir", "", "persist collection cursors as JSON files under this directory so a restarted daemon resumes where it left off (with -serve)")
+	checkpointDir := flag.String("checkpoint-dir", "", "persist collection cursors in a JSON manifest (cursors.json) under this directory so a restarted daemon resumes where it left off (with -serve)")
 	dataDir := flag.String("data-dir", "", "persist the full serving state under this directory: enriched records in a snapshot+compaction record log ('records/'), injected-wave journal, and collection cursors ('checkpoints/', unless -checkpoint-dir overrides) — a restarted daemon replays instead of re-enriching (with -serve)")
 	statusFile := flag.String("status-file", "", "write the daemon's status URL to this file once it is listening, for script orchestration (with -serve)")
 	liveWaves := flag.Int("live-waves", 3, "hold back this many fixture waves and release one per round, so the daemon sees reports arrive over time (with -serve)")

@@ -4,15 +4,17 @@
 // native pagination contract (Twitter since-IDs per keyword, Reddit after
 // tokens per keyword, offset counters for the offset-paginated APIs, the
 // last fully-consumed Pastebin paste ID). A Store durably maps source
-// names to cursors; the in-memory store backs tests and single-process
-// runs, the file store survives process death so a restarted daemon
-// resumes exactly where the previous one committed.
+// names to cursors and commits any set of them atomically; the in-memory
+// store backs tests and single-process runs, the file store keeps every
+// source in one manifest that survives process death, so a restarted
+// daemon resumes exactly where the previous one committed.
 package checkpoint
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,9 +34,12 @@ import (
 //   - Pastebin: LastID is the last fully-consumed paste ID in archive
 //     order.
 //
-// Updated is refreshed on every successful sync, including empty ones, so
-// its age measures how long a source has gone without a completed sync —
-// the collect.cursor_lag.<source> gauge.
+// Updated is stamped by the collector on every successful sync, including
+// empty ones, so the age of the daemon's live cursor measures how long a
+// source has gone without a completed sync — the
+// collect.cursor_lag.<source> gauge. The daemon commits a cursor only when
+// its position moved, so a committed Updated dates the last sync that
+// advanced it.
 type Cursor struct {
 	Source  string            `json:"source"`
 	Tokens  map[string]string `json:"tokens,omitempty"`
@@ -79,16 +84,46 @@ func (c *Cursor) SetToken(key, value string) {
 	c.Tokens[key] = value
 }
 
+// SamePosition reports whether c and o resume collection from the same
+// place: equal Tokens, Offset and LastID. Source and Updated are ignored,
+// so a sync that found nothing new compares equal to the cursor it started
+// from — the test a daemon uses to skip committing an unmoved cursor.
+func (c Cursor) SamePosition(o Cursor) bool {
+	return c.Offset == o.Offset && c.LastID == o.LastID && maps.Equal(c.Tokens, o.Tokens)
+}
+
 // Store durably maps source names to cursors. Implementations must be
-// safe for concurrent use; Save must be atomic (a reader never observes a
-// half-written cursor).
+// safe for concurrent use.
 type Store interface {
 	// Load returns the committed cursor for source and whether one exists.
 	Load(source string) (Cursor, bool, error)
-	// Save commits the cursor under cur.Source.
-	Save(cur Cursor) error
+	// Save commits every given cursor under its Source in one atomic step:
+	// when it returns nil all of them are committed, otherwise none is and
+	// Load still returns the previous positions. A cursor with no Source
+	// rejects the whole batch; Save with no cursors writes nothing.
+	Save(curs ...Cursor) error
 	// All returns every committed cursor keyed by source.
 	All() (map[string]Cursor, error)
+}
+
+// checkSources rejects a batch holding a cursor with no source, before
+// anything of it is committed.
+func checkSources(curs []Cursor) error {
+	for _, c := range curs {
+		if c.Source == "" {
+			return errors.New("checkpoint: cursor has no source")
+		}
+	}
+	return nil
+}
+
+// cloneAll deep-copies a source → cursor map.
+func cloneAll(m map[string]Cursor) map[string]Cursor {
+	out := make(map[string]Cursor, len(m))
+	for k, v := range m {
+		out[k] = v.Clone()
+	}
+	return out
 }
 
 // MemStore is an in-memory Store: fast, concurrency-safe, gone with the
@@ -112,13 +147,15 @@ func (s *MemStore) Load(source string) (Cursor, bool, error) {
 }
 
 // Save implements Store.
-func (s *MemStore) Save(cur Cursor) error {
-	if cur.Source == "" {
-		return errors.New("checkpoint: cursor has no source")
+func (s *MemStore) Save(curs ...Cursor) error {
+	if err := checkSources(curs); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cursors[cur.Source] = cur.Clone()
+	for _, c := range curs {
+		s.cursors[c.Source] = c.Clone()
+	}
 	return nil
 }
 
@@ -126,81 +163,135 @@ func (s *MemStore) Save(cur Cursor) error {
 func (s *MemStore) All() (map[string]Cursor, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make(map[string]Cursor, len(s.cursors))
-	for k, v := range s.cursors {
-		out[k] = v.Clone()
-	}
-	return out, nil
+	return cloneAll(s.cursors), nil
 }
 
-// FileStore persists one JSON file per source under a directory, written
-// via temp-file + rename so a crash mid-write never corrupts the committed
-// cursor. A daemon restarted over the same directory resumes from the last
-// committed position.
+// manifestName is the file under a FileStore's directory that holds every
+// source's committed cursor.
+const manifestName = "cursors.json"
+
+// legacySuffix names the per-source cursor files of the store's earlier
+// layout (one "<source>.cursor.json" per source). A directory without a
+// manifest resumes from them; the first commit replaces them.
+const legacySuffix = ".cursor.json"
+
+// FileStore persists every source's cursor in one manifest file,
+// cursors.json, rewritten as a whole on each commit via temp file + fsync
+// + rename + directory fsync, so a crash mid-write never corrupts the
+// committed positions and a multi-cursor Save is all-or-nothing. A daemon
+// restarted over the same directory resumes from the last committed
+// manifest. The store must be its directory's only writer: it reads the
+// manifest once at open and serves Load and All from memory.
 type FileStore struct {
-	dir string
-	mu  sync.Mutex
+	dir     string
+	mu      sync.Mutex
+	cursors map[string]Cursor // the committed manifest
+	legacy  []string          // earlier-layout files not yet removed
 }
 
-// NewFileStore opens (creating if needed) a cursor directory.
+// NewFileStore opens (creating if needed) a cursor directory and loads its
+// manifest, or — when there is none — the per-source files of the earlier
+// layout.
 func NewFileStore(dir string) (*FileStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: create store dir: %w", err)
 	}
-	return &FileStore{dir: dir}, nil
-}
-
-// path keeps source names filesystem-safe (sources are short identifiers
-// like "twitter" or "smishing.eu").
-func (s *FileStore) path(source string) string {
-	safe := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '.', r == '-', r == '_':
-			return r
-		default:
-			return '_'
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: list store dir: %w", err)
+	}
+	s := &FileStore{dir: dir, cursors: make(map[string]Cursor)}
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), legacySuffix) {
+			s.legacy = append(s.legacy, e.Name())
 		}
-	}, source)
-	return filepath.Join(s.dir, safe+".cursor.json")
+	}
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	switch {
+	case err == nil:
+		if err := json.Unmarshal(data, &s.cursors); err != nil {
+			return nil, fmt.Errorf("checkpoint: decode %s: %w", manifestName, err)
+		}
+	case errors.Is(err, os.ErrNotExist):
+		for _, name := range s.legacy {
+			data, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				return nil, fmt.Errorf("checkpoint: load %s: %w", name, err)
+			}
+			var c Cursor
+			if err := json.Unmarshal(data, &c); err != nil {
+				return nil, fmt.Errorf("checkpoint: decode %s: %w", name, err)
+			}
+			s.cursors[c.Source] = c
+		}
+	default:
+		return nil, fmt.Errorf("checkpoint: read %s: %w", manifestName, err)
+	}
+	return s, nil
 }
 
 // Load implements Store.
 func (s *FileStore) Load(source string) (Cursor, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	data, err := os.ReadFile(s.path(source))
-	if errors.Is(err, os.ErrNotExist) {
-		return Cursor{}, false, nil
-	}
-	if err != nil {
-		return Cursor{}, false, fmt.Errorf("checkpoint: load %s: %w", source, err)
-	}
-	var c Cursor
-	if err := json.Unmarshal(data, &c); err != nil {
-		return Cursor{}, false, fmt.Errorf("checkpoint: decode %s: %w", source, err)
-	}
-	return c, true, nil
+	c, ok := s.cursors[source]
+	return c.Clone(), ok, nil
 }
 
-// Save implements Store: marshal, write + fsync a temp file in the same
-// directory, atomically rename it over the committed path, then fsync the
-// directory. The rename alone makes the swap atomic against readers, but
-// not durable: after a crash the directory entry may still point at the
-// old file (fine — the previous commit) or, without the temp-file fsync,
-// at a zero-length new one (cursor lost). Both syncs together guarantee a
-// Save that returned nil survives power loss.
-func (s *FileStore) Save(cur Cursor) error {
-	if cur.Source == "" {
-		return errors.New("checkpoint: cursor has no source")
+// All implements Store.
+func (s *FileStore) All() (map[string]Cursor, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return cloneAll(s.cursors), nil
+}
+
+// Save implements Store: it merges curs into the committed cursors and
+// durably replaces the manifest with the result. The in-memory view
+// changes only after the new manifest is durable, so a failed Save leaves
+// Load, All and the file at the previous commit. The first successful
+// Save over an earlier-layout directory then removes the per-source files;
+// one that survives a crash is ignored on reopen (the manifest wins) and
+// removal is retried on the next commit.
+func (s *FileStore) Save(curs ...Cursor) error {
+	if len(curs) == 0 {
+		return nil
+	}
+	if err := checkSources(curs); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	data, err := json.MarshalIndent(cur, "", "  ")
-	if err != nil {
-		return fmt.Errorf("checkpoint: encode %s: %w", cur.Source, err)
+	next := cloneAll(s.cursors)
+	for _, c := range curs {
+		next[c.Source] = c.Clone()
 	}
-	final := s.path(cur.Source)
-	tmp, err := os.CreateTemp(s.dir, "."+cur.Source+".tmp-*")
+	data, err := json.MarshalIndent(next, "", "  ")
+	if err != nil {
+		return fmt.Errorf("checkpoint: encode %s: %w", manifestName, err)
+	}
+	if err := writeDurable(s.dir, manifestName, data); err != nil {
+		return err
+	}
+	s.cursors = next
+	kept := s.legacy[:0]
+	for _, name := range s.legacy {
+		if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			kept = append(kept, name)
+		}
+	}
+	s.legacy = kept
+	return nil
+}
+
+// writeDurable replaces dir/name with data: write + fsync a temp file in
+// the same directory, atomically rename it over the committed path, then
+// fsync the directory. The rename alone makes the swap atomic against
+// readers, but not durable: after a crash the directory entry may still
+// point at the old file (fine — the previous commit) or, without the
+// temp-file fsync, at a zero-length new one (cursors lost). Both syncs
+// together guarantee a write that returned nil survives power loss.
+func writeDurable(dir, name string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, "."+name+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("checkpoint: temp file: %w", err)
 	}
@@ -209,20 +300,20 @@ func (s *FileStore) Save(cur Cursor) error {
 	cerr := tmp.Close()
 	if werr != nil || serr != nil || cerr != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("checkpoint: write %s: %w", cur.Source, errors.Join(werr, serr, cerr))
+		return fmt.Errorf("checkpoint: write %s: %w", name, errors.Join(werr, serr, cerr))
 	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
+	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("checkpoint: commit %s: %w", cur.Source, err)
+		return fmt.Errorf("checkpoint: commit %s: %w", name, err)
 	}
-	if err := syncDir(s.dir); err != nil {
+	if err := syncDir(dir); err != nil {
 		return fmt.Errorf("checkpoint: sync store dir: %w", err)
 	}
 	return nil
 }
 
-// syncDir fsyncs the store directory so a just-renamed cursor's directory
-// entry is durable, not merely atomic.
+// syncDir fsyncs the store directory so a just-renamed manifest's
+// directory entry is durable, not merely atomic.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
@@ -231,29 +322,4 @@ func syncDir(dir string) error {
 	serr := d.Sync()
 	cerr := d.Close()
 	return errors.Join(serr, cerr)
-}
-
-// All implements Store.
-func (s *FileStore) All() (map[string]Cursor, error) {
-	s.mu.Lock()
-	entries, err := os.ReadDir(s.dir)
-	s.mu.Unlock()
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: list store: %w", err)
-	}
-	out := make(map[string]Cursor)
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".cursor.json") {
-			continue
-		}
-		source := strings.TrimSuffix(e.Name(), ".cursor.json")
-		c, ok, err := s.Load(source)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out[c.Source] = c
-		}
-	}
-	return out, nil
 }

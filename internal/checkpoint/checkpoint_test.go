@@ -1,8 +1,11 @@
 package checkpoint
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -160,6 +163,227 @@ func TestFileStoreSaveDurabilityContract(t *testing.T) {
 			if info.Size() == 0 {
 				t.Fatalf("Save #%d left zero-length commit %q", i, e.Name())
 			}
+		}
+	}
+}
+
+// storeCase opens a Store and reopens it the way a restarted process would
+// (a MemStore has no process to survive, so its reopen returns itself).
+type storeCase struct {
+	name string
+	open func(t *testing.T) (s Store, reopen func() Store, dir string)
+}
+
+func storeCases() []storeCase {
+	return []storeCase{
+		{"mem", func(t *testing.T) (Store, func() Store, string) {
+			s := NewMemStore()
+			return s, func() Store { return s }, ""
+		}},
+		{"file", func(t *testing.T) (Store, func() Store, string) {
+			dir := t.TempDir()
+			s, err := NewFileStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s, func() Store {
+				s2, err := NewFileStore(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s2
+			}, dir
+		}},
+	}
+}
+
+// fiveCursors is one cursor per forum, each using its source's fields.
+func fiveCursors() []Cursor {
+	at := time.Date(2024, 5, 1, 12, 0, 0, 0, time.UTC)
+	tw := Cursor{Source: "twitter", Updated: at}
+	tw.SetToken("smishing", "t-9")
+	tw.SetToken("sms scam", "t-7")
+	rd := Cursor{Source: "reddit", Updated: at}
+	rd.SetToken("smishing", "r-3")
+	return []Cursor{
+		tw, rd,
+		{Source: "smishtank", Offset: 40, Updated: at},
+		{Source: "smishing.eu", Offset: 75, Updated: at},
+		{Source: "pastebin", LastID: "p000012", Updated: at},
+	}
+}
+
+// dirNames lists a store directory's entries.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+func TestStoreMultiCursorSaveRoundTrip(t *testing.T) {
+	for _, tc := range storeCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			s, reopen, dir := tc.open(t)
+			want := fiveCursors()
+			if err := s.Save(want...); err != nil {
+				t.Fatal(err)
+			}
+			all, err := reopen().All()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(all) != len(want) {
+				t.Fatalf("All() = %d cursors, want %d", len(all), len(want))
+			}
+			for _, c := range want {
+				if got := all[c.Source]; !reflect.DeepEqual(got, c) {
+					t.Fatalf("%s after reopen: %+v, want %+v", c.Source, got, c)
+				}
+			}
+			if dir != "" {
+				// One manifest, no temp debris.
+				if names := dirNames(t, dir); !reflect.DeepEqual(names, []string{manifestName}) {
+					t.Fatalf("store dir holds %q, want only %s", names, manifestName)
+				}
+			}
+		})
+	}
+}
+
+func TestStoreRejectsBatchWithSourcelessCursor(t *testing.T) {
+	for _, tc := range storeCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			s, reopen, dir := tc.open(t)
+			before := Cursor{Source: "smishtank", Offset: 5}
+			if err := s.Save(before); err != nil {
+				t.Fatal(err)
+			}
+			var manifest []byte
+			if dir != "" {
+				manifest, _ = os.ReadFile(filepath.Join(dir, manifestName))
+			}
+			batch := fiveCursors()
+			batch[3].Source = ""
+			if err := s.Save(batch...); err == nil {
+				t.Fatal("Save accepted a batch with a source-less cursor")
+			}
+			for _, st := range []Store{s, reopen()} {
+				all, err := st.All()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(all) != 1 || !reflect.DeepEqual(all["smishtank"], before) {
+					t.Fatalf("rejected batch changed the store: %+v", all)
+				}
+			}
+			if dir != "" {
+				after, _ := os.ReadFile(filepath.Join(dir, manifestName))
+				if !bytes.Equal(after, manifest) {
+					t.Fatal("rejected batch rewrote the manifest")
+				}
+				if names := dirNames(t, dir); !reflect.DeepEqual(names, []string{manifestName}) {
+					t.Fatalf("store dir holds %q, want only %s", names, manifestName)
+				}
+			}
+		})
+	}
+}
+
+func TestStoreEmptySaveWritesNothing(t *testing.T) {
+	for _, tc := range storeCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			s, reopen, dir := tc.open(t)
+			if err := s.Save(); err != nil {
+				t.Fatal(err)
+			}
+			if all, _ := reopen().All(); len(all) != 0 {
+				t.Fatalf("empty Save committed %+v", all)
+			}
+			if dir != "" {
+				if names := dirNames(t, dir); len(names) != 0 {
+					t.Fatalf("empty Save created %q", names)
+				}
+			}
+		})
+	}
+}
+
+// TestFileStoreResumesLegacyLayout opens a directory written in the
+// earlier one-file-per-source layout: it must resume the same cursors, and
+// the first commit must leave only the manifest behind.
+func TestFileStoreResumesLegacyLayout(t *testing.T) {
+	dir := t.TempDir()
+	want := fiveCursors()
+	for _, c := range want {
+		data, err := json.MarshalIndent(c, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, c.Source+legacySuffix), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range want {
+		got, ok, err := s.Load(c.Source)
+		if err != nil || !ok || !reflect.DeepEqual(got, c) {
+			t.Fatalf("legacy %s: ok=%v err=%v got %+v, want %+v", c.Source, ok, err, got, c)
+		}
+	}
+
+	moved := want[2]
+	moved.Offset++
+	if err := s.Save(moved); err != nil {
+		t.Fatal(err)
+	}
+	if names := dirNames(t, dir); !reflect.DeepEqual(names, []string{manifestName}) {
+		t.Fatalf("after first commit the dir holds %q, want only %s", names, manifestName)
+	}
+	reopened, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, _ := reopened.All()
+	want[2] = moved
+	for _, c := range want {
+		if !reflect.DeepEqual(all[c.Source], c) {
+			t.Fatalf("%s after migration: %+v, want %+v", c.Source, all[c.Source], c)
+		}
+	}
+}
+
+func TestCursorSamePosition(t *testing.T) {
+	base := fiveCursors()[0]
+	later := base.Clone()
+	later.Source = "other"
+	later.Updated = base.Updated.Add(time.Hour)
+	if !base.SamePosition(later) {
+		t.Fatal("Source/Updated changes counted as a move")
+	}
+	if !(Cursor{}).SamePosition(Cursor{Tokens: map[string]string{}}) {
+		t.Fatal("nil and empty Tokens differ")
+	}
+	moves := []func(c *Cursor){
+		func(c *Cursor) { c.SetToken("smishing", "t-10") },
+		func(c *Cursor) { c.SetToken("new keyword", "t-1") },
+		func(c *Cursor) { c.Offset++ },
+		func(c *Cursor) { c.LastID = "p1" },
+	}
+	for i, move := range moves {
+		c := base.Clone()
+		move(&c)
+		if base.SamePosition(c) || c.SamePosition(base) {
+			t.Fatalf("move %d not detected", i)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"github.com/smishkit/smishkit/internal/corpus"
@@ -87,4 +88,46 @@ func fetchBytes(ctx context.Context, api *netutil.Client, path string) ([]byte, 
 		}
 	}
 	return nil, fmt.Errorf("forum: fetch %s failed: %w", path, lastErr)
+}
+
+// maxAttachmentFetches bounds how many attachment downloads one page keeps
+// in flight.
+const maxAttachmentFetches = 4
+
+// fetchAttachments downloads one page's attachments, at most
+// maxAttachmentFetches at a time. paths[i] is report i's attachment path
+// ("" when it has none) and its bytes land in slot i of the result, so the
+// caller sinks the page's reports in page order whatever order the
+// downloads finish in. A download that fails in the concurrent pass gets
+// one more try afterwards, one at a time: a server shedding load
+// (429/5xx) under the page's burst then sees a single request. Only a
+// second failure fails the page; the error comes with the lowest failing
+// index.
+func fetchAttachments(ctx context.Context, api *netutil.Client, paths []string) ([][]byte, int, error) {
+	out := make([][]byte, len(paths))
+	errs := make([]error, len(paths))
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, maxAttachmentFetches)
+	for i, path := range paths {
+		if path == "" {
+			continue
+		}
+		sem <- struct{}{} // freed by each download as it ends
+		wg.Add(1)
+		go func(i int, path string) {
+			defer wg.Done()
+			out[i], errs[i] = fetchBytes(ctx, api, path)
+			<-sem
+		}(i, path)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		if out[i], err = fetchBytes(ctx, api, paths[i]); err != nil {
+			return nil, i, err
+		}
+	}
+	return out, 0, nil
 }

@@ -1,11 +1,16 @@
 package forum
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/smishkit/smishkit/internal/checkpoint"
 	"github.com/smishkit/smishkit/internal/netutil"
@@ -202,24 +207,143 @@ func TestRedditEmptyAfterMidListing(t *testing.T) {
 	}
 }
 
+// attachmentCase is a collector that downloads attachments through
+// fetchAttachments, with the path prefix its server serves them under.
+type attachmentCase struct {
+	name, prefix string
+	posts        []post
+	handler      http.Handler
+	collector    func(base string) IncrementalCollector
+}
+
+func attachmentCollectors(f *Fixtures) []attachmentCase {
+	return []attachmentCase{
+		{"twitter", "/2/media/", f.Twitter, NewTwitterServer(f.Twitter, "b", 0).Handler(),
+			func(base string) IncrementalCollector { return NewTwitterCollector(base, "b") }},
+		{"reddit", "/img/", f.Reddit, NewRedditServer(f.Reddit, 0).Handler(),
+			func(base string) IncrementalCollector { return NewRedditCollector(base) }},
+		{"smishtank", "/screenshots/", f.Smishtank, NewSmishtankServer(f.Smishtank).Handler(),
+			func(base string) IncrementalCollector { return NewSmishtankCollector(base) }},
+	}
+}
+
 // TestCollectSinceErrorKeepsCursor pins the atomicity contract: a failed
 // round returns the input cursor untouched so callers never commit a
-// half-synced position.
+// half-synced position — whether the sink fails or an attachment download
+// does.
 func TestCollectSinceErrorKeepsCursor(t *testing.T) {
 	w := testWorld(t, 600)
 	f := BuildFixtures(w)
-	srv := httptest.NewServer(NewSmishtankServer(f.Smishtank).Handler())
-	defer srv.Close()
 
-	c := NewSmishtankCollector(srv.URL)
-	in := checkpoint.Cursor{Source: "smishtank", Offset: 1}
-	boom := fmt.Errorf("sink exploded")
-	out, err := c.CollectSince(context.Background(), in, func(RawReport) error { return boom })
-	if err == nil {
-		t.Fatal("sink error not propagated")
+	t.Run("sink", func(t *testing.T) {
+		srv := httptest.NewServer(NewSmishtankServer(f.Smishtank).Handler())
+		defer srv.Close()
+		c := NewSmishtankCollector(srv.URL)
+		in := checkpoint.Cursor{Source: "smishtank", Offset: 1}
+		boom := fmt.Errorf("sink exploded")
+		out, err := c.CollectSince(context.Background(), in, func(RawReport) error { return boom })
+		if err == nil {
+			t.Fatal("sink error not propagated")
+		}
+		if out.Offset != in.Offset || !out.Updated.Equal(in.Updated) {
+			t.Fatalf("failed round advanced the cursor: in=%+v out=%+v", in, out)
+		}
+	})
+
+	// Every attachment answers 404: the collector must fail the round,
+	// name the attachment, and hand back the input cursor.
+	for _, tc := range attachmentCollectors(f) {
+		t.Run(tc.name+"-attachment-404", func(t *testing.T) {
+			var attachments atomic.Int32
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if strings.HasPrefix(r.URL.Path, tc.prefix) {
+					attachments.Add(1)
+					http.NotFound(w, r)
+					return
+				}
+				tc.handler.ServeHTTP(w, r)
+			}))
+			defer srv.Close()
+			in := checkpoint.Cursor{Source: tc.name, Updated: time.Unix(1700000000, 0).UTC()}
+			out, err := tc.collector(srv.URL).CollectSince(context.Background(), in, func(RawReport) error { return nil })
+			if attachments.Load() == 0 {
+				t.Fatal("no attachment was requested; test is vacuous")
+			}
+			if err == nil || !strings.Contains(err.Error(), "404") {
+				t.Fatalf("attachment 404 not surfaced: %v", err)
+			}
+			if !reflect.DeepEqual(out, in) {
+				t.Fatalf("failed round advanced the cursor: in=%+v out=%+v", in, out)
+			}
+		})
 	}
-	if out.Offset != in.Offset || !out.Updated.Equal(in.Updated) {
-		t.Fatalf("failed round advanced the cursor: in=%+v out=%+v", in, out)
+}
+
+// TestAttachmentsKeepSinkOrder delays attachment responses so downloads
+// finish out of request order, and checks that reports still reach the
+// sink in page order, each carrying its own post's attachment, with at
+// most maxAttachmentFetches downloads in flight.
+func TestAttachmentsKeepSinkOrder(t *testing.T) {
+	f := BuildFixtures(testWorld(t, 600))
+	collect := func(t *testing.T, c IncrementalCollector) []RawReport {
+		_, got := collectSince(t, c, checkpoint.Cursor{})
+		return got
+	}
+	for _, tc := range attachmentCollectors(f) {
+		t.Run(tc.name, func(t *testing.T) {
+			plain := httptest.NewServer(tc.handler)
+			defer plain.Close()
+			want := collect(t, tc.collector(plain.URL))
+
+			var arrived, inFlight, maxInFlight, reordered atomic.Int32
+			var lastDone atomic.Int32
+			slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if !strings.HasPrefix(r.URL.Path, tc.prefix) {
+					tc.handler.ServeHTTP(w, r)
+					return
+				}
+				n := inFlight.Add(1)
+				defer inFlight.Add(-1)
+				for m := maxInFlight.Load(); n > m && !maxInFlight.CompareAndSwap(m, n); m = maxInFlight.Load() {
+				}
+				// The first of every four requests answers last.
+				seq := arrived.Add(1)
+				if seq%4 == 1 {
+					time.Sleep(10 * time.Millisecond)
+				}
+				tc.handler.ServeHTTP(w, r)
+				if prev := lastDone.Swap(seq); prev > seq {
+					reordered.Add(1)
+				}
+			}))
+			defer slow.Close()
+			got := collect(t, tc.collector(slow.URL))
+
+			if arrived.Load() < 2 {
+				t.Fatalf("only %d attachments requested; test is vacuous", arrived.Load())
+			}
+			if reordered.Load() == 0 {
+				t.Fatal("downloads never finished out of order; test is vacuous")
+			}
+			if m := maxInFlight.Load(); m < 2 || m > maxAttachmentFetches {
+				t.Fatalf("max attachment downloads in flight = %d, want 2..%d", m, maxAttachmentFetches)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("collected %d reports, want %d", len(got), len(want))
+			}
+			byID := make(map[string][]byte, len(tc.posts))
+			for _, p := range tc.posts {
+				byID[p.ID] = p.Attachment
+			}
+			for i := range want {
+				if got[i].PostID != want[i].PostID {
+					t.Fatalf("report %d: sunk %s, want %s", i, got[i].PostID, want[i].PostID)
+				}
+				if !bytes.Equal(got[i].Attachment, byID[got[i].PostID]) {
+					t.Fatalf("report %s carries another post's attachment", got[i].PostID)
+				}
+			}
+		})
 	}
 }
 

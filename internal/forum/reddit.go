@@ -189,7 +189,8 @@ func (c *RedditCollector) Collect(ctx ctxType, sink func(RawReport) error) error
 // carry children (a mid-listing short page). The old loop treated an empty
 // token as end-of-data and silently dropped everything behind such a page;
 // now the collector only stops at a genuinely empty page and synthesizes
-// the next position from the last child it saw.
+// the next position from the last child it saw. Each page's images
+// download concurrently.
 func (c *RedditCollector) CollectSince(ctx ctxType, cur checkpoint.Cursor, sink func(RawReport) error) (checkpoint.Cursor, error) {
 	next := cur.Clone()
 	next.Source = "reddit"
@@ -217,26 +218,29 @@ func (c *RedditCollector) CollectSince(ctx ctxType, cur checkpoint.Cursor, sink 
 			if len(children) == 0 {
 				break
 			}
+			var reps []RawReport
+			var paths []string
 			for _, child := range children {
 				p := child.Data
 				if seen[p.ID] {
 					continue
 				}
 				seen[p.ID] = true
-				rep := RawReport{
+				reps = append(reps, RawReport{
 					Forum:    corpus.ForumReddit,
 					PostID:   p.ID,
 					PostedAt: unixTime(p.CreatedUTC),
 					Body:     p.SelfText,
-				}
-				if p.URL != "" {
-					data, err := fetchBytes(ctx, &c.API, p.URL)
-					if err != nil {
-						return cur, fmt.Errorf("forum: reddit image %s: %w", p.ID, err)
-					}
-					rep.Attachment = data
-				}
-				if err := sink(rep); err != nil {
+				})
+				paths = append(paths, p.URL)
+			}
+			images, bad, err := fetchAttachments(ctx, &c.API, paths)
+			if err != nil {
+				return cur, fmt.Errorf("forum: reddit image %s: %w", reps[bad].PostID, err)
+			}
+			for i := range reps {
+				reps[i].Attachment = images[i]
+				if err := sink(reps[i]); err != nil {
 					return cur, err
 				}
 			}

@@ -129,7 +129,8 @@ func (c *SmishtankCollector) Collect(ctx ctxType, sink func(RawReport) error) er
 
 // CollectSince implements IncrementalCollector: Cursor.Offset counts the
 // submissions already consumed, which is exactly the API's own offset
-// parameter — the submission list is append-only.
+// parameter — the submission list is append-only. Each page's screenshots
+// download concurrently.
 func (c *SmishtankCollector) CollectSince(ctx ctxType, cur checkpoint.Cursor, sink func(RawReport) error) (checkpoint.Cursor, error) {
 	next := cur.Clone()
 	next.Source = "smishtank"
@@ -139,22 +140,24 @@ func (c *SmishtankCollector) CollectSince(ctx ctxType, cur checkpoint.Cursor, si
 		if err := c.API.GetJSON(ctx, fmt.Sprintf("/api/submissions?offset=%d&limit=100", offset), &page); err != nil {
 			return cur, fmt.Errorf("forum: smishtank page %d: %w", offset, err)
 		}
-		for _, sub := range page.Submissions {
+		paths := make([]string, len(page.Submissions))
+		for i, sub := range page.Submissions {
+			paths[i] = sub.Screenshot
+		}
+		shots, bad, err := fetchAttachments(ctx, &c.API, paths)
+		if err != nil {
+			return cur, fmt.Errorf("forum: smishtank screenshot %s: %w", page.Submissions[bad].ID, err)
+		}
+		for i, sub := range page.Submissions {
 			posted, _ := time.Parse(time.RFC3339, sub.Submitted)
 			rep := RawReport{
-				Forum:     corpus.ForumSmishtank,
-				PostID:    sub.ID,
-				PostedAt:  posted,
-				SMSText:   sub.Text,
-				SenderID:  sub.Sender,
-				Timestamp: sub.Timestamp,
-			}
-			if sub.Screenshot != "" {
-				data, err := fetchBytes(ctx, &c.API, sub.Screenshot)
-				if err != nil {
-					return cur, fmt.Errorf("forum: smishtank screenshot %s: %w", sub.ID, err)
-				}
-				rep.Attachment = data
+				Forum:      corpus.ForumSmishtank,
+				PostID:     sub.ID,
+				PostedAt:   posted,
+				SMSText:    sub.Text,
+				SenderID:   sub.Sender,
+				Timestamp:  sub.Timestamp,
+				Attachment: shots[i],
 			}
 			if err := sink(rep); err != nil {
 				return cur, err

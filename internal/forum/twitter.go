@@ -220,9 +220,10 @@ func (c *TwitterCollector) Collect(ctx ctxType, sink func(RawReport) error) erro
 // CollectSince implements IncrementalCollector: each keyword resumes from
 // its stored since_id (the newest tweet ID fully consumed for that
 // keyword), follows next_token pagination within the round, downloads
-// media, and deduplicates across keywords. Cross-round dedup falls out of
-// the since_id contract: a tweet matching several keywords is covered by
-// every one of their cursors after the round it appeared in.
+// each page's media concurrently, and deduplicates across keywords.
+// Cross-round dedup falls out of the since_id contract: a tweet matching
+// several keywords is covered by every one of their cursors after the
+// round it appeared in.
 func (c *TwitterCollector) CollectSince(ctx ctxType, cur checkpoint.Cursor, sink func(RawReport) error) (checkpoint.Cursor, error) {
 	next := cur.Clone()
 	next.Source = "twitter"
@@ -252,6 +253,8 @@ func (c *TwitterCollector) CollectSince(ctx ctxType, cur checkpoint.Cursor, sink
 			for _, m := range resp.Includes.Media {
 				mediaByKey[m.MediaKey] = m.URL
 			}
+			var reps []RawReport
+			var keys, paths []string
 			for _, tw := range resp.Data {
 				// Results arrive oldest-first, so the last tweet of the last
 				// page is the keyword's new high-water mark.
@@ -260,24 +263,32 @@ func (c *TwitterCollector) CollectSince(ctx ctxType, cur checkpoint.Cursor, sink
 					continue
 				}
 				seen[tw.ID] = true
-				rep := RawReport{
+				reps = append(reps, RawReport{
 					Forum:    corpus.ForumTwitter,
 					PostID:   tw.ID,
 					PostedAt: tw.CreatedAt,
 					Body:     tw.Text,
-				}
+				})
+				// A report carries one attachment: the tweet's last media
+				// key the response expands.
+				key, path := "", ""
 				if tw.Attachments != nil {
-					for _, key := range tw.Attachments.MediaKeys {
-						if url, ok := mediaByKey[key]; ok {
-							data, err := c.fetchMedia(ctx, url)
-							if err != nil {
-								return cur, fmt.Errorf("forum: twitter media %s: %w", key, err)
-							}
-							rep.Attachment = data
+					for _, k := range tw.Attachments.MediaKeys {
+						if url, ok := mediaByKey[k]; ok {
+							key, path = k, url
 						}
 					}
 				}
-				if err := sink(rep); err != nil {
+				keys = append(keys, key)
+				paths = append(paths, path)
+			}
+			media, bad, err := fetchAttachments(ctx, &c.API, paths)
+			if err != nil {
+				return cur, fmt.Errorf("forum: twitter media %s: %w", keys[bad], err)
+			}
+			for i := range reps {
+				reps[i].Attachment = media[i]
+				if err := sink(reps[i]); err != nil {
 					return cur, err
 				}
 			}
@@ -292,8 +303,4 @@ func (c *TwitterCollector) CollectSince(ctx ctxType, cur checkpoint.Cursor, sink
 	}
 	next.Updated = time.Now().UTC()
 	return next, nil
-}
-
-func (c *TwitterCollector) fetchMedia(ctx ctxType, path string) ([]byte, error) {
-	return fetchBytes(ctx, &c.API, path)
 }

@@ -36,19 +36,22 @@ type (
 // NewMemCheckpoints returns an in-memory cursor store (lost on exit).
 func NewMemCheckpoints() CheckpointStore { return checkpoint.NewMemStore() }
 
-// NewFileCheckpoints returns a cursor store persisting one JSON file per
-// forum under dir, creating it if needed — the store a restarted daemon
-// resumes from.
+// NewFileCheckpoints returns a cursor store keeping every forum's cursor
+// in one manifest, dir/cursors.json, replaced atomically on each commit;
+// it creates dir if needed and resumes a directory written in the earlier
+// one-file-per-forum layout. It is the store a restarted daemon resumes
+// from.
 func NewFileCheckpoints(dir string) (CheckpointStore, error) { return checkpoint.NewFileStore(dir) }
 
 // ServiceConfig tunes Study.Serve, the long-running service mode.
 type ServiceConfig struct {
 	// PollInterval is the idle time between collection rounds (default 2s).
 	PollInterval time.Duration
-	// Checkpoints persists each forum's cursor after every successful
-	// round. Default: an in-memory store, which survives repeated Serve
-	// calls on one Study but not a process restart; use NewFileCheckpoints
-	// for durability.
+	// Checkpoints persists the forums' cursors. After every successful
+	// round the cursors whose position moved are committed in one atomic
+	// Save; a round that moved none writes nothing. Default: an in-memory
+	// store, which survives repeated Serve calls on one Study but not a
+	// process restart; use NewFileCheckpoints for durability.
 	Checkpoints CheckpointStore
 	// MaxRounds stops the daemon after that many rounds (0 = run until ctx
 	// is cancelled).
@@ -295,14 +298,14 @@ func (s *Study) StatusURL() string {
 }
 
 // Serve runs the study as a long-running daemon: every PollInterval it
-// asks each forum collector for reports newer than its durable cursor,
-// pushes the new batch through the streaming pipeline, folds the result
-// into the incrementally-maintained report projection, and commits the
-// advanced cursors. Rounds are atomic — a collector or pipeline failure
-// discards the round's partial progress and leaves every cursor where it
-// was, so an interrupted daemon resumed from the same CheckpointStore
-// re-collects exactly the reports it never committed (no duplicates, no
-// holes).
+// asks all forum collectors, concurrently, for reports newer than their
+// durable cursors, pushes the new batch through the streaming pipeline,
+// folds the result into the incrementally-maintained report projection,
+// and commits the cursors that moved in one atomic Save. Rounds are
+// atomic — a collector or pipeline failure discards the round's partial
+// progress and leaves every cursor where it was, so an interrupted daemon
+// resumed from the same CheckpointStore re-collects exactly the reports
+// it never committed (no duplicates, no holes).
 //
 // Cancelling ctx is the clean shutdown: the in-flight round is drained
 // (bounded by DrainTimeout), the projection is flushed, and the merged
@@ -423,6 +426,20 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 		}
 	}
 
+	// Per-forum counters and the round's stage instruments, created once so
+	// the loop only updates them.
+	srcErrors := make([]*telemetry.Counter, len(collectors))
+	srcNew := make([]*telemetry.Counter, len(collectors))
+	for i := range collectors {
+		srcErrors[i] = reg.Counter("collect." + forum.Sources[i] + ".errors")
+		srcNew[i] = reg.Counter("collect." + forum.Sources[i] + ".new_reports")
+	}
+	stageCollect := reg.Histogram("serve.stage.collect")
+	stageProcess := reg.Histogram("serve.stage.process")
+	stageAppend := reg.Histogram("serve.stage.append")
+	stageCursors := reg.Histogram("serve.stage.cursors")
+	commits := reg.Counter("checkpoint.commits")
+
 	released := 0
 	for round := 1; ; round++ {
 		if cfg.LiveWaves > 0 && round > 1 && released < cfg.LiveWaves {
@@ -434,30 +451,43 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 		info := RoundInfo{Round: round}
 		sp := reg.StartSpan("serve.round")
 
-		// Collect each forum as an independent atomic stage: a failing
-		// collector contributes nothing this round and keeps its cursor.
+		// Collect every forum concurrently, each as an independent atomic
+		// stage: a failing collector contributes nothing this round and
+		// keeps its cursor. The batch concatenates the stages in
+		// forum.Sources order, so its contents and order do not depend on
+		// which collector finishes first.
+		collectStart := time.Now()
+		stages := make([]collectStage, len(collectors))
+		var wg sync.WaitGroup
+		for i, ic := range collectors {
+			wg.Add(1)
+			go func(stg *collectStage, ic forum.IncrementalCollector, cur Cursor) {
+				defer wg.Done()
+				stg.next, stg.err = ic.CollectSince(ctx, cur, func(r RawReport) error {
+					stg.reports = append(stg.reports, r)
+					return nil
+				})
+			}(&stages[i], ic, cursors[forum.Sources[i]])
+		}
+		wg.Wait()
 		var batch []RawReport
 		staged := make(map[string]Cursor, len(collectors))
 		stagedN := make(map[string]int, len(collectors))
-		for i, ic := range collectors {
+		for i, stg := range stages {
 			src := forum.Sources[i]
-			var stage []RawReport
-			next, err := ic.CollectSince(ctx, cursors[src], func(r RawReport) error {
-				stage = append(stage, r)
-				return nil
-			})
-			if err != nil {
-				reg.Counter("collect." + src + ".errors").Inc()
+			if stg.err != nil {
+				srcErrors[i].Inc()
 				if info.Err == nil {
-					info.Err = fmt.Errorf("smishkit: collect %s: %w", src, err)
+					info.Err = fmt.Errorf("smishkit: collect %s: %w", src, stg.err)
 				}
 				continue
 			}
-			reg.Counter("collect." + src + ".new_reports").Add(int64(len(stage)))
-			batch = append(batch, stage...)
-			staged[src] = next
-			stagedN[src] = len(stage)
+			srcNew[i].Add(int64(len(stg.reports)))
+			batch = append(batch, stg.reports...)
+			staged[src] = stg.next
+			stagedN[src] = len(stg.reports)
 		}
+		stageCollect.Observe(time.Since(collectStart))
 
 		if ctx.Err() != nil {
 			// Cancelled mid-collection: the round never completed, so none
@@ -466,9 +496,7 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 			break
 		}
 
-		// Process the round's batch and commit its cursors together. An
-		// empty batch still commits: the cursors' Updated stamps are what
-		// the lag gauges measure.
+		// Process the round's batch, then commit its cursors.
 		collectedAt := time.Now()
 		committed := true
 		if len(batch) > 0 {
@@ -478,16 +506,22 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 			// commit, so durable-first ordering below is unchanged); the
 			// unsharded path is the streaming pipeline as before.
 			ds, err := s.runBatch(procCtx, batch)
-			if err == nil && s.rlog != nil {
-				// Durable-first commit ordering: the round's records reach
-				// the fsynced log before the projection sees them and before
-				// any cursor commits. A crash after the append re-collects at
-				// most this round, and the log dedups the re-appended records
-				// by ID — so the projection receives only the fresh subset.
-				ds, err = s.rlog.Append(ds, collectedAt)
-			}
+			stageProcess.Observe(time.Since(collectedAt))
 			if err == nil {
-				err = st.proj.Submit(procCtx, ds, collectedAt)
+				appendStart := time.Now()
+				if s.rlog != nil {
+					// Durable-first commit ordering: the round's records
+					// reach the fsynced log before the projection sees them
+					// and before any cursor commits. A crash after the
+					// append re-collects at most this round, and the log
+					// dedups the re-appended records by ID — so the
+					// projection receives only the fresh subset.
+					ds, err = s.rlog.Append(ds, collectedAt)
+				}
+				if err == nil {
+					err = st.proj.Submit(procCtx, ds, collectedAt)
+				}
+				stageAppend.Observe(time.Since(appendStart))
 			}
 			cancel()
 			if err != nil {
@@ -499,14 +533,34 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 		}
 		if committed {
 			info.NewReports = len(batch)
-			for src, cur := range staged {
-				if err := cfg.Checkpoints.Save(cur); err != nil {
-					if info.Err == nil {
-						info.Err = fmt.Errorf("smishkit: save checkpoint %s: %w", src, err)
-					}
-					continue
+			// One atomic Save commits every cursor whose position moved; a
+			// round that moved none writes nothing. Unless the Save fails,
+			// the live cursors take the staged ones, so their Updated stamps
+			// keep the lag gauges current on empty rounds too. A failed Save
+			// advances no cursor: the next round re-collects the reports,
+			// and a record log drops the ones it already holds.
+			var moved []Cursor
+			for _, src := range forum.Sources {
+				if cur, ok := staged[src]; ok && !cur.SamePosition(cursors[src]) {
+					moved = append(moved, cur)
 				}
-				cursors[src] = cur
+			}
+			var err error
+			if len(moved) > 0 {
+				saveStart := time.Now()
+				if err = cfg.Checkpoints.Save(moved...); err == nil {
+					commits.Inc()
+				}
+				stageCursors.Observe(time.Since(saveStart))
+			}
+			if err != nil {
+				if info.Err == nil {
+					info.Err = fmt.Errorf("smishkit: save checkpoints: %w", err)
+				}
+			} else {
+				for src, cur := range staged {
+					cursors[src] = cur
+				}
 			}
 			st.commitCounts(stagedN, len(batch), time.Now())
 		}
@@ -547,6 +601,14 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 		}
 	}
 	return st.proj.Dataset(), nil
+}
+
+// collectStage is one forum's share of a round: the reports its collector
+// returned and the cursor to commit, or the error that voids both.
+type collectStage struct {
+	reports []RawReport
+	next    Cursor
+	err     error
 }
 
 // incrementalCollectors returns the simulation's collectors as

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -389,5 +390,168 @@ func TestServeRequiresStreaming(t *testing.T) {
 	defer study.Close()
 	if _, err := study.Serve(context.Background()); err == nil {
 		t.Fatal("Serve without streaming succeeded")
+	}
+}
+
+// countingStore is a CheckpointStore that records every Save call and
+// fails the test when a call commits a cursor whose position did not move.
+type countingStore struct {
+	t     *testing.T
+	inner CheckpointStore
+	mu    sync.Mutex
+	saves int
+}
+
+func (s *countingStore) Load(src string) (Cursor, bool, error) { return s.inner.Load(src) }
+func (s *countingStore) All() (map[string]Cursor, error)       { return s.inner.All() }
+
+func (s *countingStore) Save(curs ...Cursor) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.saves++
+	if len(curs) == 0 {
+		s.t.Errorf("Save #%d commits no cursor", s.saves)
+	}
+	for _, c := range curs {
+		if prev, ok, _ := s.inner.Load(c.Source); ok && prev.SamePosition(c) {
+			s.t.Errorf("Save #%d re-commits unmoved cursor %s", s.saves, c.Source)
+		}
+	}
+	return s.inner.Save(curs...)
+}
+
+func (s *countingStore) count() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.saves
+}
+
+// TestServeCommitsOncePerMovedRound pins the commit path: a round that
+// moved any cursor makes exactly one Save carrying only the moved cursors,
+// a round that moved none makes no Save, and the daemon's own telemetry
+// (checkpoint.commits, serve.stage.*) tells the same story.
+func TestServeCommitsOncePerMovedRound(t *testing.T) {
+	store := &countingStore{t: t, inner: NewMemCheckpoints()}
+	const rounds = 4
+	var perRound []int // Saves made during each round
+	var newReports []int
+	study, err := NewStudy(Options{
+		Seed:     41,
+		Messages: 300,
+		Pipeline: PipelineOptions{Streaming: true},
+		Service: &ServiceConfig{
+			PollInterval: 10 * time.Millisecond,
+			MaxRounds:    rounds,
+			LiveWaves:    1, // round 1: backlog, round 2: the wave, then idle
+			Checkpoints:  store,
+			OnRound: func(info RoundInfo) {
+				if info.Err != nil {
+					t.Errorf("round %d: %v", info.Round, info.Err)
+				}
+				prev := 0
+				for _, n := range perRound {
+					prev += n
+				}
+				perRound = append(perRound, store.count()-prev)
+				newReports = append(newReports, info.NewReports)
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer study.Close()
+	if _, err := study.Serve(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	moved, idle := 0, 0
+	for i, n := range perRound {
+		want := 0
+		if newReports[i] > 0 {
+			want = 1
+			moved++
+		} else {
+			idle++
+		}
+		if n != want {
+			t.Fatalf("round %d (%d new reports) made %d Saves, want %d", i+1, newReports[i], n, want)
+		}
+	}
+	if moved == 0 || idle == 0 {
+		t.Fatalf("rounds moved=%d idle=%d; want both kinds", moved, idle)
+	}
+	all, err := store.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 5 {
+		t.Fatalf("store holds %d cursors after serving, want 5", len(all))
+	}
+
+	snap := study.Stats().Telemetry
+	if got := snap.CounterValue("checkpoint.commits"); got != int64(store.count()) {
+		t.Fatalf("checkpoint.commits = %d, store saw %d Saves", got, store.count())
+	}
+	hists := map[string]int64{
+		"serve.round_duration": rounds,
+		"serve.stage.collect":  rounds,
+		"serve.stage.process":  int64(moved),
+		"serve.stage.append":   int64(moved),
+		"serve.stage.cursors":  int64(store.count()),
+	}
+	for name, want := range hists {
+		if got := snap.Histograms[name].Count; got != want {
+			t.Errorf("%s count = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestServeConcurrentCollectIsolatesFailure breaks Twitter's credentials:
+// the concurrent round must keep Twitter's cursor unmoved, commit the
+// other four forums, and report an error naming twitter.
+func TestServeConcurrentCollectIsolatesFailure(t *testing.T) {
+	store := NewMemCheckpoints()
+	var roundErr error
+	var collected int
+	study, err := NewStudy(Options{
+		Seed:     43,
+		Messages: 400,
+		Pipeline: PipelineOptions{Streaming: true},
+		Service: &ServiceConfig{
+			PollInterval: 10 * time.Millisecond,
+			MaxRounds:    1,
+			Checkpoints:  store,
+			OnRound: func(info RoundInfo) {
+				roundErr, collected = info.Err, info.NewReports
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer study.Close()
+	study.Sim.TwitterBearer = "wrong-bearer"
+	if _, err := study.Serve(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	if roundErr == nil || !strings.Contains(roundErr.Error(), "twitter") {
+		t.Fatalf("round error = %v, want one naming twitter", roundErr)
+	}
+	if collected == 0 {
+		t.Fatal("the healthy forums contributed no reports")
+	}
+	if cur, ok, _ := store.Load("twitter"); ok {
+		t.Fatalf("twitter cursor committed despite failing collection: %+v", cur)
+	}
+	for _, src := range []string{"reddit", "smishtank", "smishing.eu", "pastebin"} {
+		cur, ok, err := store.Load(src)
+		if err != nil || !ok || cur.IsZero() {
+			t.Fatalf("%s cursor not advanced: ok=%v err=%v cursor=%+v", src, ok, err, cur)
+		}
+	}
+	if n := study.Stats().Telemetry.CounterValue("collect.twitter.errors"); n != 1 {
+		t.Fatalf("collect.twitter.errors = %d, want 1", n)
 	}
 }
