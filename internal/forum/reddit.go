@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/smishkit/smishkit/internal/checkpoint"
@@ -18,35 +16,20 @@ import (
 // RedditServer speaks the listing JSON of Reddit's public search endpoint
 // (§3.1.2): GET /search.json?q=...&limit=...&after=t3_<id>, with image
 // posts linking to an /img/ URL. Posts may be appended while the server is
-// live, so all access goes through a read-write lock.
+// live.
 type RedditServer struct {
-	mu      sync.RWMutex
-	posts   []post
+	timeline
 	limiter *netutil.TokenBucket
 }
 
 // NewRedditServer seeds the server.
 func NewRedditServer(posts []post, ratePerSec float64) *RedditServer {
-	sorted := make([]post, len(posts))
-	copy(sorted, posts)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].CreatedAt.Before(sorted[j].CreatedAt) })
-	s := &RedditServer{posts: sorted}
+	s := &RedditServer{}
+	s.Append(posts)
 	if ratePerSec > 0 {
 		s.limiter = netutil.NewTokenBucket(int(ratePerSec*2)+1, ratePerSec)
 	}
 	return s
-}
-
-// Append publishes new posts at the tail of the listing. Batches must be
-// chronologically at-or-after the existing posts: `after` resolution is
-// position-based, so inserting in the middle would corrupt live cursors.
-func (s *RedditServer) Append(posts []post) {
-	batch := make([]post, len(posts))
-	copy(batch, posts)
-	sort.SliceStable(batch, func(i, j int) bool { return batch[i].CreatedAt.Before(batch[j].CreatedAt) })
-	s.mu.Lock()
-	s.posts = append(s.posts, batch...)
-	s.mu.Unlock()
 }
 
 // Reddit wire types.
@@ -102,19 +85,13 @@ func (s *RedditServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	start := 0
 	if after := r.URL.Query().Get("after"); after != "" {
-		id := strings.TrimPrefix(after, "t3_")
-		for i := range s.posts {
-			if s.posts[i].ID == id {
-				start = i + 1
-				break
-			}
-		}
+		start = s.startAfter(strings.TrimPrefix(after, "t3_"))
 	}
 
 	listing := redditListing{Kind: "Listing"}
 	listing.Data.Children = []redditChild{}
 	for i := start; i < len(s.posts); i++ {
-		p := s.posts[i]
+		p := &s.posts[i]
 		if !strings.Contains(strings.ToLower(p.Body), q) {
 			continue
 		}
@@ -141,12 +118,10 @@ func (s *RedditServer) handleImage(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, p := range s.posts {
-		if p.ID == id && len(p.Attachment) > 0 {
-			w.Header().Set("Content-Type", "application/octet-stream")
-			_, _ = w.Write(p.Attachment)
-			return
-		}
+	if img := s.attachment(id); len(img) > 0 {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		_, _ = w.Write(img)
+		return
 	}
 	http.NotFound(w, r)
 }

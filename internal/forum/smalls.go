@@ -24,27 +24,14 @@ func unixTime(sec float64) time.Time { return time.Unix(int64(sec), 0).UTC() }
 // appended while the server is live; the offset-paginated API stays
 // consistent because appends only extend the tail.
 type SmishtankServer struct {
-	mu    sync.RWMutex
-	posts []post
+	timeline
 }
 
 // NewSmishtankServer seeds the server.
 func NewSmishtankServer(posts []post) *SmishtankServer {
-	sorted := make([]post, len(posts))
-	copy(sorted, posts)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].CreatedAt.Before(sorted[j].CreatedAt) })
-	return &SmishtankServer{posts: sorted}
-}
-
-// Append publishes new submissions at the tail. Batches must be
-// chronologically at-or-after the existing posts.
-func (s *SmishtankServer) Append(posts []post) {
-	batch := make([]post, len(posts))
-	copy(batch, posts)
-	sort.SliceStable(batch, func(i, j int) bool { return batch[i].CreatedAt.Before(batch[j].CreatedAt) })
-	s.mu.Lock()
-	s.posts = append(s.posts, batch...)
-	s.mu.Unlock()
+	s := &SmishtankServer{}
+	s.Append(posts)
+	return s
 }
 
 type smishtankSubmission struct {
@@ -78,7 +65,7 @@ func (s *SmishtankServer) Handler() http.Handler {
 		}
 		page := smishtankPage{Total: len(s.posts), Offset: offset, Submissions: []smishtankSubmission{}}
 		for i := offset; i < len(s.posts) && len(page.Submissions) < limit; i++ {
-			p := s.posts[i]
+			p := &s.posts[i]
 			sub := smishtankSubmission{
 				ID:        p.ID,
 				Submitted: p.CreatedAt.Format(time.RFC3339),
@@ -97,11 +84,9 @@ func (s *SmishtankServer) Handler() http.Handler {
 		id := r.PathValue("id")
 		s.mu.RLock()
 		defer s.mu.RUnlock()
-		for _, p := range s.posts {
-			if p.ID == id && len(p.Attachment) > 0 {
-				_, _ = w.Write(p.Attachment)
-				return
-			}
+		if shot := s.attachment(id); len(shot) > 0 {
+			_, _ = w.Write(shot)
+			return
 		}
 		http.NotFound(w, r)
 	})

@@ -3,10 +3,8 @@ package forum
 import (
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"github.com/smishkit/smishkit/internal/checkpoint"
@@ -18,38 +16,21 @@ import (
 // the paper used through the Academic track (§3.1.1): Bearer-token auth,
 // next_token pagination, since_id incremental queries, media expansion via
 // includes, and rate limiting. Posts may be appended while the server is
-// live (the daemon's continuously-arriving report stream), so all access
-// goes through a read-write lock.
+// live (the daemon's continuously-arriving report stream).
 type TwitterServer struct {
-	mu      sync.RWMutex
-	posts   []post // sorted by CreatedAt; Append only adds at the tail
+	timeline
 	bearer  string
 	limiter *netutil.TokenBucket
 }
 
 // NewTwitterServer seeds the server. ratePerSec <= 0 disables limiting.
 func NewTwitterServer(posts []post, bearer string, ratePerSec float64) *TwitterServer {
-	sorted := make([]post, len(posts))
-	copy(sorted, posts)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].CreatedAt.Before(sorted[j].CreatedAt) })
-	s := &TwitterServer{posts: sorted, bearer: bearer}
+	s := &TwitterServer{bearer: bearer}
+	s.Append(posts)
 	if ratePerSec > 0 {
 		s.limiter = netutil.NewTokenBucket(int(ratePerSec*2)+1, ratePerSec)
 	}
 	return s
-}
-
-// Append publishes new posts at the tail of the timeline. Batches must be
-// chronologically at-or-after the existing posts (SplitFixtures guarantees
-// this): pagination tokens and since_id positions are index-based, so
-// inserting in the middle would corrupt live cursors.
-func (s *TwitterServer) Append(posts []post) {
-	batch := make([]post, len(posts))
-	copy(batch, posts)
-	sort.SliceStable(batch, func(i, j int) bool { return batch[i].CreatedAt.Before(batch[j].CreatedAt) })
-	s.mu.Lock()
-	s.posts = append(s.posts, batch...)
-	s.mu.Unlock()
 }
 
 // Twitter API wire types (subset).
@@ -121,17 +102,12 @@ func (s *TwitterServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 
-	start := 0
 	// since_id restricts the search to tweets after the given ID — the v2
 	// incremental-sync contract. Position-based: posts are append-only in
 	// chronological order, so "after this ID" is "after its index".
+	start := 0
 	if sid := r.URL.Query().Get("since_id"); sid != "" {
-		for i := range s.posts {
-			if s.posts[i].ID == sid {
-				start = i + 1
-				break
-			}
-		}
+		start = s.startAfter(sid)
 	}
 	if tok := r.URL.Query().Get("next_token"); tok != "" {
 		n, err := strconv.Atoi(strings.TrimPrefix(tok, "pg-"))
@@ -148,7 +124,7 @@ func (s *TwitterServer) handleSearch(w http.ResponseWriter, r *http.Request) {
 	resp.Data = []tweetObject{} // v2 returns an empty array, not null
 	matched := 0
 	for i := start; i < len(s.posts); i++ {
-		p := s.posts[i]
+		p := &s.posts[i]
 		if !strings.Contains(strings.ToLower(p.Body), query) {
 			continue
 		}
@@ -181,12 +157,10 @@ func (s *TwitterServer) handleMedia(w http.ResponseWriter, r *http.Request) {
 	key := strings.TrimPrefix(r.PathValue("key"), "m-")
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, p := range s.posts {
-		if p.ID == key && len(p.Attachment) > 0 {
-			w.Header().Set("Content-Type", "application/octet-stream")
-			_, _ = w.Write(p.Attachment)
-			return
-		}
+	if media := s.attachment(key); len(media) > 0 {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		_, _ = w.Write(media)
+		return
 	}
 	http.NotFound(w, r)
 }

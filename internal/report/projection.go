@@ -17,7 +17,9 @@ import (
 // without re-collecting history. Batches are merged by a single background
 // worker; the projection.backlog_seconds gauge exports the age of the
 // oldest batch still waiting to be folded in (0 when the projection is
-// caught up), and projection.batches counts the batches applied.
+// caught up), projection.batches counts the batches applied, and the
+// projection.apply histogram times each merge, query-view indexing
+// included.
 type Projection struct {
 	queue chan projBatch
 	done  chan struct{}
@@ -32,6 +34,7 @@ type Projection struct {
 
 	backlog *telemetry.Gauge
 	applied *telemetry.Counter
+	apply   *telemetry.Histogram
 }
 
 type projBatch struct {
@@ -58,6 +61,7 @@ func NewProjection(reg *telemetry.Registry, queue int) *Projection {
 		view:    NewQueryView(),
 		backlog: reg.Gauge("projection.backlog_seconds"),
 		applied: reg.Counter("projection.batches"),
+		apply:   reg.Histogram("projection.apply"),
 	}
 	p.wg.Add(1)
 	go p.run()
@@ -73,6 +77,7 @@ func (p *Projection) run() {
 }
 
 func (p *Projection) merge(batch *core.Dataset) {
+	start := time.Now()
 	// The query view has its own lock; feeding it outside p.mu keeps the
 	// two independent (Query readers never contend with Dataset readers).
 	p.view.Add(batch.Records)
@@ -95,6 +100,7 @@ func (p *Projection) merge(batch *core.Dataset) {
 		p.pending = p.pending[1:]
 	}
 	p.setBacklogLocked()
+	p.apply.Observe(time.Since(start))
 }
 
 // setBacklogLocked refreshes the backlog gauge from the pending list.

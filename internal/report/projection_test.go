@@ -58,6 +58,9 @@ func TestProjectionMergesBatches(t *testing.T) {
 	if c := reg.Counter("projection.batches").Value(); c != 2 {
 		t.Fatalf("batches counter = %d, want 2", c)
 	}
+	if n := reg.Histogram("projection.apply").Stats().Count; n != 2 {
+		t.Fatalf("projection.apply observations = %d, want one per merged batch (2)", n)
+	}
 
 	// Snapshots are isolated from the live dataset.
 	ds.Records[0].ID = "mutated"

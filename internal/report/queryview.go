@@ -25,7 +25,9 @@ import (
 // the same linkage rule as internal/cluster (records sharing a domain or
 // a sender belong to one campaign), maintained online instead of
 // recomputed per render. A campaign's stable label is "c-" plus the
-// smallest record ID in the cluster.
+// smallest record ID in the cluster. The union-find also keeps each
+// campaign's record count, so what Summarize costs follows the number of
+// distinct keys, however many records the view has taken in.
 type QueryView struct {
 	mu       sync.Mutex
 	recs     []queryRec
@@ -34,9 +36,11 @@ type QueryView struct {
 
 	// Union-find over cluster keys: "d:"+domain, "s:"+sender, "r:"+id for
 	// records with neither. minID tracks each root's smallest record ID —
-	// the campaign label source.
+	// the campaign label source — and size its record count; once Add
+	// returns, every root is one campaign, so len(size) counts them.
 	parent map[string]string
 	minID  map[string]string
+	size   map[string]int
 }
 
 // queryRec is the compact serving projection of one core.Record.
@@ -60,6 +64,7 @@ func NewQueryView() *QueryView {
 		bySender: make(map[string][]int),
 		parent:   make(map[string]string),
 		minID:    make(map[string]string),
+		size:     make(map[string]int),
 	}
 }
 
@@ -97,6 +102,9 @@ func (v *QueryView) Add(records []core.Record) {
 		for i := 1; i < len(keys); i++ {
 			v.unionLocked(keys[0], keys[i])
 		}
+		// Every key of the record now shares one root, the root of its
+		// campaign key (campaignLocked), so keys[0] finds it as well.
+		v.size[v.findLocked(keys[0])]++
 	}
 }
 
@@ -139,6 +147,10 @@ func (v *QueryView) unionLocked(a, b string) {
 			v.minID[ra] = id
 		}
 		delete(v.minID, rb)
+	}
+	if n, ok := v.size[rb]; ok {
+		v.size[ra] += n
+		delete(v.size, rb)
 	}
 }
 
@@ -322,7 +334,9 @@ type Summary struct {
 const DefaultSummaryTop = 10
 
 // Summarize computes the dataset roll-up: distinct domain/sender/campaign
-// counts plus top-N leaderboards for each.
+// counts plus top-N leaderboards for each. It reads the per-key counts the
+// indexes and the union-find already hold, so its cost follows the number
+// of distinct domains, senders and campaigns, not the number of records.
 func (v *QueryView) Summarize(top int) Summary {
 	if top <= 0 {
 		top = DefaultSummaryTop
@@ -330,45 +344,69 @@ func (v *QueryView) Summarize(top int) Summary {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	s := Summary{
-		Records: len(v.recs),
-		Domains: len(v.byDomain),
-		Senders: len(v.bySender),
+		Records:   len(v.recs),
+		Domains:   len(v.byDomain),
+		Senders:   len(v.bySender),
+		Campaigns: len(v.size),
 	}
 	s.TopDomains = topOf(v.byDomain, top)
 	s.TopSenders = topOf(v.bySender, top)
 
-	camps := make(map[string]int)
-	for _, r := range v.recs {
-		camps[v.campaignLocked(r)]++
+	// Rank campaigns by their bare smallest record ID: every label is that
+	// ID behind the same "c-", so the order is unchanged and only the rows
+	// kept pay for building a label.
+	camps := newLeaderboard(top, len(v.size))
+	for root, n := range v.size {
+		camps.offer(v.minID[root], n)
 	}
-	s.Campaigns = len(camps)
-	s.TopCampaigns = topOfCounts(camps, top)
+	s.TopCampaigns = camps.rows
+	for i := range s.TopCampaigns {
+		s.TopCampaigns[i].Name = "c-" + s.TopCampaigns[i].Name
+	}
 	return s
 }
 
 func topOf(index map[string][]int, top int) []NameCount {
-	counts := make(map[string]int, len(index))
+	lb := newLeaderboard(top, len(index))
 	for name, idxs := range index {
-		counts[name] = len(idxs)
+		lb.offer(name, len(idxs))
 	}
-	return topOfCounts(counts, top)
+	return lb.rows
 }
 
-func topOfCounts(counts map[string]int, top int) []NameCount {
-	rows := make([]NameCount, 0, len(counts))
-	for name, n := range counts {
-		rows = append(rows, NameCount{Name: name, Count: n})
+// leaderboard keeps the best top rows offered to it, ordered by count
+// descending, name ascending. Once it is full, an offer that does not beat
+// the last row costs one comparison, so ranking K keys takes O(K) time
+// plus the few offers that displace a row, with no K-sized sort.
+type leaderboard struct {
+	rows []NameCount
+	top  int
+}
+
+func newLeaderboard(top, keys int) *leaderboard {
+	return &leaderboard{rows: make([]NameCount, 0, min(top, keys)), top: top}
+}
+
+func (lb *leaderboard) offer(name string, count int) {
+	row := NameCount{Name: name, Count: count}
+	if len(lb.rows) == lb.top && !ranksBefore(row, lb.rows[len(lb.rows)-1]) {
+		return
 	}
-	sort.Slice(rows, func(a, b int) bool {
-		if rows[a].Count != rows[b].Count {
-			return rows[a].Count > rows[b].Count
-		}
-		return rows[a].Name < rows[b].Name
-	})
-	if len(rows) > top {
-		rows = rows[:top]
+	i := sort.Search(len(lb.rows), func(i int) bool { return ranksBefore(row, lb.rows[i]) })
+	if len(lb.rows) < lb.top {
+		lb.rows = append(lb.rows, NameCount{})
 	}
-	return rows
+	copy(lb.rows[i+1:], lb.rows[i:])
+	lb.rows[i] = row
+}
+
+// ranksBefore orders leaderboard rows: count descending, then name
+// ascending.
+func ranksBefore(a, b NameCount) bool {
+	if a.Count != b.Count {
+		return a.Count > b.Count
+	}
+	return a.Name < b.Name
 }
 
 // ReportsHandler serves GET /query/reports: parameters domain, sender,
