@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -323,5 +324,156 @@ func TestServeDurableQueryEndpoints(t *testing.T) {
 	}
 	if ps.domain != "" && ps.matched == 0 {
 		t.Fatalf("domain filter %q matched nothing", ps.domain)
+	}
+}
+
+// TestServeProjectionSharesRecordLog drives a durable daemon whose record
+// log grows every round while readers call the projection's Dataset and
+// GET /query/summary concurrently (run it under -race: the projection
+// indexes the log's own record list, which the round loop appends to).
+// After the drain, and again after a restart seeded from the log, the
+// projection's dataset must encode to the same JSON as the log's, records
+// and totals alike.
+func TestServeProjectionSharesRecordLog(t *testing.T) {
+	dataDir := t.TempDir()
+	mkOpts := func(store CheckpointStore, rounds int, onReady func(string), onRound func(RoundInfo)) Options {
+		return Options{
+			Seed:       47,
+			Messages:   300,
+			Pipeline:   PipelineOptions{Streaming: true},
+			Durability: &DurabilityConfig{Dir: filepath.Join(dataDir, "records")},
+			Service: &ServiceConfig{
+				PollInterval: 5 * time.Millisecond,
+				MaxRounds:    rounds,
+				Checkpoints:  store,
+				OnReady:      onReady,
+				OnRound:      onRound,
+			},
+		}
+	}
+	encode := func(ds *Dataset) string {
+		t.Helper()
+		data, err := json.Marshal(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+
+	const rounds = 5
+	var study *Study
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	var reads atomic.Int64
+	read := func(url string) {
+		// Readers only start once Serve has set up its state.
+		proj := study.svc.proj
+		for i := 0; i < 2; i++ {
+			readers.Add(2)
+			go func() {
+				defer readers.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					ds := proj.Dataset()
+					if len(ds.Records) > 0 && ds.Records[0].ID == "" {
+						t.Error("Dataset returned a record with no ID")
+					}
+					reads.Add(1)
+				}
+			}()
+			go func() {
+				defer readers.Done()
+				last := 0
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					resp, err := http.Get(url + "/query/summary")
+					if err != nil {
+						t.Errorf("GET /query/summary: %v", err)
+						return
+					}
+					var sum report.Summary
+					err = json.NewDecoder(resp.Body).Decode(&sum)
+					resp.Body.Close()
+					if err != nil {
+						t.Errorf("decode summary: %v", err)
+						return
+					}
+					if sum.Records < last {
+						t.Errorf("summary total went back from %d to %d", last, sum.Records)
+					}
+					last = sum.Records
+					reads.Add(1)
+				}
+			}()
+		}
+	}
+	store1, err := NewFileCheckpoints(filepath.Join(dataDir, "checkpoints"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	study, err = NewStudy(mkOpts(store1, rounds, read, func(info RoundInfo) {
+		if info.Err != nil {
+			t.Errorf("round %d: %v", info.Round, info.Err)
+		}
+		if info.Round < rounds {
+			// Grow the log every round while the readers run.
+			if _, err := study.InjectWave(InjectSpec{Seed: int64(100 + info.Round), Messages: 30}); err != nil {
+				t.Errorf("inject: %v", err)
+			}
+			return
+		}
+		close(stop)
+		readers.Wait()
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := study.Serve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reads.Load() == 0 {
+		t.Fatal("readers never ran")
+	}
+	firstJSON := encode(first)
+	if want := encode(study.rlog.Dataset()); firstJSON != want {
+		t.Fatalf("drained projection diverges from the record log:\n got: %s\nwant: %s", firstJSON, want)
+	}
+	if err := study.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Restart: the projection is seeded from the log and collects nothing.
+	store2, err := NewFileCheckpoints(filepath.Join(dataDir, "checkpoints"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restarted, err := NewStudy(mkOpts(store2, 1, nil, func(info RoundInfo) {
+		if info.Err != nil || info.NewReports != 0 {
+			t.Errorf("restart round %d: %d new reports, err %v", info.Round, info.NewReports, info.Err)
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	second, err := restarted.Serve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	secondJSON := encode(second)
+	if want := encode(restarted.rlog.Dataset()); secondJSON != want {
+		t.Fatalf("seeded projection diverges from the record log:\n got: %s\nwant: %s", secondJSON, want)
+	}
+	if secondJSON != firstJSON {
+		t.Fatal("restarted projection differs from the projection before the restart")
 	}
 }

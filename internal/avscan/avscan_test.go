@@ -2,8 +2,11 @@ package avscan
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 
 	"github.com/smishkit/smishkit/internal/corpus"
@@ -194,12 +197,36 @@ func TestHTTPEndpoints(t *testing.T) {
 	c := NewClient(srv.URL, "vt-key")
 	ctx := context.Background()
 
+	// The wire body still carries every vendor's verdict...
+	req, err := http.NewRequest(http.MethodGet, srv.URL+"/vt/v1/scan?url="+url.QueryEscape("https://evil.top/x"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Api-Key", "vt-key")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire VendorReport
+	err = json.NewDecoder(resp.Body).Decode(&wire)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wire.Verdicts) != len(Vendors) {
+		t.Errorf("wire verdicts = %d, want %d", len(wire.Verdicts), len(Vendors))
+	}
+
+	// ...and the client keeps counts that cover the whole roster.
 	rep, err := c.Scan(ctx, "https://evil.top/x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Verdicts) != len(Vendors) {
-		t.Errorf("verdicts = %d", len(rep.Verdicts))
+	if n := rep.Stats.Malicious + rep.Stats.Suspicious + rep.Stats.Harmless; n != len(Vendors) {
+		t.Errorf("client stats sum to %d, want %d", n, len(Vendors))
+	}
+	if rep.Stats != wire.Stats || rep.URL != wire.URL {
+		t.Errorf("client report %+v differs from the wire report's url and stats %q %+v", rep, wire.URL, wire.Stats)
 	}
 
 	if _, err := c.GSBLookup(ctx, "https://evil.top/x"); err != nil {
@@ -221,6 +248,36 @@ func TestHTTPEndpoints(t *testing.T) {
 	}
 	if !sawBlocked || !sawOpen {
 		t.Errorf("transparency blocking not exercised: blocked=%v open=%v", sawBlocked, sawOpen)
+	}
+}
+
+// The bulk endpoint answers each URL exactly as the single-URL endpoint
+// does, slot for slot.
+func TestScanBatchMatchesScan(t *testing.T) {
+	store := NewStore()
+	store.SetDetectability("evil.top", 0.95)
+	store.SetDetectability("fresh.top", 0.0)
+	srv := httptest.NewServer(NewServer(store, "vt-key", 0).Handler())
+	defer srv.Close()
+	c := NewClient(srv.URL, "vt-key")
+	ctx := context.Background()
+
+	urls := []string{"https://evil.top/x", "https://fresh.top/a", "https://secure.evil.top/y", "https://other.example/z"}
+	got, errs := c.ScanBatch(ctx, urls)
+	if len(got) != len(urls) || len(errs) != len(urls) {
+		t.Fatalf("ScanBatch returned %d results and %d errors for %d urls", len(got), len(errs), len(urls))
+	}
+	for i, u := range urls {
+		if errs[i] != nil {
+			t.Fatalf("ScanBatch slot %d (%s): %v", i, u, errs[i])
+		}
+		want, err := c.Scan(ctx, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want {
+			t.Errorf("ScanBatch slot %d = %+v, Scan(%s) = %+v", i, got[i], u, want)
+		}
 	}
 }
 

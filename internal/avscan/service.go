@@ -13,11 +13,21 @@ import (
 	"github.com/smishkit/smishkit/internal/telemetry"
 )
 
-// Report is a VirusTotal-style aggregate scan result.
-type Report struct {
+// VendorReport is a VirusTotal-style aggregate scan result as the service
+// sends it: every vendor's verdict plus the counts by class.
+type VendorReport struct {
 	URL      string             `json:"url"`
 	Verdicts map[string]Verdict `json:"verdicts"` // vendor -> verdict
 	Stats    ReportStats        `json:"stats"`
+}
+
+// Report is the part of a VendorReport the pipeline reads: the URL and the
+// counts by class. The client decodes the service's VendorReport bytes
+// into it, skipping the per-vendor verdicts, so callers and caches never
+// hold one map entry per vendor.
+type Report struct {
+	URL   string      `json:"url"`
+	Stats ReportStats `json:"stats"`
 }
 
 // ReportStats counts verdicts by class.
@@ -72,9 +82,9 @@ func hostOf(rawURL string) string {
 }
 
 // Scan produces the full multi-vendor report for a URL.
-func (s *Store) Scan(rawURL string) Report {
+func (s *Store) Scan(rawURL string) VendorReport {
 	d := s.detectabilityOf(rawURL)
-	rep := Report{URL: rawURL, Verdicts: make(map[string]Verdict, len(Vendors))}
+	rep := VendorReport{URL: rawURL, Verdicts: make(map[string]Verdict, len(Vendors))}
 	for _, v := range Vendors {
 		verdict := verdictFor(v, rawURL, d)
 		rep.Verdicts[v.Name] = verdict
@@ -265,7 +275,7 @@ func (c *Client) Instrument(reg *telemetry.Registry) *Client {
 	return c
 }
 
-// Scan fetches the multi-vendor report.
+// Scan fetches the multi-vendor report, keeping only its counts.
 func (c *Client) Scan(ctx context.Context, u string) (Report, error) {
 	var out Report
 	err := c.API.GetJSON(ctx, "/vt/v1/scan?url="+url.QueryEscape(u), &out)
@@ -279,8 +289,9 @@ func (c *Client) GSBLookup(ctx context.Context, u string) (GSBResult, error) {
 	return out, err
 }
 
-// ScanBatch fetches many multi-vendor reports in MaxBulk-sized batches
-// with partial-result semantics: results[i] and errs[i] answer urls[i].
+// ScanBatch fetches many multi-vendor reports in MaxBulk-sized batches,
+// keeping only their counts, with partial-result semantics: results[i]
+// and errs[i] answer urls[i].
 func (c *Client) ScanBatch(ctx context.Context, urls []string) ([]Report, []error) {
 	return postBulk[Report](ctx, &c.API, "/vt/v1/scan/bulk", "scan", urls)
 }

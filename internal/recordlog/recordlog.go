@@ -179,6 +179,8 @@ type counters struct {
 	appends, replayed, deduped, snapshots, compactions *telemetry.Counter
 	truncatedTail, corruptFrames                       *telemetry.Counter
 	logBytes                                           *telemetry.Gauge
+	// write and fsync time the two halves of every appended frame.
+	write, fsync *telemetry.Histogram
 }
 
 func newCounters(reg *telemetry.Registry) counters {
@@ -191,6 +193,8 @@ func newCounters(reg *telemetry.Registry) counters {
 		truncatedTail: reg.Counter("recordlog.truncated_tail"),
 		corruptFrames: reg.Counter("recordlog.corrupt_frames"),
 		logBytes:      reg.Gauge("recordlog.log_bytes"),
+		write:         reg.Histogram("recordlog.write"),
+		fsync:         reg.Histogram("recordlog.fsync"),
 	}
 }
 
@@ -506,21 +510,26 @@ func (l *Log) AppendInject(spec core.InjectSpec, at time.Time) error {
 	return nil
 }
 
-// writeFrameLocked frames, writes, and fsyncs one payload.
+// writeFrameLocked frames, writes, and fsyncs one payload, observing the
+// write and the fsync in their own histograms.
 func (l *Log) writeFrameLocked(kind byte, payload []byte) error {
 	var hdr [frameHeader]byte
 	hdr[0] = kind
 	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[5:9], crc32.ChecksumIEEE(payload))
+	start := time.Now()
 	if _, err := l.f.Write(hdr[:]); err != nil {
 		return fmt.Errorf("recordlog: write frame header: %w", err)
 	}
 	if _, err := l.f.Write(payload); err != nil {
 		return fmt.Errorf("recordlog: write frame payload: %w", err)
 	}
+	synced := time.Now()
+	l.ctr.write.Observe(synced.Sub(start))
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("recordlog: sync log: %w", err)
 	}
+	l.ctr.fsync.Observe(time.Since(synced))
 	l.size += int64(frameHeader + len(payload))
 	l.stats.Appends++
 	l.ctr.appends.Inc()
@@ -615,19 +624,31 @@ func (l *Log) Snapshot() error {
 	return l.snapshotLocked(time.Now())
 }
 
-// Dataset returns a copy of the full durable dataset (replayed + appended
-// this run) — what a restarted daemon seeds its projection from.
-func (l *Log) Dataset() *core.Dataset {
+// Committed returns the durable dataset (replayed + appended this run)
+// without copying its records: Records is a view of the log's own list,
+// capped at its current length, so later appends land past its end and
+// never show through it. Records are never modified once appended, so the
+// view stays valid while the log grows; callers must not modify it
+// either. The count maps are copies. The daemon's projection indexes this
+// view instead of keeping a second copy of every record.
+func (l *Log) Committed() *core.Dataset {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := &core.Dataset{
-		Records:        make([]core.Record, len(l.records)),
+	n := len(l.records)
+	return &core.Dataset{
+		Records:        l.records[:n:n],
 		PostsByForum:   cloneForumMap(l.totals.PostsByForum),
 		ImagesByForum:  cloneForumMap(l.totals.ImagesByForum),
 		DecoysRejected: l.totals.DecoysRejected,
 		EmptyDropped:   l.totals.EmptyDropped,
 	}
-	copy(out.Records, l.records)
+}
+
+// Dataset returns a copy of the full durable dataset (replayed + appended
+// this run) that the caller may modify.
+func (l *Log) Dataset() *core.Dataset {
+	out := l.Committed()
+	out.Records = append(make([]core.Record, 0, len(out.Records)), out.Records...)
 	return out
 }
 

@@ -456,3 +456,72 @@ func TestCloseSnapshotsDirtyState(t *testing.T) {
 		t.Fatalf("after Close+reopen, IDs = %v", got)
 	}
 }
+
+// TestWriteAndFsyncTimedPerFrame pins the recordlog.write and
+// recordlog.fsync histograms: one observation each per appended frame,
+// batch and inject frames alike, and none for a fully deduplicated batch
+// (which writes no frame).
+func TestWriteAndFsyncTimedPerFrame(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	l := mustOpen(t, t.TempDir(), reg)
+	defer l.Close()
+	at := time.Date(2026, 8, 2, 9, 0, 0, 0, time.UTC)
+	if _, err := l.Append(testBatch("a", "b"), at); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendInject(core.InjectSpec{Seed: 7, Messages: 10}, at); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(testBatch("c"), at); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(testBatch("a"), at); err != nil { // replay: no frame
+		t.Fatal(err)
+	}
+	frames := l.Stats().Appends
+	if frames != 3 {
+		t.Fatalf("appended frames = %d, want 3", frames)
+	}
+	for _, name := range []string{"recordlog.write", "recordlog.fsync"} {
+		if n := reg.Histogram(name).Stats().Count; n != frames {
+			t.Errorf("%s observations = %d, want one per frame (%d)", name, n, frames)
+		}
+	}
+}
+
+// TestCommittedIsAStableView pins the view Committed returns: it shares
+// the log's records instead of copying them, and a later Append neither
+// changes its length nor its elements.
+func TestCommittedIsAStableView(t *testing.T) {
+	l := mustOpen(t, t.TempDir(), nil)
+	defer l.Close()
+	at := time.Date(2026, 8, 2, 9, 0, 0, 0, time.UTC)
+	if _, err := l.Append(testBatch("a", "b"), at); err != nil {
+		t.Fatal(err)
+	}
+	view := l.Committed()
+	if len(view.Records) != 2 || cap(view.Records) != 2 {
+		t.Fatalf("view len/cap = %d/%d, want 2/2", len(view.Records), cap(view.Records))
+	}
+	if &view.Records[0] != &l.Committed().Records[0] {
+		t.Fatal("Committed copied the records")
+	}
+	if _, err := l.Append(testBatch("c"), at); err != nil {
+		t.Fatal(err)
+	}
+	if got := ids(view); !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Fatalf("earlier view changed after Append: %v", got)
+	}
+	if got := ids(l.Committed()); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
+		t.Fatalf("new view = %v, want a b c", got)
+	}
+	if view.PostsByForum[corpus.ForumTwitter] != 2 {
+		t.Fatalf("earlier view's totals changed: %v", view.PostsByForum)
+	}
+	// Dataset is the isolated copy.
+	ds := l.Dataset()
+	ds.Records[0].ID = "mutated"
+	if l.Committed().Records[0].ID != "a" {
+		t.Fatal("Dataset aliases the log's records")
+	}
+}

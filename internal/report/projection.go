@@ -14,18 +14,27 @@ import (
 
 // Projection incrementally maintains the report tables' input dataset from
 // per-round batches, so a long-running daemon can keep every table current
-// without re-collecting history. Batches are merged by a single background
-// worker; the projection.backlog_seconds gauge exports the age of the
-// oldest batch still waiting to be folded in (0 when the projection is
-// caught up), projection.batches counts the batches applied, and the
-// projection.apply histogram times each merge, query-view indexing
-// included.
+// without re-collecting history. It indexes an append-only Source rather
+// than copying records: each merge indexes the records the source
+// committed past the last merge, by list position, and takes the source's
+// totals. A batch handed to Submit therefore only says "the source has
+// grown"; a batch whose Submit failed is covered by the next merge.
+// Batches are merged by a single background worker; the
+// projection.backlog_seconds gauge exports the age of the oldest batch
+// still waiting to be folded in (0 when the projection is caught up),
+// projection.batches counts the batches applied, and the projection.apply
+// histogram times each merge, query-view indexing included.
 type Projection struct {
 	queue chan projBatch
 	done  chan struct{}
 	wg    sync.WaitGroup
 
-	mu      sync.Mutex
+	src Source
+	own *memSource // the private list of a NewProjection, else nil
+
+	mu sync.Mutex
+	// ds is the source's committed dataset as of the last merge; its
+	// Records is the source's view, shared, never modified.
 	ds      *core.Dataset
 	view    *QueryView
 	pending []time.Time // collectedAt of submitted-but-unmerged batches
@@ -37,14 +46,36 @@ type Projection struct {
 	apply   *telemetry.Histogram
 }
 
+// Source is the append-only dataset a projection indexes. Committed
+// returns every record committed so far, in commit order, with the
+// curation totals after them. Its Records is a view the projection keeps
+// without copying: the source only ever appends past a returned view's
+// end and never modifies a committed record. recordlog.Log is the
+// daemon's source.
+type Source interface {
+	Committed() *core.Dataset
+}
+
 type projBatch struct {
 	ds          *core.Dataset
 	collectedAt time.Time
 }
 
-// NewProjection starts the merge worker. reg may be nil (metrics go to a
-// private registry); queue <= 0 selects a default depth of 16.
+// NewProjection starts a projection that owns its record list: each
+// submitted batch is appended to the list before the merge indexes it.
+// reg may be nil (metrics go to a private registry); queue <= 0 selects a
+// default depth of 16.
 func NewProjection(reg *telemetry.Registry, queue int) *Projection {
+	own := &memSource{ds: emptyDataset()}
+	p := NewProjectionOver(reg, queue, own)
+	p.own = own
+	return p
+}
+
+// NewProjectionOver starts a projection over records src owns: submitted
+// batches are not copied, each merge catches up with src instead. reg and
+// queue are as for NewProjection.
+func NewProjectionOver(reg *telemetry.Registry, queue int, src Source) *Projection {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
@@ -52,12 +83,10 @@ func NewProjection(reg *telemetry.Registry, queue int) *Projection {
 		queue = 16
 	}
 	p := &Projection{
-		queue: make(chan projBatch, queue),
-		done:  make(chan struct{}),
-		ds: &core.Dataset{
-			PostsByForum:  make(map[corpus.Forum]int, len(corpus.Forums)),
-			ImagesByForum: make(map[corpus.Forum]int, len(corpus.Forums)),
-		},
+		queue:   make(chan projBatch, queue),
+		done:    make(chan struct{}),
+		src:     src,
+		ds:      emptyDataset(),
 		view:    NewQueryView(),
 		backlog: reg.Gauge("projection.backlog_seconds"),
 		applied: reg.Counter("projection.batches"),
@@ -78,20 +107,17 @@ func (p *Projection) run() {
 
 func (p *Projection) merge(batch *core.Dataset) {
 	start := time.Now()
+	if p.own != nil {
+		p.own.add(batch)
+	}
+	cur := p.src.Committed()
+	// Only this worker replaces p.ds, so it reads p.ds without the lock.
 	// The query view has its own lock; feeding it outside p.mu keeps the
 	// two independent (Query readers never contend with Dataset readers).
-	p.view.Add(batch.Records)
+	p.view.Add(cur.Records[len(p.ds.Records):])
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.ds.Records = append(p.ds.Records, batch.Records...)
-	for f, n := range batch.PostsByForum {
-		p.ds.PostsByForum[f] += n
-	}
-	for f, n := range batch.ImagesByForum {
-		p.ds.ImagesByForum[f] += n
-	}
-	p.ds.DecoysRejected += batch.DecoysRejected
-	p.ds.EmptyDropped += batch.EmptyDropped
+	p.ds = cur
 	p.batches++
 	p.applied.Inc()
 	// The worker merges in submit order, so the oldest pending batch is
@@ -116,7 +142,8 @@ func (p *Projection) setBacklogLocked() {
 	p.backlog.Set(int64(age / time.Second))
 }
 
-// Submit queues one round's processed batch for merging. collectedAt is
+// Submit queues one round's processed batch for merging (a projection over
+// a Source only counts it: the merge reads the source). collectedAt is
 // when the batch's reports were collected — the timestamp the backlog
 // gauge ages against. Submit blocks while the queue is full and fails on
 // ctx death or after Close.
@@ -182,25 +209,13 @@ func (p *Projection) Close() {
 }
 
 // Dataset returns a snapshot of the merged dataset: the record slice and
-// count maps are copied, so the caller can render while the worker keeps
-// merging.
+// count maps are copied, so the caller can render or modify it while the
+// worker keeps merging.
 func (p *Projection) Dataset() *core.Dataset {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := &core.Dataset{
-		Records:        make([]core.Record, len(p.ds.Records)),
-		PostsByForum:   make(map[corpus.Forum]int, len(p.ds.PostsByForum)),
-		ImagesByForum:  make(map[corpus.Forum]int, len(p.ds.ImagesByForum)),
-		DecoysRejected: p.ds.DecoysRejected,
-		EmptyDropped:   p.ds.EmptyDropped,
-	}
-	copy(out.Records, p.ds.Records)
-	for f, n := range p.ds.PostsByForum {
-		out.PostsByForum[f] = n
-	}
-	for f, n := range p.ds.ImagesByForum {
-		out.ImagesByForum[f] = n
-	}
+	out := cloneDataset(p.ds)
+	out.Records = append(make([]core.Record, 0, len(out.Records)), out.Records...)
 	return out
 }
 
@@ -234,4 +249,55 @@ func (p *Projection) Query() *QueryView { return p.view }
 // Render writes every table and figure from the current snapshot.
 func (p *Projection) Render(w io.Writer) error {
 	return RenderAll(w, p.Dataset())
+}
+
+// memSource is the record list a NewProjection owns.
+type memSource struct {
+	mu sync.Mutex
+	ds *core.Dataset
+}
+
+func (m *memSource) add(batch *core.Dataset) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.ds.Records = append(m.ds.Records, batch.Records...)
+	for f, n := range batch.PostsByForum {
+		m.ds.PostsByForum[f] += n
+	}
+	for f, n := range batch.ImagesByForum {
+		m.ds.ImagesByForum[f] += n
+	}
+	m.ds.DecoysRejected += batch.DecoysRejected
+	m.ds.EmptyDropped += batch.EmptyDropped
+}
+
+func (m *memSource) Committed() *core.Dataset {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return cloneDataset(m.ds)
+}
+
+func emptyDataset() *core.Dataset {
+	return &core.Dataset{
+		PostsByForum:  make(map[corpus.Forum]int, len(corpus.Forums)),
+		ImagesByForum: make(map[corpus.Forum]int, len(corpus.Forums)),
+	}
+}
+
+// cloneDataset copies ds's count maps and takes a view of its records,
+// capped at their current length so later appends to ds never show
+// through it.
+func cloneDataset(ds *core.Dataset) *core.Dataset {
+	out := emptyDataset()
+	n := len(ds.Records)
+	out.Records = ds.Records[:n:n]
+	for f, c := range ds.PostsByForum {
+		out.PostsByForum[f] = c
+	}
+	for f, c := range ds.ImagesByForum {
+		out.ImagesByForum[f] = c
+	}
+	out.DecoysRejected = ds.DecoysRejected
+	out.EmptyDropped = ds.EmptyDropped
+	return out
 }

@@ -2,11 +2,16 @@ package report
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/smishkit/smishkit/internal/core"
 	"github.com/smishkit/smishkit/internal/corpus"
+	"github.com/smishkit/smishkit/internal/recordlog"
 	"github.com/smishkit/smishkit/internal/telemetry"
 )
 
@@ -82,5 +87,150 @@ func TestProjectionCloseRejectsSubmit(t *testing.T) {
 	// The pre-close batch still made it in.
 	if n := len(p.Dataset().Records); n != 1 {
 		t.Fatalf("post-close dataset has %d records, want 1", n)
+	}
+}
+
+// allocBytes reports the bytes f allocates.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestProjectionMergeCopiesNoRecords pins the single in-memory copy: a
+// projection over a list it does not own indexes a merged batch in place,
+// so the merge allocates what QueryView.Add of the batch allocates and
+// little else. Copying the batch's records would add ~920 KB.
+func TestProjectionMergeCopiesNoRecords(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n = 1000
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("r%04d", i)
+	}
+	b := batch(ids...)
+	for i := range b.Records {
+		b.Records[i].Domain = fmt.Sprintf("d%d.example", i%40)
+		b.Records[i].SenderRaw = fmt.Sprintf("+1555%07d", i%60)
+	}
+
+	shared := &memSource{ds: emptyDataset()}
+	shared.add(b)
+	p := NewProjectionOver(nil, 1, shared)
+	defer p.Close()
+	// The worker is idle (nothing submitted), so the test may merge on
+	// its own goroutine.
+	merged := allocBytes(func() { p.merge(b) })
+	indexed := allocBytes(func() { NewQueryView().Add(b.Records) })
+	if merged > indexed+64<<10 {
+		t.Fatalf("merging %d records allocated %d B, QueryView.Add alone %d B: the merge copies records", n, merged, indexed)
+	}
+	if st := p.Stats(); st.Records != n {
+		t.Fatalf("projection holds %d records, want %d", st.Records, n)
+	}
+}
+
+// gatedLog is a record log whose Committed blocks while the gate is
+// armed, so a test can stall the merge worker and fill the queue.
+type gatedLog struct {
+	*recordlog.Log
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gatedLog) Committed() *core.Dataset {
+	if g.armed.Load() {
+		g.entered <- struct{}{}
+		<-g.release
+	}
+	return g.Log.Committed()
+}
+
+// TestProjectionConvergesAfterFailedSubmit is the regression test for a
+// projection over the record log: when a round's Submit fails after its
+// Append, the round does not commit, and the next round's re-collected
+// records are deduplicated by the log, so the projection never sees them
+// as a batch. Indexing the log's records by position still takes them in,
+// and the summary total meets the durable count.
+func TestProjectionConvergesAfterFailedSubmit(t *testing.T) {
+	l, err := recordlog.Open(recordlog.Config{Dir: t.TempDir()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	g := &gatedLog{Log: l, entered: make(chan struct{}), release: make(chan struct{})}
+	p := NewProjectionOver(nil, 1, g)
+	defer p.Close()
+	ctx := context.Background()
+	at := time.Now()
+	round := func(sctx context.Context, ids ...string) error {
+		fresh, err := l.Append(batch(ids...), at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Submit(sctx, fresh, at)
+	}
+
+	if err := round(ctx, "a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	// Stall the worker inside one merge, then fill the one-slot queue.
+	g.armed.Store(true)
+	if err := round(ctx, "c"); err != nil {
+		t.Fatal(err)
+	}
+	<-g.entered
+	g.armed.Store(false)
+	if err := round(ctx, "d"); err != nil {
+		t.Fatal(err)
+	}
+	// The queue is full: this round's Submit fails after its Append.
+	dead, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := round(dead, "e", "f"); err == nil {
+		t.Fatal("Submit into a full queue with a dead context succeeded")
+	}
+	close(g.release)
+	// The next round re-collects e and f (the log drops them) plus g.
+	if err := round(ctx, "e", "f", "g"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	durable := l.Stats().Records
+	if durable != 7 {
+		t.Fatalf("log holds %d records, want 7", durable)
+	}
+	if got := p.Query().Summarize(0).Records; got != durable {
+		t.Fatalf("summary total = %d, durable count = %d", got, durable)
+	}
+	assertSameDataset(t, p.Dataset(), l.Dataset())
+}
+
+// assertSameDataset fails unless got and want encode to the same JSON,
+// records and totals alike.
+func assertSameDataset(t *testing.T, got, want *core.Dataset) {
+	t.Helper()
+	g, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(g) != string(w) {
+		t.Fatalf("projection dataset diverges from the log:\n got: %s\nwant: %s", g, w)
 	}
 }

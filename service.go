@@ -323,7 +323,13 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 
 	reg := s.Pipe.Telemetry()
 	st := &serveState{store: cfg.Checkpoints}
-	st.proj = report.NewProjection(reg, cfg.ProjectionQueue)
+	// With a record log the projection indexes the log's own records, so
+	// the daemon holds one in-memory copy of each committed record.
+	if s.rlog != nil {
+		st.proj = report.NewProjectionOver(reg, cfg.ProjectionQueue, s.rlog)
+	} else {
+		st.proj = report.NewProjection(reg, cfg.ProjectionQueue)
+	}
 	st.roundHist = reg.Histogram("serve.round_duration")
 	st.injected = s.Sim.InjectedPosts
 	defer st.proj.Close()
@@ -333,9 +339,10 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 	// status endpoint binds, so /query/* and /status never report an empty
 	// dataset that durable history contradicts. The seed needs no
 	// enrichment: these records were enriched before the previous process
-	// died — that is the whole point of the log.
+	// died — that is the whole point of the log. Nor does it copy them: the
+	// merge indexes the log's records in place.
 	if s.rlog != nil {
-		seed := s.rlog.Dataset()
+		seed := s.rlog.Committed()
 		if len(seed.Records) > 0 || seed.DecoysRejected != 0 || seed.EmptyDropped != 0 {
 			if err := st.proj.Submit(ctx, seed, time.Now()); err != nil {
 				return nil, fmt.Errorf("smishkit: seed projection from record log: %w", err)
@@ -514,8 +521,10 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 					// reach the fsynced log before the projection sees them
 					// and before any cursor commits. A crash after the
 					// append re-collects at most this round, and the log
-					// dedups the re-appended records by ID — so the
-					// projection receives only the fresh subset.
+					// dedups the re-appended records by ID. The projection
+					// indexes the log's records by position, so it never
+					// double-counts them, and a round whose Submit failed
+					// after its Append is covered by the next merge.
 					ds, err = s.rlog.Append(ds, collectedAt)
 				}
 				if err == nil {
