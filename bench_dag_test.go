@@ -1,9 +1,8 @@
-// Benchmarks for the intra-record enrichment DAG and the streaming
-// pipeline mode, against fake services with fixed simulated latencies
-// (so the numbers measure orchestration, not the loopback HTTP stack).
-// Run with:
+// Benchmarks for the intra-record enrichment DAG, against fake services
+// with fixed simulated latencies (so the numbers measure orchestration,
+// not the loopback HTTP stack). Run with:
 //
-//	go test -run=NONE -bench='EnrichSequentialVsDAG|RunStreaming' -benchtime=1x -count=5 .
+//	go test -run=NONE -bench='EnrichSequentialVsDAG' -benchtime=1x -count=5 .
 //
 // When BENCH_ENRICH_JSON names a file, BenchmarkEnrichSequentialVsDAG
 // writes a machine-readable baseline there; CI uploads it as an artifact
@@ -23,7 +22,6 @@ import (
 	"github.com/smishkit/smishkit/internal/corpus"
 	"github.com/smishkit/smishkit/internal/ctlog"
 	"github.com/smishkit/smishkit/internal/dnsdb"
-	"github.com/smishkit/smishkit/internal/forum"
 	"github.com/smishkit/smishkit/internal/hlr"
 	"github.com/smishkit/smishkit/internal/senderid"
 	"github.com/smishkit/smishkit/internal/telemetry"
@@ -204,59 +202,5 @@ func writeBenchEnrichJSON(b *testing.B, seq, dag time.Duration, speedup float64)
 	}
 	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 		b.Errorf("writing %s: %v", path, err)
-	}
-}
-
-// benchStreamReports synthesizes structured text reports (no screenshots,
-// so curation cost is parsing, not OCR) whose records exercise the full
-// enrichment DAG.
-func benchStreamReports(n int) []forum.RawReport {
-	base := time.Date(2024, 5, 1, 12, 0, 0, 0, time.UTC)
-	reports := make([]forum.RawReport, n)
-	for i := range reports {
-		u := fmt.Sprintf("https://evil-clinic-%d.xyz/login", i)
-		reports[i] = forum.RawReport{
-			Forum:    corpus.ForumSmishtank,
-			PostID:   fmt.Sprintf("bench-stream-%d", i),
-			PostedAt: base.Add(time.Duration(i) * time.Minute),
-			SMSText:  "Your parcel is held, pay the fee: " + u,
-			SenderID: "+447700900123",
-		}
-	}
-	return reports
-}
-
-// BenchmarkRunStreaming compares the barrier pipeline (curate everything,
-// then enrich everything, then annotate everything) against the streaming
-// mode that overlaps the stages through bounded channels.
-func BenchmarkRunStreaming(b *testing.B) {
-	reports := benchStreamReports(benchRecords)
-	for _, mode := range []struct {
-		name      string
-		streaming bool
-	}{
-		{"barrier", false},
-		{"streaming", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			pipe, err := core.NewPipeline(benchLatencyServices(benchRTT), core.Options{
-				EnrichWorkers: benchWorkers,
-				StepWorkers:   4,
-				Streaming:     mode.streaming,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ds, err := pipe.Run(context.Background(), reports)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(ds.Records) != len(reports) {
-					b.Fatalf("curated %d of %d reports", len(ds.Records), len(reports))
-				}
-			}
-		})
 	}
 }

@@ -57,7 +57,7 @@ func runShardRound(tb testing.TB, shards int) (time.Duration, int) {
 		tb.Fatal(err)
 	}
 	start := time.Now()
-	ds, err := study.runBatch(context.Background(), reports)
+	ds, err := study.group.Run(context.Background(), reports)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	smishctl [-seed N] [-messages N] [-workers N] [-step-workers N] [-stream]
+//	smishctl [-seed N] [-messages N] [-workers N] [-step-workers N]
 //	         [-extractor structured|vision|naive] [-telemetry] [-cache]
 //	         [-cache-stats] [-batch] [-batch-stats] [-chaos RATE]
 //	         [-shards N] [-shard-procs] [-shard-failover]
@@ -25,8 +25,8 @@
 // times.
 //
 // With -serve, smishctl runs as a long-lived daemon: it polls the forums
-// on -poll-interval, feeds new reports through the streaming pipeline
-// (implied by -serve), and keeps the report tables current; Ctrl-C drains
+// on -poll-interval, feeds new reports through the same pipeline a batch
+// run uses, and keeps the report tables current; Ctrl-C drains
 // the in-flight round and prints the final report. -checkpoint-dir makes
 // the collection cursors survive restarts; -data-dir makes the enriched
 // dataset itself survive (cursors + record log + inject journal under one
@@ -68,7 +68,6 @@ func run() error {
 	messages := flag.Int("messages", 4000, "synthetic corpus size")
 	workers := flag.Int("workers", 8, "record-level enrichment fan-out width")
 	stepWorkers := flag.Int("step-workers", 4, "intra-record enrichment parallelism: independent service families run concurrently per record (1 = sequential)")
-	stream := flag.Bool("stream", false, "overlap curation, enrichment, and annotation through bounded channels (record order becomes completion order)")
 	extractor := flag.String("extractor", "structured", "screenshot extractor: structured|vision|naive")
 	telemetry := flag.Bool("telemetry", false, "print per-stage spans and per-service client metrics after the report")
 	cache := flag.Bool("cache", true, "coalesce and cache enrichment lookups (singleflight + TTL/LRU + negative caching)")
@@ -76,7 +75,7 @@ func run() error {
 	batch := flag.Bool("batch", false, "coalesce cache misses into windowed bulk requests (HLR, passive DNS, URL scans)")
 	batchStats := flag.Bool("batch-stats", false, "print per-service batching flush/coalesced counts after the report")
 	chaos := flag.Float64("chaos", 0, "inject faults into this fraction of service calls (0 disables; seeded by -seed) and enable circuit breakers")
-	serve := flag.Bool("serve", false, "run as a long-lived daemon: poll the forums incrementally and keep the report projection current (implies -stream)")
+	serve := flag.Bool("serve", false, "run as a long-lived daemon: poll the forums incrementally and keep the report projection current")
 	pollInterval := flag.Duration("poll-interval", 2*time.Second, "idle time between daemon collection rounds (with -serve)")
 	serveRounds := flag.Int("serve-rounds", 0, "stop the daemon after N rounds (0 = run until interrupted; with -serve)")
 	checkpointDir := flag.String("checkpoint-dir", "", "persist collection cursors in a JSON manifest (cursors.json) under this directory so a restarted daemon resumes where it left off (with -serve)")
@@ -157,7 +156,6 @@ func run() error {
 	}
 	opts.Pipeline.EnrichWorkers = *workers
 	opts.Pipeline.StepWorkers = *stepWorkers
-	opts.Pipeline.Streaming = *stream
 	if *shards > 0 {
 		sc := &smishkit.ShardConfig{Shards: *shards, Failover: *shardFailover}
 		if *shardFailover {
@@ -166,8 +164,6 @@ func run() error {
 		opts.Shards = sc
 	}
 	if *serve {
-		// Service mode feeds every round through the streaming pipeline.
-		opts.Pipeline.Streaming = true
 		opts.Service = &smishkit.ServiceConfig{
 			PollInterval: *pollInterval,
 			MaxRounds:    *serveRounds,
@@ -268,10 +264,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	mode := "barrier"
-	if *stream {
-		mode = "streaming"
-	}
+	mode := "batch"
 	if *serve {
 		mode = "service"
 	}
@@ -293,8 +286,7 @@ func run() error {
 	}
 	fmt.Println()
 
-	// One snapshot serves every requested section (the former per-surface
-	// accessors still exist but are deprecated).
+	// One snapshot serves every requested section.
 	stats := study.Stats()
 	var sections []smishkit.StatsSection
 	if *telemetry {

@@ -89,7 +89,6 @@ func TestServeDurableRestart(t *testing.T) {
 		o := Options{
 			Seed:      seed,
 			Messages:  msgs,
-			Pipeline:  PipelineOptions{Streaming: true},
 			Collector: reg,
 			Service: &ServiceConfig{
 				PollInterval: 10 * time.Millisecond,
@@ -239,7 +238,6 @@ func TestServeDurableQueryEndpoints(t *testing.T) {
 	study, err = NewStudy(Options{
 		Seed:     43,
 		Messages: 200,
-		Pipeline: PipelineOptions{Streaming: true},
 		Service: &ServiceConfig{
 			PollInterval: 10 * time.Millisecond,
 			MaxRounds:    2,
@@ -340,7 +338,6 @@ func TestServeProjectionSharesRecordLog(t *testing.T) {
 		return Options{
 			Seed:       47,
 			Messages:   300,
-			Pipeline:   PipelineOptions{Streaming: true},
 			Durability: &DurabilityConfig{Dir: filepath.Join(dataDir, "records")},
 			Service: &ServiceConfig{
 				PollInterval: 5 * time.Millisecond,

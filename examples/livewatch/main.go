@@ -44,9 +44,6 @@ func main() {
 	study, err := smishkit.NewStudy(smishkit.Options{
 		Seed:     2025,
 		Messages: 1500,
-		// Service mode requires the streaming pipeline: each round's batch
-		// flows through curation, enrichment, and annotation concurrently.
-		Pipeline: smishkit.PipelineOptions{Streaming: true},
 		Cache:    &smishkit.CacheConfig{},
 		Service: &smishkit.ServiceConfig{
 			PollInterval: 500 * time.Millisecond,

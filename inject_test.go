@@ -18,7 +18,6 @@ func TestInjectWave(t *testing.T) {
 	study, err := NewStudy(Options{
 		Seed:     41,
 		Messages: 300,
-		Pipeline: PipelineOptions{Streaming: true},
 		Service: &ServiceConfig{
 			PollInterval: 10 * time.Millisecond,
 			MaxRounds:    2,
@@ -87,7 +86,6 @@ func TestServeStatusSchema(t *testing.T) {
 	opts := Options{
 		Seed:     43,
 		Messages: 300,
-		Pipeline: PipelineOptions{Streaming: true},
 		Service: &ServiceConfig{
 			PollInterval: 10 * time.Millisecond,
 			MaxRounds:    3,

@@ -1,25 +1,19 @@
-// Tests for the intra-record enrichment DAG (Options.StepWorkers) and the
-// streaming Run mode (Options.Streaming): error-list integrity under
-// concurrent families, the record budget bounding a parallel scatter, and
-// streaming/barrier record-set equality.
+// Tests for the intra-record enrichment DAG (Options.StepWorkers):
+// error-list integrity under concurrent families and the record budget
+// bounding a parallel scatter.
 package core
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
-	"sort"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/smishkit/smishkit/internal/avscan"
-	"github.com/smishkit/smishkit/internal/corpus"
 	"github.com/smishkit/smishkit/internal/ctlog"
 	"github.com/smishkit/smishkit/internal/dnsdb"
-	"github.com/smishkit/smishkit/internal/forum"
 	"github.com/smishkit/smishkit/internal/hlr"
 	"github.com/smishkit/smishkit/internal/senderid"
 	"github.com/smishkit/smishkit/internal/telemetry"
@@ -234,182 +228,6 @@ func TestRecordBudgetBoundsParallelSteps(t *testing.T) {
 				t.Errorf("record %s field %s: err = %q, want the budget deadline", r.ID, e.Field, e.Err)
 			}
 		}
-	}
-}
-
-// TestStreamingMatchesBarrier runs the same collected reports through
-// barrier mode and streaming mode against one healthy simulation and
-// asserts the record SETS are equal: streaming reorders completion, it
-// must never change content. Collection bookkeeping must match exactly.
-func TestStreamingMatchesBarrier(t *testing.T) {
-	w := corpus.Generate(corpus.Config{Seed: 211, Messages: 400})
-	sim, err := StartSimulation(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
-	reports, _, err := forum.CollectAll(context.Background(), sim.Collectors())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	barrier := mustPipeline(t, sim.Services(), Options{StepWorkers: 4})
-	streaming := mustPipeline(t, sim.Services(), Options{StepWorkers: 4, Streaming: true})
-
-	dsBarrier, err := barrier.Run(context.Background(), reports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dsStream, err := streaming.Run(context.Background(), reports)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(dsStream.Records) != len(dsBarrier.Records) {
-		t.Fatalf("streaming curated %d records, barrier %d", len(dsStream.Records), len(dsBarrier.Records))
-	}
-	if dsStream.DecoysRejected != dsBarrier.DecoysRejected || dsStream.EmptyDropped != dsBarrier.EmptyDropped {
-		t.Errorf("curation stats diverge: streaming decoys=%d empty=%d, barrier decoys=%d empty=%d",
-			dsStream.DecoysRejected, dsStream.EmptyDropped, dsBarrier.DecoysRejected, dsBarrier.EmptyDropped)
-	}
-	if !reflect.DeepEqual(dsStream.PostsByForum, dsBarrier.PostsByForum) {
-		t.Errorf("PostsByForum diverges: %v vs %v", dsStream.PostsByForum, dsBarrier.PostsByForum)
-	}
-	if !reflect.DeepEqual(dsStream.ImagesByForum, dsBarrier.ImagesByForum) {
-		t.Errorf("ImagesByForum diverges: %v vs %v", dsStream.ImagesByForum, dsBarrier.ImagesByForum)
-	}
-
-	sortRecords := func(recs []Record) {
-		sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
-	}
-	sortRecords(dsBarrier.Records)
-	sortRecords(dsStream.Records)
-	for i := range dsBarrier.Records {
-		if !reflect.DeepEqual(dsBarrier.Records[i], dsStream.Records[i]) {
-			t.Fatalf("record %s differs between modes:\nbarrier:   %+v\nstreaming: %+v",
-				dsBarrier.Records[i].ID, dsBarrier.Records[i], dsStream.Records[i])
-		}
-	}
-}
-
-// TestStreamingAbortsOnContextCancel mirrors the barrier-mode
-// cancellation contract in streaming mode.
-func TestStreamingAbortsOnContextCancel(t *testing.T) {
-	w := corpus.Generate(corpus.Config{Seed: 213, Messages: 200})
-	sim, err := StartSimulation(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sim.Close()
-	reports, _, err := forum.CollectAll(context.Background(), sim.Collectors())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipe := mustPipeline(t, sim.Services(), Options{Streaming: true})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := pipe.Run(ctx, reports); err == nil {
-		t.Fatal("cancelled streaming run returned nil error")
-	}
-}
-
-// slowHLR answers every lookup successfully after a fixed delay, counting
-// invocations. The delay keeps one worker pinned while the fail-latch
-// fires elsewhere; the count then reveals whether queued records still
-// reached the service afterwards.
-type slowHLR struct {
-	delay time.Duration
-	calls *atomic.Int64
-}
-
-func (s slowHLR) Lookup(ctx context.Context, _ string) (hlr.Result, error) {
-	s.calls.Add(1)
-	select {
-	case <-time.After(s.delay):
-		return hlr.Result{}, nil
-	case <-ctx.Done():
-		return hlr.Result{}, ctx.Err()
-	}
-}
-
-// slowFailingWhois fails every lookup after a fixed delay. The delay lets
-// the curation producer run ahead of the draining worker, so the queue is
-// full of not-yet-enriched records when the latch fires.
-type slowFailingWhois struct{ delay time.Duration }
-
-func (s slowFailingWhois) Lookup(ctx context.Context, _ string) (whois.Record, bool, error) {
-	select {
-	case <-time.After(s.delay):
-	case <-ctx.Done():
-	}
-	return whois.Record{}, false, errInjected
-}
-
-// TestStreamingAbortLeavesNoPostFailureRecords pins the streamCtx fix:
-// once the fail-latch fires, surviving workers must fail fast on queued
-// records instead of enriching them against the still-live outer context
-// and appending them to the Dataset.
-//
-// The schedule is forced: with two enrich workers and in-order curation,
-// one worker blocks on a slow (healthy) HLR lookup while the other drains
-// four failing WHOIS records, tripping the abort latch at 4/4 failures
-// with the channel packed full of queued phone records. The blocked
-// worker is the regression probe — before the fix its in-flight call
-// succeeds, the failure ratio drops back under the threshold, and it
-// drains that queue through the service; after the fix its call dies with
-// streamCtx and nothing queued touches a service.
-func TestStreamingAbortLeavesNoPostFailureRecords(t *testing.T) {
-	var hlrCalls atomic.Int64
-	services := Services{
-		HLR:   slowHLR{delay: 200 * time.Millisecond, calls: &hlrCalls},
-		Whois: slowFailingWhois{delay: 10 * time.Millisecond},
-	}
-	pipe := mustPipeline(t, services, Options{
-		Streaming:        true,
-		EnrichWorkers:    2,
-		StageWorkers:     1, // curate in report order: the schedule below depends on it
-		AbortFailureRate: 0.9,
-		MinAbortCalls:    4,
-	})
-
-	base := time.Date(2024, 5, 1, 12, 0, 0, 0, time.UTC)
-	report := func(i int, text, sender string) forum.RawReport {
-		return forum.RawReport{
-			Forum:    corpus.ForumSmishtank,
-			PostID:   fmt.Sprintf("abort-%02d", i),
-			PostedAt: base.Add(time.Duration(i) * time.Minute),
-			SMSText:  text,
-			SenderID: sender,
-		}
-	}
-	phone := func(i int) forum.RawReport { // HLR family only: no URL
-		return report(i, "Your parcel is held, reply YES to reschedule", "+447700900123")
-	}
-	domain := func(i int) forum.RawReport { // WHOIS family only: alpha sender
-		return report(i, fmt.Sprintf("Account locked, verify: https://evil-clinic-%d.xyz/login", i), "EVILCO")
-	}
-	reports := []forum.RawReport{phone(0), domain(1), domain(2), domain(3), domain(4)}
-	for i := 5; i < 15; i++ {
-		reports = append(reports, phone(i)) // the queued tail that must never be enriched
-	}
-
-	ds, err := pipe.Run(context.Background(), reports)
-	if err == nil {
-		t.Fatal("latched streaming run returned nil error")
-	}
-	if !strings.Contains(err.Error(), "aborted") {
-		t.Fatalf("run failed with %v, want the abort error", err)
-	}
-	// Only phone(0) was in flight when the latch fired; every later phone
-	// record must short-circuit before reaching the service.
-	if got := hlrCalls.Load(); got > 2 {
-		t.Errorf("healthy service saw %d calls, want <= 2: queued records were enriched after the fail-latch", got)
-	}
-	// Pre-latch the domain worker appended at most its three degraded
-	// records; anything near the full report count means post-failure
-	// records leaked into the Dataset.
-	if got := len(ds.Records); got > 5 {
-		t.Errorf("aborted run kept %d records, want <= 5 (pre-latch only)", got)
 	}
 }
 

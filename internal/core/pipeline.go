@@ -42,17 +42,11 @@ type Options struct {
 	// extraction in Curate, annotation in Annotate). 0 selects GOMAXPROCS;
 	// negative is a construction error.
 	StageWorkers int
-	// Streaming makes Run overlap its stages: curated records flow through
-	// a bounded channel into the enrich worker pool and are annotated on
-	// completion, so curation, enrichment, and annotation proceed
-	// concurrently. Record order in the resulting Dataset is completion
-	// order; the default barrier mode keeps bit-identical output ordering.
+	// Streaming does nothing: Run always runs its stages in turn, so record
+	// order is curation order.
+	//
+	// Deprecated: the overlapped mode this selected is gone; leave it unset.
 	Streaming bool
-	// StreamBuffer is the capacity of the bounded channel between the
-	// streaming curate producers and the enrich pool. 0 selects the default
-	// (2×EnrichWorkers, minimum 2); negative is a construction error. Only
-	// meaningful with Streaming.
-	StreamBuffer int
 	// Telemetry receives per-stage spans, per-record curation outcomes,
 	// and enrichment latency. Nil gets a private registry so
 	// Pipeline.Telemetry always works.
@@ -127,9 +121,6 @@ type pipelineMetrics struct {
 	// flight across the whole pool — the live parallelism the DAG scatter
 	// achieves on top of the record-level fan-out.
 	stepPar *telemetry.Gauge
-	// queueDepth is the number of curated records waiting in the streaming
-	// channel between the curate producer and the enrich workers.
-	queueDepth *telemetry.Gauge
 	// famLat holds one latency histogram per enrichment family
 	// ("pipeline.enrich.family.<name>"). Built once at construction and
 	// never mutated, so concurrent reads are lock-free.
@@ -154,9 +145,6 @@ func NewPipeline(services Services, opts Options) (*Pipeline, error) {
 	if opts.StageWorkers < 0 {
 		return nil, errors.New("core: StageWorkers must not be negative")
 	}
-	if opts.StreamBuffer < 0 {
-		return nil, errors.New("core: StreamBuffer must not be negative")
-	}
 	opts = opts.withDefaults()
 	tel := opts.Telemetry
 	famLat := make(map[string]*telemetry.Histogram, len(familyNames))
@@ -179,9 +167,8 @@ func NewPipeline(services Services, opts Options) (*Pipeline, error) {
 			degradedFields: tel.Counter("pipeline.enrich.degraded_fields"),
 			degradedRecs:   tel.Counter("pipeline.enrich.degraded_records"),
 
-			stepPar:    tel.Gauge("pipeline.record.step_par"),
-			queueDepth: tel.Gauge("pipeline.stream.queue_depth"),
-			famLat:     famLat,
+			stepPar: tel.Gauge("pipeline.record.step_par"),
+			famLat:  famLat,
 		},
 	}, nil
 }
@@ -227,7 +214,7 @@ type curateResult struct {
 }
 
 // reduceCurated folds one curated report into the dataset — the
-// order-sensitive half of Curate, also reused by the streaming producer.
+// order-sensitive half of Curate.
 func (p *Pipeline) reduceCurated(ds *Dataset, rep *forum.RawReport, res *curateResult) {
 	ds.PostsByForum[rep.Forum]++
 	switch res.status {
@@ -779,15 +766,10 @@ func (p *Pipeline) Annotate(ctx context.Context, ds *Dataset) error {
 	return ctx.Err()
 }
 
-// Run executes curate -> enrich -> annotate over collected reports. In the
-// default barrier mode the stages run to completion in turn, so record
-// order (and therefore every rendered table) is bit-identical run to run;
-// with Options.Streaming the stages overlap and records land in
-// completion order instead.
+// Run executes curate -> enrich -> annotate over collected reports. The
+// stages run to completion in turn, so record order (and therefore every
+// rendered table) is bit-identical run to run.
 func (p *Pipeline) Run(ctx context.Context, reports []forum.RawReport) (*Dataset, error) {
-	if p.opts.Streaming {
-		return p.runStreaming(ctx, reports)
-	}
 	ds := p.Curate(reports)
 	if err := p.Enrich(ctx, ds); err != nil {
 		return ds, err

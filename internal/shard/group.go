@@ -20,7 +20,8 @@ import (
 //
 // Because curation is deterministic and every record returns to the index
 // it was curated at, the merged Dataset is byte-identical for any shard
-// count — and identical to the unsharded barrier pipeline. Downstream
+// count — and identical to a barrier Pipeline.Run over the same reports
+// (an unsharded study is a group of one). Downstream
 // consumers (report projections, the union-find campaign view) therefore
 // need no shard-aware merge of their own: they see the same record
 // sequence they always did.
@@ -166,9 +167,8 @@ func (g *Group) NoteRestart(i int) {
 
 // Run curates one batch, routes it, and returns the merged dataset.
 // Without an attached prober a shard failure fails the round: the
-// lowest-indexed error is returned and the dataset must be discarded (the
-// serve loop treats the round as failed, mirroring the unsharded
-// pipeline's contract). With a prober attached the round survives partial
+// lowest-indexed error is returned with a nil dataset (the serve loop
+// treats the round as failed). With a prober attached the round survives partial
 // shard death instead: shards the probe reports down are skipped up
 // front, and a shard that fails mid-round has its routed subset
 // re-dispatched to the ring's next-alive shards — only when every shard

@@ -41,7 +41,8 @@ type StatsProvider interface {
 
 // StackConfig assembles one shard's decorator stack. Tiers whose config is
 // nil are omitted; Pipeline tunes the shard's enrichment workers and
-// budgets (its Telemetry field is overwritten with the stack's registry).
+// budgets (see ResolveBudgets; its Telemetry field is overwritten with the
+// stack's registry).
 type StackConfig struct {
 	Faults     *faultinject.Config
 	Batch      *batchmux.Config
@@ -52,20 +53,50 @@ type StackConfig struct {
 
 // Stack is one shard's private tier set over a shared base Services value:
 // its own enrichment cache, batchmux windows, breaker set, and pipeline,
-// all recording into the registry the stack was built with (the facade
-// hands each shard a Prefixed view, so instruments land under
-// "shard.<i>.*" in the one global registry).
+// all recording into the registry the stack was built with. A sharded
+// study hands each shard a Prefixed view, so instruments land under
+// "shard.<i>.*" in the one global registry; an unsharded study's single
+// stack records on the root registry itself.
 type Stack struct {
 	pipe     *core.Pipeline
+	popts    core.Options // what pipe was built from, budgets resolved
 	cache    *enrichcache.Cache
 	batch    *batchmux.Mux
 	breakers *resilience.Breakers
 	enriched *telemetry.Counter
 }
 
-// NewStack builds one shard's tiers around base, in the same decorator
-// order as the facade: instrumented client <- faults <- batchmux <- cache
-// <- breaker <- pipeline (see smishkit.NewStudy for why).
+// ResolveBudgets returns p with its enrichment budgets resolved: a budget
+// set explicitly in p wins, and each one left at zero takes r's value (r
+// may be nil). Every stack, local or in a worker process, runs with the
+// budgets this resolves.
+func ResolveBudgets(p core.Options, r *resilience.Config) core.Options {
+	if r == nil {
+		return p
+	}
+	if p.RecordBudget == 0 {
+		p.RecordBudget = r.RecordBudget
+	}
+	if p.CallTimeout == 0 {
+		p.CallTimeout = r.CallTimeout
+	}
+	if p.AbortFailureRate == 0 {
+		p.AbortFailureRate = r.AbortFailureRate
+	}
+	if p.MinAbortCalls == 0 {
+		p.MinAbortCalls = r.MinAbortCalls
+	}
+	return p
+}
+
+// NewStack builds one shard's tiers around base. Decorator order,
+// innermost first: instrumented client <- faults <- batchmux <- cache <-
+// breaker <- pipeline. Faults sit inside the batching tier so a flapping
+// window degrades individual slots of a batch, not the tier itself;
+// batchmux sits inside the cache so only cache misses reach a window and
+// every flushed answer is cached on the way back out; breakers sit outside
+// the cache so hits cost them nothing and upstream 5xx reach the
+// serve-stale path before being counted.
 func NewStack(base core.Services, cfg StackConfig, reg *telemetry.Registry) (*Stack, error) {
 	services := base
 	if cfg.Faults != nil {
@@ -83,32 +114,23 @@ func NewStack(base core.Services, cfg StackConfig, reg *telemetry.Registry) (*St
 	if cfg.Resilience != nil {
 		st.breakers = resilience.New(*cfg.Resilience, reg)
 		services = st.breakers.WrapServices(services)
-		r := cfg.Resilience
-		if cfg.Pipeline.RecordBudget == 0 {
-			cfg.Pipeline.RecordBudget = r.RecordBudget
-		}
-		if cfg.Pipeline.CallTimeout == 0 {
-			cfg.Pipeline.CallTimeout = r.CallTimeout
-		}
-		if cfg.Pipeline.AbortFailureRate == 0 {
-			cfg.Pipeline.AbortFailureRate = r.AbortFailureRate
-		}
-		if cfg.Pipeline.MinAbortCalls == 0 {
-			cfg.Pipeline.MinAbortCalls = r.MinAbortCalls
-		}
 	}
-	cfg.Pipeline.Telemetry = reg
-	// Shards never curate or stream: they receive already-curated records
-	// and run the barrier enrich+annotate path over them, which preserves
-	// input order exactly.
-	cfg.Pipeline.Streaming = false
-	pipe, err := core.NewPipeline(services, cfg.Pipeline)
+	// A stack receives already-curated records and runs enrich+annotate
+	// over them, which preserves input order exactly.
+	popts := ResolveBudgets(cfg.Pipeline, cfg.Resilience)
+	popts.Telemetry = reg
+	pipe, err := core.NewPipeline(services, popts)
 	if err != nil {
 		return nil, fmt.Errorf("shard: build pipeline: %w", err)
 	}
-	st.pipe = pipe
+	st.pipe, st.popts = pipe, popts
 	return st, nil
 }
+
+// PipelineOptions returns the options the stack built its pipeline from:
+// the configured ones with ResolveBudgets applied, before the pipeline's
+// own defaults fill the fields still zero.
+func (st *Stack) PipelineOptions() core.Options { return st.popts }
 
 // EnrichAnnotate runs the shard's pipeline over a routed record slice,
 // returning the records enriched and annotated in input order.

@@ -108,7 +108,13 @@ func TestSupervisorRestartsDeadWorker(t *testing.T) {
 	go func() { defer close(runDone); sup.Run(ctx) }()
 
 	starter.kill(0, errors.New("worker crashed"))
-	waitFor(t, "worker 0 restart", func() bool { return sup.Restarts()[0] == 1 })
+	// The restart is counted before OnRestart runs, so wait for both.
+	waitFor(t, "worker 0 restart", func() bool {
+		mu.Lock()
+		n := len(reregs)
+		mu.Unlock()
+		return n > 0 && sup.Restarts()[0] == 1
+	})
 	mu.Lock()
 	gotReregs, gotIdxs := len(reregs), append([]int(nil), reregIdxs...)
 	var newURL string

@@ -299,7 +299,7 @@ func (s *Study) StatusURL() string {
 
 // Serve runs the study as a long-running daemon: every PollInterval it
 // asks all forum collectors, concurrently, for reports newer than their
-// durable cursors, pushes the new batch through the streaming pipeline,
+// durable cursors, pushes the new batch through the study's shard group,
 // folds the result into the incrementally-maintained report projection,
 // and commits the cursors that moved in one atomic Save. Rounds are
 // atomic — a collector or pipeline failure discards the round's partial
@@ -309,12 +309,8 @@ func (s *Study) StatusURL() string {
 //
 // Cancelling ctx is the clean shutdown: the in-flight round is drained
 // (bounded by DrainTimeout), the projection is flushed, and the merged
-// dataset so far is returned with a nil error. Serve requires
-// Options.Pipeline.Streaming.
+// dataset so far is returned with a nil error.
 func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
-	if !s.opts.Pipeline.Streaming {
-		return nil, fmt.Errorf("smishkit: Serve requires Options.Pipeline.Streaming")
-	}
 	var cfg ServiceConfig
 	if s.opts.Service != nil {
 		cfg = *s.opts.Service
@@ -508,11 +504,9 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 		committed := true
 		if len(batch) > 0 {
 			procCtx, cancel := context.WithTimeout(drainBase, cfg.DrainTimeout)
-			// Sharded studies route the round through per-shard workers (the
-			// router scatters results back into curation order before the
-			// commit, so durable-first ordering below is unchanged); the
-			// unsharded path is the streaming pipeline as before.
-			ds, err := s.runBatch(procCtx, batch)
+			// The shard group scatters results back into curation order
+			// before the commit, for any shard count.
+			ds, err := s.group.Run(procCtx, batch)
 			stageProcess.Observe(time.Since(collectedAt))
 			if err == nil {
 				appendStart := time.Now()

@@ -67,7 +67,6 @@ func TestServiceSoak(t *testing.T) {
 	opts := Options{
 		Seed:     seed,
 		Messages: msgs,
-		Pipeline: PipelineOptions{Streaming: true},
 		Service: &ServiceConfig{
 			PollInterval: 10 * time.Millisecond,
 			MaxRounds:    3,
@@ -172,6 +171,49 @@ func TestServiceSoak(t *testing.T) {
 	}
 }
 
+// TestServeOutputDeterministic runs the daemon twice on the same seed and
+// requires byte-identical datasets without sorting: every round goes
+// through the shard group, which returns records in curation order, so
+// service mode is as reproducible as a batch run.
+func TestServeOutputDeterministic(t *testing.T) {
+	serve := func() []byte {
+		t.Helper()
+		study, err := NewStudy(Options{
+			Seed:     37,
+			Messages: 400,
+			Service: &ServiceConfig{
+				PollInterval: 10 * time.Millisecond,
+				MaxRounds:    3,
+				LiveWaves:    2,
+				OnRound: func(info RoundInfo) {
+					if info.Err != nil {
+						t.Errorf("round %d: %v", info.Round, info.Err)
+					}
+				},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer study.Close()
+		ds, err := study.Serve(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ds.Records) == 0 {
+			t.Fatal("daemon produced no records")
+		}
+		raw, err := json.Marshal(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	if a, b := serve(), serve(); !bytes.Equal(a, b) {
+		t.Fatalf("two daemons on one seed produced different datasets (%d vs %d bytes)", len(a), len(b))
+	}
+}
+
 // TestServeKillResume cancels a daemon mid-run, restarts it from the same
 // persisted checkpoint store, and asserts the two runs together produce
 // exactly the record set of an uninterrupted daemon — nothing duplicated,
@@ -182,7 +224,6 @@ func TestServeKillResume(t *testing.T) {
 		return Options{
 			Seed:     seed,
 			Messages: msgs,
-			Pipeline: PipelineOptions{Streaming: true},
 			Service: &ServiceConfig{
 				PollInterval: 10 * time.Millisecond,
 				MaxRounds:    3,
@@ -265,7 +306,6 @@ func TestServeRestartNewStudy(t *testing.T) {
 		return Options{
 			Seed:     seed,
 			Messages: msgs,
-			Pipeline: PipelineOptions{Streaming: true},
 			Service: &ServiceConfig{
 				PollInterval: 10 * time.Millisecond,
 				MaxRounds:    3,
@@ -319,42 +359,32 @@ func TestOptionsValidate(t *testing.T) {
 		{"zero value", Options{}, ""},
 		{"negative messages", Options{Messages: -1}, "Messages"},
 		{"negative step workers", Options{Pipeline: PipelineOptions{StepWorkers: -2}}, "StepWorkers"},
-		{"negative stream buffer", Options{Pipeline: PipelineOptions{Streaming: true, StreamBuffer: -1}}, "StreamBuffer"},
-		{"buffer without streaming", Options{Pipeline: PipelineOptions{StreamBuffer: 8}}, "Streaming is off"},
-		{"service without streaming", Options{Service: &ServiceConfig{}}, "streaming pipeline"},
+		{"service without streaming", Options{Service: &ServiceConfig{}}, ""},
 		{"negative poll interval", Options{
-			Pipeline: PipelineOptions{Streaming: true},
-			Service:  &ServiceConfig{PollInterval: -time.Second},
+			Service: &ServiceConfig{PollInterval: -time.Second},
 		}, "PollInterval"},
 		{"bad initial share", Options{
-			Pipeline: PipelineOptions{Streaming: true},
-			Service:  &ServiceConfig{InitialShare: 1.5},
+			Service: &ServiceConfig{InitialShare: 1.5},
 		}, "InitialShare"},
 		{"valid service", Options{
-			Pipeline: PipelineOptions{Streaming: true},
-			Service:  &ServiceConfig{LiveWaves: 2},
+			Service: &ServiceConfig{LiveWaves: 2},
 		}, ""},
 		{"durability without service", Options{
-			Pipeline:   PipelineOptions{Streaming: true},
 			Durability: &DurabilityConfig{Dir: "/tmp/x"},
 		}, "Options.Service is nil"},
 		{"durability without dir", Options{
-			Pipeline:   PipelineOptions{Streaming: true},
 			Service:    &ServiceConfig{},
 			Durability: &DurabilityConfig{},
 		}, "Durability.Dir"},
 		{"negative snapshot interval", Options{
-			Pipeline:   PipelineOptions{Streaming: true},
 			Service:    &ServiceConfig{},
 			Durability: &DurabilityConfig{Dir: "/tmp/x", SnapshotInterval: -time.Second},
 		}, "SnapshotInterval"},
 		{"negative compact threshold", Options{
-			Pipeline:   PipelineOptions{Streaming: true},
 			Service:    &ServiceConfig{},
 			Durability: &DurabilityConfig{Dir: "/tmp/x", CompactThreshold: -1},
 		}, "CompactThreshold"},
 		{"valid durability", Options{
-			Pipeline:   PipelineOptions{Streaming: true},
 			Service:    &ServiceConfig{},
 			Durability: &DurabilityConfig{Dir: "/tmp/x"},
 		}, ""},
@@ -374,22 +404,6 @@ func TestOptionsValidate(t *testing.T) {
 	// NewStudy surfaces the same rejection without leaking sockets.
 	if _, err := NewStudy(Options{Messages: -5}); err == nil {
 		t.Fatal("NewStudy accepted negative Messages")
-	}
-	if _, err := NewStudy(Options{Service: &ServiceConfig{}}); err == nil {
-		t.Fatal("NewStudy accepted service mode without streaming")
-	}
-}
-
-// TestServeRequiresStreaming covers the Serve-side guard for studies built
-// before Options.Service existed (Service nil, Streaming off).
-func TestServeRequiresStreaming(t *testing.T) {
-	study, err := NewStudy(Options{Seed: 5, Messages: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer study.Close()
-	if _, err := study.Serve(context.Background()); err == nil {
-		t.Fatal("Serve without streaming succeeded")
 	}
 }
 
@@ -438,7 +452,6 @@ func TestServeCommitsOncePerMovedRound(t *testing.T) {
 	study, err := NewStudy(Options{
 		Seed:     41,
 		Messages: 300,
-		Pipeline: PipelineOptions{Streaming: true},
 		Service: &ServiceConfig{
 			PollInterval: 10 * time.Millisecond,
 			MaxRounds:    rounds,
@@ -517,7 +530,6 @@ func TestServeConcurrentCollectIsolatesFailure(t *testing.T) {
 	study, err := NewStudy(Options{
 		Seed:     43,
 		Messages: 400,
-		Pipeline: PipelineOptions{Streaming: true},
 		Service: &ServiceConfig{
 			PollInterval: 10 * time.Millisecond,
 			MaxRounds:    1,

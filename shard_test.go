@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/smishkit/smishkit/internal/report"
+	"github.com/smishkit/smishkit/internal/shard"
 )
 
 // runStudy builds a study with the given shard config, runs one batch, and
@@ -163,6 +164,78 @@ func TestShardConfigValidation(t *testing.T) {
 	ok := Options{Shards: &ShardConfig{Shards: 2, Replicas: 64}}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("Validate rejected a sane shard config: %v", err)
+	}
+}
+
+// TestShardWorkerSpecBudgets pins that a worker process gets the
+// enrichment budgets an in-process shard gets: the spec's WorkerPipeline
+// must equal what shard.NewStack resolves from the same Options, whether
+// the budgets come from Pipeline, from Resilience, or from both (Pipeline
+// wins field by field).
+func TestShardWorkerSpecBudgets(t *testing.T) {
+	pipe := PipelineOptions{
+		EnrichWorkers:    3,
+		StepWorkers:      2,
+		RecordBudget:     3 * time.Second,
+		CallTimeout:      500 * time.Millisecond,
+		AbortFailureRate: 0.5,
+		MinAbortCalls:    20,
+	}
+	res := &ResilienceConfig{
+		RecordBudget:     7 * time.Second,
+		CallTimeout:      time.Second,
+		AbortFailureRate: 0.7,
+		MinAbortCalls:    30,
+	}
+	partial := PipelineOptions{RecordBudget: 3 * time.Second, AbortFailureRate: 0.5}
+	cases := []struct {
+		name string
+		pipe PipelineOptions
+		res  *ResilienceConfig
+		want shard.WorkerPipeline
+	}{
+		{"pipeline only", pipe, nil, shard.WorkerPipeline{
+			EnrichWorkers: 3, StepWorkers: 2, RecordBudget: 3 * time.Second,
+			CallTimeout: 500 * time.Millisecond, AbortFailureRate: 0.5, MinAbortCalls: 20,
+		}},
+		{"resilience only", PipelineOptions{}, res, shard.WorkerPipeline{
+			RecordBudget: 7 * time.Second, CallTimeout: time.Second, AbortFailureRate: 0.7, MinAbortCalls: 30,
+		}},
+		{"both", partial, res, shard.WorkerPipeline{
+			RecordBudget: 3 * time.Second, CallTimeout: time.Second, AbortFailureRate: 0.5, MinAbortCalls: 30,
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			study, err := NewStudy(Options{Seed: 1, Messages: 20, Pipeline: tc.pipe, Resilience: tc.res})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer study.Close()
+			stack, err := shard.NewStack(study.Sim.Services(), shard.StackConfig{
+				Resilience: tc.res,
+				Pipeline:   tc.pipe,
+			}, NewCollector())
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := stack.PipelineOptions()
+			local := shard.WorkerPipeline{
+				EnrichWorkers:    o.EnrichWorkers,
+				StepWorkers:      o.StepWorkers,
+				RecordBudget:     o.RecordBudget,
+				CallTimeout:      o.CallTimeout,
+				AbortFailureRate: o.AbortFailureRate,
+				MinAbortCalls:    o.MinAbortCalls,
+			}
+			spec := study.ShardWorkerSpec(0).Pipeline
+			if spec != local {
+				t.Errorf("worker spec pipeline %+v, local stack resolved %+v", spec, local)
+			}
+			if spec != tc.want {
+				t.Errorf("worker spec pipeline %+v, want %+v", spec, tc.want)
+			}
+		})
 	}
 }
 

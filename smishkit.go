@@ -185,22 +185,22 @@ type Options struct {
 	// Messages is the synthetic corpus size (default 4000; negative is a
 	// construction error).
 	Messages int
-	// Pipeline tunes extraction, enrichment, and streaming; its zero value
-	// selects the documented per-field defaults.
+	// Pipeline tunes extraction and enrichment; its zero value selects the
+	// documented per-field defaults.
 	Pipeline PipelineOptions
 	// Collector, when non-nil, receives every metric the study produces:
 	// the four pipeline stage spans (collect/curate/enrich/annotate),
 	// curation outcomes, and per-service client call/error/retry/429/
 	// latency instruments. When nil a private collector is created; either
-	// way Study.Telemetry and the simulation's /debug/telemetry endpoint
-	// observe the same registry.
+	// way Study.Stats().Telemetry and the simulation's /debug/telemetry
+	// endpoint observe the same registry.
 	Collector *Collector
 	// Cache, when non-nil, inserts the shared enrichment cache between
 	// the pipeline and every service client: singleflight-coalesced
 	// lookups, per-service TTL + LRU bounds, negative-result caching,
 	// and (when CacheConfig.ServeStale is set) stale answers instead of
 	// hard failures on upstream 5xx. Hit/miss/coalesced counters land in
-	// the study's collector under "cache.<service>.*"; Study.CacheStats
+	// the study's collector under "cache.<service>.*"; Study.Stats().Cache
 	// reads the same numbers as a typed snapshot.
 	Cache *CacheConfig
 	// Batch, when non-nil, inserts the windowed batching tier between the
@@ -210,7 +210,7 @@ type Options struct {
 	// dedup and per-key error demultiplexing. Services whose client has no
 	// bulk seam fall through to per-key calls, counted. Flush/batch-size/
 	// coalesced/fallthrough counters land in the collector under
-	// "batch.<service>.*"; Study.BatchStats reads the same numbers as a
+	// "batch.<service>.*"; Study.Stats().Batch reads the same numbers as a
 	// typed snapshot.
 	Batch *BatchConfig
 	// Faults, when non-nil, injects deterministic faults (errors, 429/5xx
@@ -223,14 +223,14 @@ type Options struct {
 	// the cache (so serve-stale still sees upstream 5xx) and applies the
 	// config's record budget / call timeout / abort-threshold knobs to the
 	// pipeline. Breaker state lands in the collector under
-	// "breaker.<service>.*"; Study.ResilienceStats reads the same numbers
+	// "breaker.<service>.*"; Study.Stats().Resilience reads the same numbers
 	// as a typed snapshot.
 	Resilience *ResilienceConfig
 	// Service, when non-nil, configures Study.Serve — the long-running
 	// daemon mode that polls the forums incrementally, maintains the report
-	// projection, and exposes a status endpoint. Service mode requires
-	// Pipeline.Streaming (the daemon feeds each round through the streaming
-	// pipeline); see ServiceConfig for the per-field defaults.
+	// projection, and exposes a status endpoint. Each round goes through the
+	// same shard group a batch Run uses, so records land in curation order;
+	// see ServiceConfig for the per-field defaults.
 	Service *ServiceConfig
 	// Durability, when non-nil, makes the served dataset survive process
 	// death: every committed round's enriched records are appended to a
@@ -251,10 +251,11 @@ type Options struct {
 	// recording under "shard.<i>.*" — and scattered back into curation
 	// order, so shards=1 and shards=N produce record-identical output.
 	// With sharding on, the Cache/Batch/Faults/Resilience configs build
-	// each shard's private tiers instead of one global set, and
-	// Study.Stats().Cache/Batch/Resilience are nil — Stats().Shards
-	// carries the per-shard scoreboards. Batch runs route through the
-	// shards too (Pipeline.Streaming only shapes the unsharded path).
+	// each shard's private tiers, and Study.Stats().Cache/Batch/Resilience
+	// are nil — Stats().Shards carries the per-shard scoreboards. Without
+	// it the study runs the same path as a one-shard ring whose stack
+	// records on the root collector, with no prober; Stats().Shards is nil
+	// and Stats().Cache/Batch/Resilience report that one stack.
 	Shards *ShardConfig
 }
 
@@ -311,16 +312,7 @@ func (o Options) Validate() error {
 	if p.StageWorkers < 0 {
 		return fmt.Errorf("smishkit: Pipeline.StageWorkers must not be negative (got %d)", p.StageWorkers)
 	}
-	if p.StreamBuffer < 0 {
-		return fmt.Errorf("smishkit: Pipeline.StreamBuffer must not be negative (got %d; 0 selects the default)", p.StreamBuffer)
-	}
-	if p.StreamBuffer > 0 && !p.Streaming {
-		return fmt.Errorf("smishkit: Pipeline.StreamBuffer is set (%d) but Pipeline.Streaming is off — the buffer only exists in streaming mode", p.StreamBuffer)
-	}
 	if s := o.Service; s != nil {
-		if !p.Streaming {
-			return fmt.Errorf("smishkit: Options.Service is set but Pipeline.Streaming is off — service mode feeds every round through the streaming pipeline")
-		}
 		if s.PollInterval < 0 {
 			return fmt.Errorf("smishkit: Service.PollInterval must not be negative (got %v)", s.PollInterval)
 		}
@@ -385,13 +377,13 @@ func (o Options) Validate() error {
 type Study struct {
 	World *World
 	Sim   *Simulation
-	Pipe  *core.Pipeline
+	// Pipe is the front pipeline: it curates each batch and records on the
+	// study's collector. It runs over the bare service clients; enrichment
+	// goes through the shard stacks and their tiers.
+	Pipe *core.Pipeline
 
-	cache    *enrichcache.Cache   // nil when Options.Cache was nil
-	batch    *batchmux.Mux        // nil when Options.Batch was nil
-	breakers *resilience.Breakers // nil when Options.Resilience was nil
-	rlog     *recordlog.Log       // nil when Options.Durability was nil
-	group    *shard.Group         // nil when Options.Shards was nil
+	rlog  *recordlog.Log // nil when Options.Durability was nil
+	group *shard.Group   // one shard when Options.Shards was nil
 
 	proberStop context.CancelFunc // stops the health-probe loop (nil without Shards.Failover)
 
@@ -461,114 +453,73 @@ func NewStudy(opts Options) (*Study, error) {
 			return nil, errors.Join(fmt.Errorf("smishkit: replay injection %d: %w", i+1, err), cerr)
 		}
 	}
-	// Decorator order, innermost first: instrumented client <- faults <-
-	// batchmux <- cache <- breaker <- pipeline. Faults sit inside the
-	// batching tier so a flapping window degrades individual slots of a
-	// batch, not the tier itself; batchmux sits inside the cache so only
-	// cache misses reach a window and every flushed answer is cached on the
-	// way back out; breakers sit outside the cache so hits cost them
-	// nothing and upstream 5xx reach the serve-stale path before being
-	// counted.
+	// Every study processes a round through a shard Group: the front
+	// pipeline curates the batch (it never enriches), the group routes the
+	// records across the shard stacks, and their output is scattered back
+	// into curation order. Each stack composes its own tiers around the
+	// shared instrumented base clients (see shard.NewStack), so the global
+	// "client.<svc>.*" counters still measure real upstream traffic. An
+	// unsharded study is a group of one stack recording on the root
+	// registry, which keeps its cache.*, batch.*, breaker.*, fault.* and
+	// pipeline.* instruments under their own names; a sharded study's
+	// stacks record under "shard.<i>.*".
+	fail := func(err error) (*Study, error) {
+		return nil, errors.Join(err, sim.Close(), closeLog(rlog))
+	}
 	base := sim.Services()
-	popts := opts.Pipeline
-	popts.Telemetry = reg
-	if r := opts.Resilience; r != nil {
-		// The resilience config's budget knobs flow into the pipeline
-		// unless the caller already set them explicitly.
-		if popts.RecordBudget == 0 {
-			popts.RecordBudget = r.RecordBudget
-		}
-		if popts.CallTimeout == 0 {
-			popts.CallTimeout = r.CallTimeout
-		}
-		if popts.AbortFailureRate == 0 {
-			popts.AbortFailureRate = r.AbortFailureRate
-		}
-		if popts.MinAbortCalls == 0 {
-			popts.MinAbortCalls = r.MinAbortCalls
-		}
-	}
-
-	if sh := opts.Shards; sh != nil {
-		// Sharded: the tier configs build each shard's private stack (its
-		// own cache, batchmux windows, and breakers, labeled "shard.<i>.*")
-		// around the shared instrumented base clients — so the global
-		// "client.<svc>.*" counters still measure real upstream traffic.
-		// The front pipeline only curates and routes; it never enriches.
-		pipe, err := core.NewPipeline(base, popts)
-		if err != nil {
-			cerr := errors.Join(sim.Close(), closeLog(rlog))
-			return nil, errors.Join(fmt.Errorf("smishkit: build pipeline: %w", err), cerr)
-		}
-		enrichers := make([]shard.Enricher, sh.Shards)
-		for i := range enrichers {
-			if len(sh.WorkerURLs) > 0 {
-				enrichers[i] = shard.NewRemoteEnricher(sh.WorkerURLs[i]).WithTimeout(sh.WorkerTimeout)
-				continue
-			}
-			stack, err := shard.NewStack(base, shard.StackConfig{
-				Faults:     opts.Faults,
-				Batch:      opts.Batch,
-				Cache:      opts.Cache,
-				Resilience: opts.Resilience,
-				Pipeline:   opts.Pipeline,
-			}, reg.Prefixed(fmt.Sprintf("shard.%d.", i)))
-			if err != nil {
-				cerr := errors.Join(sim.Close(), closeLog(rlog))
-				return nil, errors.Join(fmt.Errorf("smishkit: build shard %d: %w", i, err), cerr)
-			}
-			enrichers[i] = stack
-		}
-		group, err := shard.NewGroup(pipe, enrichers, sh.Replicas, reg)
-		if err != nil {
-			cerr := errors.Join(sim.Close(), closeLog(rlog))
-			return nil, errors.Join(fmt.Errorf("smishkit: build shard group: %w", err), cerr)
-		}
-		if len(sh.WorkerURLs) > 0 {
-			if err := group.SetEnrichers(enrichers, true); err != nil {
-				cerr := errors.Join(sim.Close(), closeLog(rlog))
-				return nil, errors.Join(err, cerr)
-			}
-		}
-		st := &Study{World: w, Sim: sim, Pipe: pipe, group: group, rlog: rlog, opts: opts}
-		if sh.Failover {
-			prober := shard.NewProber(sh.Shards, shard.ProbeConfig{
-				Interval: sh.ProbeInterval,
-				Timeout:  sh.ProbeTimeout,
-			}, reg)
-			group.AttachProber(prober)
-			pctx, cancel := context.WithCancel(context.Background())
-			st.proberStop = cancel
-			go prober.Run(pctx)
-		}
-		return st, nil
-	}
-
-	services := base
-	if opts.Faults != nil {
-		services = faultinject.New(*opts.Faults, reg).WrapServices(services)
-	}
-	var batch *batchmux.Mux
-	if opts.Batch != nil {
-		batch = batchmux.New(*opts.Batch, reg)
-		services = batch.WrapServices(services)
-	}
-	var cache *enrichcache.Cache
-	if opts.Cache != nil {
-		cache = enrichcache.New(*opts.Cache, reg)
-		services = cache.WrapServices(services)
-	}
-	var breakers *resilience.Breakers
-	if opts.Resilience != nil {
-		breakers = resilience.New(*opts.Resilience, reg)
-		services = breakers.WrapServices(services)
-	}
-	pipe, err := core.NewPipeline(services, popts)
+	fopts := opts.Pipeline
+	fopts.Telemetry = reg
+	pipe, err := core.NewPipeline(base, fopts)
 	if err != nil {
-		cerr := errors.Join(sim.Close(), closeLog(rlog))
-		return nil, errors.Join(fmt.Errorf("smishkit: build pipeline: %w", err), cerr)
+		return fail(fmt.Errorf("smishkit: build pipeline: %w", err))
 	}
-	return &Study{World: w, Sim: sim, Pipe: pipe, cache: cache, batch: batch, breakers: breakers, rlog: rlog, opts: opts}, nil
+	sh := opts.Shards
+	if sh == nil {
+		sh = &ShardConfig{Shards: 1}
+	}
+	enrichers := make([]shard.Enricher, sh.Shards)
+	for i := range enrichers {
+		if len(sh.WorkerURLs) > 0 {
+			enrichers[i] = shard.NewRemoteEnricher(sh.WorkerURLs[i]).WithTimeout(sh.WorkerTimeout)
+			continue
+		}
+		stackReg := reg
+		if opts.Shards != nil {
+			stackReg = reg.Prefixed(fmt.Sprintf("shard.%d.", i))
+		}
+		stack, err := shard.NewStack(base, shard.StackConfig{
+			Faults:     opts.Faults,
+			Batch:      opts.Batch,
+			Cache:      opts.Cache,
+			Resilience: opts.Resilience,
+			Pipeline:   opts.Pipeline,
+		}, stackReg)
+		if err != nil {
+			return fail(fmt.Errorf("smishkit: build shard %d: %w", i, err))
+		}
+		enrichers[i] = stack
+	}
+	group, err := shard.NewGroup(pipe, enrichers, sh.Replicas, reg)
+	if err != nil {
+		return fail(fmt.Errorf("smishkit: build shard group: %w", err))
+	}
+	if len(sh.WorkerURLs) > 0 {
+		if err := group.SetEnrichers(enrichers, true); err != nil {
+			return fail(err)
+		}
+	}
+	st := &Study{World: w, Sim: sim, Pipe: pipe, group: group, rlog: rlog, opts: opts}
+	if sh.Failover {
+		prober := shard.NewProber(sh.Shards, shard.ProbeConfig{
+			Interval: sh.ProbeInterval,
+			Timeout:  sh.ProbeTimeout,
+		}, reg)
+		group.AttachProber(prober)
+		pctx, cancel := context.WithCancel(context.Background())
+		st.proberStop = cancel
+		go prober.Run(pctx)
+	}
+	return st, nil
 }
 
 // closeLog closes a possibly-nil record log.
@@ -598,24 +549,15 @@ func (s *Study) Collect(ctx context.Context) ([]RawReport, error) {
 	return reports, err
 }
 
-// Run collects, curates, enriches, and annotates.
+// Run collects, curates, enriches, and annotates: one round through the
+// study's shard group, so records come back in curation order for any
+// shard count. On error the dataset is nil.
 func (s *Study) Run(ctx context.Context) (*Dataset, error) {
 	reports, err := s.Collect(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return s.runBatch(ctx, reports)
-}
-
-// runBatch pushes one report batch through the pipeline: the shard router
-// when the study is sharded, the single pipeline otherwise. Both paths
-// return records in a deterministic order for a given input (the router
-// scatters results back into curation order).
-func (s *Study) runBatch(ctx context.Context, reports []RawReport) (*Dataset, error) {
-	if s.group != nil {
-		return s.group.Run(ctx, reports)
-	}
-	return s.Pipe.Run(ctx, reports)
+	return s.group.Run(ctx, reports)
 }
 
 // ShardStats reports the sharding scoreboard: per-shard routed-record
@@ -623,7 +565,7 @@ func (s *Study) runBatch(ctx context.Context, reports []RawReport) (*Dataset, er
 // study was built without Options.Shards. Safe to call concurrently with
 // Run or Serve.
 func (s *Study) ShardStats() *ShardStats {
-	if s.group == nil {
+	if s.opts.Shards == nil {
 		return nil
 	}
 	st := s.group.Stats()
@@ -632,12 +574,15 @@ func (s *Study) ShardStats() *ShardStats {
 
 // ShardWorkerSpec builds the spec a shard worker process for this study
 // needs: the study's own simulated service addresses plus the pipeline and
-// tier flags mirroring the study's Options. Write its JSON to the worker's
+// tier flags mirroring the study's Options, with the enrichment budgets
+// resolved as an in-process stack resolves them (shard.ResolveBudgets).
+// Write its JSON to the worker's
 // stdin (see RunShardWorker). Index is the shard the worker will serve.
 // Faults are deliberately absent: the chaos layer is seeded per process,
 // so injecting it in workers would break the shards=1 vs shards=N
 // record-identity contract.
 func (s *Study) ShardWorkerSpec(index int) ShardWorkerSpec {
+	p := shard.ResolveBudgets(s.opts.Pipeline, s.opts.Resilience)
 	spec := ShardWorkerSpec{
 		Index:     index,
 		HLR:       shard.ServiceAddr{URL: s.Sim.HLRURL, Key: s.Sim.HLRKey},
@@ -647,8 +592,12 @@ func (s *Study) ShardWorkerSpec(index int) ShardWorkerSpec {
 		AVScan:    shard.ServiceAddr{URL: s.Sim.AVScanURL, Key: s.Sim.AVScanKey},
 		Shortener: shard.ServiceAddr{URL: s.Sim.ShortenerURL},
 		Pipeline: shard.WorkerPipeline{
-			EnrichWorkers: s.opts.Pipeline.EnrichWorkers,
-			StepWorkers:   s.opts.Pipeline.StepWorkers,
+			EnrichWorkers:    p.EnrichWorkers,
+			StepWorkers:      p.StepWorkers,
+			RecordBudget:     p.RecordBudget,
+			CallTimeout:      p.CallTimeout,
+			AbortFailureRate: p.AbortFailureRate,
+			MinAbortCalls:    p.MinAbortCalls,
 		},
 		Cache:      s.opts.Cache != nil,
 		Batch:      s.opts.Batch != nil,
@@ -656,12 +605,6 @@ func (s *Study) ShardWorkerSpec(index int) ShardWorkerSpec {
 	}
 	if c := s.opts.Cache; c != nil {
 		spec.ServeStale = c.ServeStale
-	}
-	if r := s.opts.Resilience; r != nil {
-		spec.Pipeline.RecordBudget = r.RecordBudget
-		spec.Pipeline.CallTimeout = r.CallTimeout
-		spec.Pipeline.AbortFailureRate = r.AbortFailureRate
-		spec.Pipeline.MinAbortCalls = r.MinAbortCalls
 	}
 	return spec
 }
@@ -673,7 +616,7 @@ func (s *Study) ShardWorkerSpec(index int) ShardWorkerSpec {
 // order cmd/smishctl uses — the study must exist first, because workers
 // dial its simulation.
 func (s *Study) ConnectShardWorkers(ctx context.Context, urls []string) error {
-	if s.group == nil {
+	if s.opts.Shards == nil {
 		return fmt.Errorf("smishkit: ConnectShardWorkers needs Options.Shards")
 	}
 	if len(urls) != s.group.Shards() {
@@ -733,7 +676,7 @@ type (
 // a sharded study; any OnRestart already set in cfg runs after the study's
 // own re-registration.
 func (s *Study) StartShardSupervisor(ctx context.Context, start ShardStarter, cfg ShardSupervisorConfig) (*ShardSupervisor, error) {
-	if s.group == nil {
+	if s.opts.Shards == nil {
 		return nil, fmt.Errorf("smishkit: StartShardSupervisor needs Options.Shards")
 	}
 	chain := cfg.OnRestart
@@ -769,57 +712,6 @@ func (s *Study) StartShardSupervisor(ctx context.Context, start ShardStarter, cf
 	return sup, nil
 }
 
-// Telemetry snapshots everything the study has recorded so far: stage
-// spans, curation counters, and per-service client metrics. Safe to call
-// concurrently with Run, and after Close.
-//
-// Deprecated: use Study.Stats().Telemetry, which bundles every stats
-// surface in one call. This wrapper is slated for removal in v2 — no
-// in-tree caller remains.
-func (s *Study) Telemetry() Telemetry { return s.Pipe.Telemetry().Snapshot() }
-
-// CacheStats snapshots the enrichment cache per service: hits, misses,
-// coalesced in-flight waits, negative hits, stale serves, evictions, and
-// live entries. Returns nil when the study was built without
-// Options.Cache. Safe to call concurrently with Run, and after Close.
-//
-// Deprecated: use Study.Stats().Cache. Slated for removal in v2 — no
-// in-tree caller remains.
-func (s *Study) CacheStats() CacheStats {
-	if s.cache == nil {
-		return nil
-	}
-	return s.cache.Stats()
-}
-
-// BatchStats snapshots the batching tier per service: flushes, cumulative
-// batched keys, in-window coalesced duplicates, and counted per-key
-// fallthroughs. Returns nil when the study was built without
-// Options.Batch. Safe to call concurrently with Run, and after Close.
-//
-// Deprecated: use Study.Stats().Batch. Slated for removal in v2 — no
-// in-tree caller remains.
-func (s *Study) BatchStats() BatchStats {
-	if s.batch == nil {
-		return nil
-	}
-	return s.batch.Stats()
-}
-
-// ResilienceStats snapshots every circuit breaker: current state plus
-// open / short-circuit / probe / outcome counts. Returns nil when the
-// study was built without Options.Resilience. Safe to call concurrently
-// with Run, and after Close.
-//
-// Deprecated: use Study.Stats().Resilience. Slated for removal in v2 —
-// no in-tree caller remains.
-func (s *Study) ResilienceStats() ResilienceStats {
-	if s.breakers == nil {
-		return nil
-	}
-	return s.breakers.Stats()
-}
-
 // Close shuts the simulation down, releases every loopback listener, and
 // closes the record log (writing its final snapshot) when the study has
 // one. It is idempotent — only the first call closes; every call reports
@@ -839,33 +731,3 @@ func (s *Study) Close() error {
 // WriteReport renders every table and figure of the paper to w, returning
 // the first write error (earlier versions swallowed it).
 func WriteReport(w io.Writer, ds *Dataset) error { return report.RenderAll(w, ds) }
-
-// WriteTelemetry renders a telemetry snapshot as human-readable text:
-// stage spans, counters, gauges, and latency percentiles.
-//
-// Deprecated: use WriteStats(w, stats, SectionTelemetry). Slated for
-// removal in v2 — no in-tree caller remains.
-func WriteTelemetry(w io.Writer, snap Telemetry) error { return telemetry.Write(w, snap) }
-
-// WriteCacheStats renders a CacheStats snapshot as an aligned text table,
-// one row per service, with per-service hit rates.
-//
-// Deprecated: use WriteStats(w, stats, SectionCache). Slated for
-// removal in v2 — no in-tree caller remains.
-func WriteCacheStats(w io.Writer, stats CacheStats) error { return enrichcache.Write(w, stats) }
-
-// WriteBatchStats renders a BatchStats snapshot as an aligned text table,
-// one row per batchable service, with mean keys per flush.
-//
-// Deprecated: use WriteStats(w, stats, SectionBatch). Slated for
-// removal in v2 — no in-tree caller remains.
-func WriteBatchStats(w io.Writer, stats BatchStats) error { return batchmux.Write(w, stats) }
-
-// WriteResilienceStats renders a ResilienceStats snapshot as an aligned
-// text table, one breaker per row.
-//
-// Deprecated: use WriteStats(w, stats, SectionResilience). Slated for
-// removal in v2 — no in-tree caller remains.
-func WriteResilienceStats(w io.Writer, stats ResilienceStats) error {
-	return resilience.Write(w, stats)
-}

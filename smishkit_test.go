@@ -44,7 +44,7 @@ func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("pipe clo
 // TestStudyTelemetryEndToEnd is the acceptance check for the telemetry
 // subsystem: one full Run must produce a snapshot covering all four
 // pipeline stages and all six enrichment services, retrievable both
-// through Study.Telemetry and the simulation's /debug/telemetry endpoint.
+// through Study.Stats and the simulation's /debug/telemetry endpoint.
 func TestStudyTelemetryEndToEnd(t *testing.T) {
 	collector := NewCollector()
 	study, err := NewStudy(Options{Seed: 11, Messages: 600, Collector: collector})
@@ -57,7 +57,7 @@ func TestStudyTelemetryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := study.Telemetry()
+	snap := study.Stats().Telemetry
 	for _, stage := range []string{"collect", "curate", "enrich", "annotate"} {
 		if snap.Spans[stage].Count < 1 {
 			t.Errorf("stage %q has no span (spans: %v)", stage, snap.Spans)
@@ -77,7 +77,7 @@ func TestStudyTelemetryEndToEnd(t *testing.T) {
 	// The user-supplied collector is the same registry the study records
 	// into.
 	if got := collector.Snapshot().Counters["pipeline.curate.ok"]; got != snap.Counters["pipeline.curate.ok"] {
-		t.Errorf("Options.Collector diverges from Study.Telemetry: %d != %d",
+		t.Errorf("Options.Collector diverges from Study.Stats().Telemetry: %d != %d",
 			got, snap.Counters["pipeline.curate.ok"])
 	}
 
@@ -97,7 +97,7 @@ func TestStudyTelemetryEndToEnd(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteTelemetry(&buf, snap); err != nil {
+	if err := WriteStats(&buf, Stats{Telemetry: snap}, SectionTelemetry); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"collect", "client.hlr.calls", "p99"} {
@@ -113,7 +113,7 @@ func TestStudyTelemetryEndToEnd(t *testing.T) {
 	if err := study.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if after := study.Telemetry(); after.Counters["pipeline.curate.ok"] == 0 {
+	if after := study.Stats().Telemetry; after.Counters["pipeline.curate.ok"] == 0 {
 		t.Error("telemetry lost after Close")
 	}
 }
@@ -139,9 +139,10 @@ func TestStudyCacheEndToEnd(t *testing.T) {
 		t.Fatal("empty dataset")
 	}
 
-	stats := study.CacheStats()
+	all := study.Stats()
+	stats := all.Cache
 	if stats == nil {
-		t.Fatal("CacheStats = nil with Options.Cache set")
+		t.Fatal("Stats().Cache = nil with Options.Cache set")
 	}
 	var hits, misses int64
 	for svc, st := range stats {
@@ -167,9 +168,9 @@ func TestStudyCacheEndToEnd(t *testing.T) {
 	// Cache counters live in the same registry as the client metrics, and
 	// every upstream call the clients record is a cache miss (or a stale
 	// probe) — the decorators absorb the rest.
-	snap := study.Telemetry()
+	snap := all.Telemetry
 	if snap.Counters["cache.whois.hits"] != stats["whois"].Hits {
-		t.Errorf("telemetry cache.whois.hits = %d, CacheStats = %d",
+		t.Errorf("telemetry cache.whois.hits = %d, Stats().Cache = %d",
 			snap.Counters["cache.whois.hits"], stats["whois"].Hits)
 	}
 	if calls, m := snap.Counters["client.whois.calls"], stats["whois"].Misses; calls != m {
@@ -177,7 +178,7 @@ func TestStudyCacheEndToEnd(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteCacheStats(&buf, stats); err != nil {
+	if err := WriteStats(&buf, all, SectionCache); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"enrichment cache", "whois", "hit%"} {
@@ -188,20 +189,21 @@ func TestStudyCacheEndToEnd(t *testing.T) {
 }
 
 // TestStudyWithoutCache keeps the default path honest: no Options.Cache
-// means nil CacheStats and no cache.* counters in telemetry.
+// means a nil Stats().Cache and no cache.* counters in telemetry.
 func TestStudyWithoutCache(t *testing.T) {
 	study, err := NewStudy(Options{Seed: 3, Messages: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer study.Close()
-	if study.CacheStats() != nil {
-		t.Error("CacheStats non-nil without Options.Cache")
+	all := study.Stats()
+	if all.Cache != nil {
+		t.Error("Stats().Cache non-nil without Options.Cache")
 	}
-	if study.ResilienceStats() != nil {
-		t.Error("ResilienceStats non-nil without Options.Resilience")
+	if all.Resilience != nil {
+		t.Error("Stats().Resilience non-nil without Options.Resilience")
 	}
-	for name := range study.Telemetry().Counters {
+	for name := range all.Telemetry.Counters {
 		if strings.HasPrefix(name, "cache.") {
 			t.Errorf("unexpected cache counter %q without Options.Cache", name)
 		}
@@ -214,7 +216,7 @@ func TestStudyWithoutCache(t *testing.T) {
 // TestStudyResilienceOneServiceDown is the facade acceptance check for
 // the resilience layer: with whois 100% down behind its breaker, a run
 // must still complete; whois fields degrade (each loss recorded on its
-// record), every other service's fields resolve, and ResilienceStats
+// record), every other service's fields resolve, and Stats().Resilience
 // shows the whois breaker open with real short-circuits.
 func TestStudyResilienceOneServiceDown(t *testing.T) {
 	study, err := NewStudy(Options{
@@ -274,9 +276,10 @@ func TestStudyResilienceOneServiceDown(t *testing.T) {
 		t.Error("healthy services enriched nothing")
 	}
 
-	stats := study.ResilienceStats()
+	all := study.Stats()
+	stats := all.Resilience
 	if stats == nil {
-		t.Fatal("ResilienceStats = nil with Options.Resilience set")
+		t.Fatal("Stats().Resilience = nil with Options.Resilience set")
 	}
 	w := stats["whois"]
 	if w.Opens == 0 {
@@ -292,7 +295,7 @@ func TestStudyResilienceOneServiceDown(t *testing.T) {
 	}
 	// Short-circuited calls never reach the fault gate, so the injected
 	// count plus breaker admissions stay consistent in telemetry.
-	snap := study.Telemetry()
+	snap := all.Telemetry
 	if snap.Gauges["breaker.whois.state"] == int64(0) && w.State == "open" {
 		t.Error("breaker.whois.state gauge disagrees with Stats")
 	}
@@ -301,7 +304,7 @@ func TestStudyResilienceOneServiceDown(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteResilienceStats(&buf, stats); err != nil {
+	if err := WriteStats(&buf, all, SectionResilience); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"resilience breakers", "whois"} {

@@ -13,9 +13,8 @@ import (
 	"github.com/smishkit/smishkit/internal/telemetry"
 )
 
-// Stats bundles every observable surface of a Study in one snapshot,
-// replacing the former per-surface accessors (Telemetry, CacheStats,
-// BatchStats, ResilienceStats). Optional layers the study was built
+// Stats bundles every observable surface of a Study in one snapshot.
+// Optional layers the study was built
 // without are nil; Service is nil unless Serve has run.
 type Stats struct {
 	// Telemetry is the full metrics snapshot: stage spans, counters,
@@ -46,14 +45,12 @@ type Stats struct {
 // Run or Serve, and after Close.
 func (s *Study) Stats() Stats {
 	st := Stats{Telemetry: s.Pipe.Telemetry().Snapshot()}
-	if s.cache != nil {
-		st.Cache = s.cache.Stats()
-	}
-	if s.batch != nil {
-		st.Batch = s.batch.Stats()
-	}
-	if s.breakers != nil {
-		st.Resilience = s.breakers.Stats()
+	gs := s.group.Stats()
+	if s.opts.Shards != nil {
+		st.Shards = &gs
+	} else if sk := gs.PerShard[0].Stack; sk != nil {
+		// Unsharded: the one stack's tiers are the study's tiers.
+		st.Cache, st.Batch, st.Resilience = sk.Cache, sk.Batch, sk.Resilience
 	}
 	if svc := s.svc; svc != nil {
 		sv := svc.stats()
@@ -63,7 +60,6 @@ func (s *Study) Stats() Stats {
 		ds := s.rlog.Stats()
 		st.Durability = &ds
 	}
-	st.Shards = s.ShardStats()
 	return st
 }
 
