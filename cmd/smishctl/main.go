@@ -66,8 +66,8 @@ func main() {
 func run() error {
 	seed := flag.Int64("seed", 1, "world generation seed")
 	messages := flag.Int("messages", 4000, "synthetic corpus size")
-	workers := flag.Int("workers", 8, "record-level enrichment fan-out width")
-	stepWorkers := flag.Int("step-workers", 4, "intra-record enrichment parallelism: independent service families run concurrently per record (1 = sequential)")
+	workers := flag.Int("workers", 0, "record-level enrichment fan-out width (0 = the library default)")
+	stepWorkers := flag.Int("step-workers", 0, "intra-record enrichment parallelism: independent service families run concurrently per record (0 = the library default, 1 = sequential)")
 	extractor := flag.String("extractor", "structured", "screenshot extractor: structured|vision|naive")
 	telemetry := flag.Bool("telemetry", false, "print per-stage spans and per-service client metrics after the report")
 	cache := flag.Bool("cache", true, "coalesce and cache enrichment lookups (singleflight + TTL/LRU + negative caching)")
@@ -268,8 +268,9 @@ func run() error {
 	if *serve {
 		mode = "service"
 	}
+	popts := study.Pipe.Options()
 	log.Printf("pipeline (%s, %d×%d workers): %d records in %v (decoys rejected: %d)",
-		mode, *workers, *stepWorkers, len(ds.Records),
+		mode, popts.EnrichWorkers, popts.StepWorkers, len(ds.Records),
 		time.Since(start).Round(time.Millisecond), ds.DecoysRejected)
 	if *chaos > 0 {
 		degraded := 0

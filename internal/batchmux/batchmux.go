@@ -36,11 +36,16 @@ import (
 	"github.com/smishkit/smishkit/internal/telemetry"
 )
 
+// DefaultWindow is Config.Window's default. A window fills only when at
+// least this many records are in flight, which core.DefaultEnrichWorkers
+// is sized for.
+const DefaultWindow = 32
+
 // Config tunes the mux. The zero value is usable: every field falls back
 // to the documented default.
 type Config struct {
 	// Window flushes a service's pending keys once this many distinct
-	// keys have accumulated (default 32).
+	// keys have accumulated (default DefaultWindow).
 	Window int
 	// FlushInterval flushes a partial window this long after its first
 	// key arrived, so stragglers never wait on a window that no one else
@@ -67,7 +72,7 @@ type ServiceConfig struct {
 
 func (c Config) withDefaults() Config {
 	if c.Window == 0 {
-		c.Window = 32
+		c.Window = DefaultWindow
 	}
 	if c.FlushInterval == 0 {
 		c.FlushInterval = 5 * time.Millisecond

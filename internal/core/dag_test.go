@@ -82,62 +82,61 @@ func dagRecord(i int) Record {
 	return rec
 }
 
-// dagFamilies is the full per-record family set when every service is
-// wired and the pdns chain dies at its first hop.
+// dagFamilies is the full per-record family set, in familyNames order,
+// when every service is wired and the pdns chain dies at its first hop.
 var dagFamilies = []string{"hlr", "whois", "ct", "pdns", "vt", "gsb", "gsb_status"}
 
 // TestEnrichParallelStepsErrorIntegrity drives every family of every
 // record into its failure path with an 8-wide scatter and asserts the
 // shared EnrichmentErrors list never interleaves corruptly: exactly one
-// complete entry per family, no duplicates, no torn appends. Run under
-// -race in CI, this is the data-race guard for the per-record mutex.
+// complete entry per family, no torn appends, and the entries in family
+// order on every record of every run, whatever order the families
+// finished in. Run under -race in CI, this is the data-race guard for the
+// per-record mutex.
 func TestEnrichParallelStepsErrorIntegrity(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	pipe := mustPipeline(t, allFailingServices(), Options{
-		EnrichWorkers:    4,
-		StepWorkers:      8,
-		AbortFailureRate: -1, // a 100% failure world: the abort guard is not under test
-		Telemetry:        reg,
-	})
-	ds := &Dataset{}
-	for i := 0; i < 64; i++ {
-		ds.Records = append(ds.Records, dagRecord(i))
-	}
-	if err := pipe.Enrich(context.Background(), ds); err != nil {
-		t.Fatalf("Enrich aborted with the abort guard disabled: %v", err)
-	}
-
-	var total int64
-	for _, r := range ds.Records {
-		seen := map[string]int{}
-		for _, e := range r.EnrichmentErrors {
-			if e.Field == "" || e.Service == "" || e.Err == "" {
-				t.Fatalf("record %s: torn enrichment error %+v", r.ID, e)
-			}
-			seen[e.Field]++
-			total++
+	for run := 0; run < 20; run++ {
+		reg := telemetry.NewRegistry()
+		pipe := mustPipeline(t, allFailingServices(), Options{
+			EnrichWorkers:    4,
+			StepWorkers:      8,
+			AbortFailureRate: -1, // a 100% failure world: the abort guard is not under test
+			Telemetry:        reg,
+		})
+		ds := &Dataset{}
+		for i := 0; i < 64; i++ {
+			ds.Records = append(ds.Records, dagRecord(i))
 		}
-		if len(r.EnrichmentErrors) != len(dagFamilies) {
-			t.Fatalf("record %s: %d errors, want %d: %+v",
-				r.ID, len(r.EnrichmentErrors), len(dagFamilies), r.EnrichmentErrors)
+		if err := pipe.Enrich(context.Background(), ds); err != nil {
+			t.Fatalf("run %d: Enrich aborted with the abort guard disabled: %v", run, err)
+		}
+
+		var total int64
+		for _, r := range ds.Records {
+			fields := make([]string, 0, len(r.EnrichmentErrors))
+			for _, e := range r.EnrichmentErrors {
+				if e.Field == "" || e.Service == "" || e.Err == "" {
+					t.Fatalf("run %d, record %s: torn enrichment error %+v", run, r.ID, e)
+				}
+				fields = append(fields, e.Field)
+				total++
+			}
+			if strings.Join(fields, ",") != strings.Join(dagFamilies, ",") {
+				t.Fatalf("run %d, record %s: error fields %v, want %v in that order",
+					run, r.ID, fields, dagFamilies)
+			}
+		}
+		snap := reg.Snapshot()
+		if got := snap.Counters["pipeline.enrich.degraded_fields"]; got != total {
+			t.Errorf("run %d: degraded_fields counter = %d, records carry %d errors", run, got, total)
+		}
+		if got := snap.Gauges["pipeline.record.step_par"]; got != 0 {
+			t.Errorf("run %d: step_par gauge = %d after Enrich returned, want 0", run, got)
 		}
 		for _, fam := range dagFamilies {
-			if seen[fam] != 1 {
-				t.Fatalf("record %s: field %q appears %d times", r.ID, fam, seen[fam])
+			if snap.Histograms["pipeline.enrich.family."+fam].Count != 64 {
+				t.Errorf("run %d: family %q latency observations = %d, want 64",
+					run, fam, snap.Histograms["pipeline.enrich.family."+fam].Count)
 			}
-		}
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["pipeline.enrich.degraded_fields"]; got != total {
-		t.Errorf("degraded_fields counter = %d, records carry %d errors", got, total)
-	}
-	if got := snap.Gauges["pipeline.record.step_par"]; got != 0 {
-		t.Errorf("step_par gauge = %d after Enrich returned, want 0", got)
-	}
-	for _, fam := range dagFamilies {
-		if snap.Histograms["pipeline.enrich.family."+fam].Count != 64 {
-			t.Errorf("family %q latency observations = %d, want 64",
-				fam, snap.Histograms["pipeline.enrich.family."+fam].Count)
 		}
 	}
 }

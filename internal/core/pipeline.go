@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,13 +23,22 @@ import (
 	"github.com/smishkit/smishkit/internal/urlinfo"
 )
 
+// DefaultEnrichWorkers is the record-level enrichment width when
+// Options.EnrichWorkers is 0: twice batchmux's default Window of 32 keys. A
+// batch window flushes on size only when at least Window records are in
+// flight; with fewer, every window waits out its flush timer. Twice the
+// window keeps one window filling while the last one's bulk call is out.
+// Upstream concurrency is bounded by netutil's per-host connection cap, not
+// by this width.
+const DefaultEnrichWorkers = 64
+
 // Options tunes the pipeline.
 type Options struct {
 	// Extractor reads screenshot attachments; defaults to StructuredVision
 	// (the rung the paper settled on in §3.2).
 	Extractor screenshot.Extractor
-	// EnrichWorkers is the record-level enrichment fan-out width (default
-	// 8; negative is a construction error).
+	// EnrichWorkers is the record-level enrichment fan-out width (0 selects
+	// DefaultEnrichWorkers; negative is a construction error).
 	EnrichWorkers int
 	// StepWorkers bounds intra-record enrichment parallelism. After
 	// shortener expansion settles (the only true sequencing edge — it
@@ -74,7 +84,7 @@ func (o Options) withDefaults() Options {
 		o.Extractor = screenshot.StructuredVision{}
 	}
 	if o.EnrichWorkers == 0 {
-		o.EnrichWorkers = 8
+		o.EnrichWorkers = DefaultEnrichWorkers
 	}
 	if o.StepWorkers == 0 {
 		o.StepWorkers = 4
@@ -175,6 +185,9 @@ func NewPipeline(services Services, opts Options) (*Pipeline, error) {
 
 // Telemetry returns the registry the pipeline records into.
 func (p *Pipeline) Telemetry() *telemetry.Registry { return p.tel }
+
+// Options returns the options the pipeline runs with, defaults filled in.
+func (p *Pipeline) Options() Options { return p.opts }
 
 // Curate turns raw forum reports into records: it reads screenshot
 // attachments with the configured extractor, rejects non-SMS decoys, pulls
@@ -379,7 +392,8 @@ func (p *Pipeline) abortErr(st *enrichState) error {
 
 // Enrich fans records out over the service clients: shortener expansion,
 // HLR lookups on phone senders, and WHOIS / CT / passive-DNS / AV lookups
-// on landing URLs. A failing service degrades that record's fields
+// on landing URLs. It runs min(EnrichWorkers, len(ds.Records)) record
+// workers. A failing service degrades that record's fields
 // (recorded in Record.EnrichmentErrors), not the run; the run aborts only
 // when ctx dies or the overall call failure rate crosses
 // Options.AbortFailureRate.
@@ -399,7 +413,8 @@ func (p *Pipeline) Enrich(ctx context.Context, ds *Dataset) error {
 	}
 
 	st := &enrichState{}
-	for w := 0; w < p.opts.EnrichWorkers; w++ {
+	workers := min(p.opts.EnrichWorkers, len(ds.Records))
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -710,7 +725,27 @@ func (p *Pipeline) enrichOne(parent context.Context, st *enrichState, rec *Recor
 		}})
 	}
 	p.scatter(ctx, parent, fams)
+	// Concurrent families append in completion order; order the list by
+	// family so a degraded record's bytes do not depend on scheduling.
+	slices.SortStableFunc(rec.EnrichmentErrors, func(a, b EnrichmentError) int {
+		return errorRank(a.Field) - errorRank(b.Field)
+	})
 	return parent.Err()
+}
+
+// errorRank places an EnrichmentError's field in the sequential call order:
+// the shortener expansion first, then the families in familyNames order,
+// with the AS lookups inside the pdns chain.
+func errorRank(field string) int {
+	if field == "as_names" {
+		field = "pdns"
+	}
+	for i, name := range familyNames {
+		if name == field {
+			return i + 1
+		}
+	}
+	return 0 // final_url, settled before the scatter
 }
 
 // hasASPair reports whether the parallel name/country lists already hold

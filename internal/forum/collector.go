@@ -3,10 +3,7 @@ package forum
 import (
 	"context"
 	"fmt"
-	"io"
-	"net/http"
 	"sync"
-	"time"
 
 	"github.com/smishkit/smishkit/internal/corpus"
 	"github.com/smishkit/smishkit/internal/netutil"
@@ -41,55 +38,6 @@ func CollectAll(ctx context.Context, collectors []Collector) ([]RawReport, map[c
 	return all, counts, nil
 }
 
-// fetchBytes downloads a raw resource (media, paste) relative to the
-// client's BaseURL, with the client's auth headers and bounded retries.
-func fetchBytes(ctx context.Context, api *netutil.Client, path string) ([]byte, error) {
-	var lastErr error
-	for attempt := 0; attempt < 4; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(time.Duration(attempt) * 50 * time.Millisecond):
-			}
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, api.BaseURL+path, nil)
-		if err != nil {
-			return nil, err
-		}
-		if api.APIKey != "" {
-			req.Header.Set("X-Api-Key", api.APIKey)
-		}
-		for k, v := range api.Headers {
-			req.Header.Set(k, v)
-		}
-		client := api.HTTPClient
-		if client == nil {
-			client = &http.Client{Timeout: 10 * time.Second}
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		data, readErr := io.ReadAll(io.LimitReader(resp.Body, 10<<20))
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusOK && readErr == nil:
-			return data, nil
-		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
-			lastErr = fmt.Errorf("status %d", resp.StatusCode)
-			continue
-		default:
-			if readErr != nil {
-				return nil, readErr
-			}
-			return nil, fmt.Errorf("forum: fetch %s: status %d", path, resp.StatusCode)
-		}
-	}
-	return nil, fmt.Errorf("forum: fetch %s failed: %w", path, lastErr)
-}
-
 // maxAttachmentFetches bounds how many attachment downloads one page keeps
 // in flight.
 const maxAttachmentFetches = 4
@@ -116,7 +64,7 @@ func fetchAttachments(ctx context.Context, api *netutil.Client, paths []string) 
 		wg.Add(1)
 		go func(i int, path string) {
 			defer wg.Done()
-			out[i], errs[i] = fetchBytes(ctx, api, path)
+			out[i], errs[i] = api.GetBytes(ctx, path)
 			<-sem
 		}(i, path)
 	}
@@ -125,7 +73,7 @@ func fetchAttachments(ctx context.Context, api *netutil.Client, paths []string) 
 		if err == nil {
 			continue
 		}
-		if out[i], err = fetchBytes(ctx, api, paths[i]); err != nil {
+		if out[i], err = api.GetBytes(ctx, paths[i]); err != nil {
 			return nil, i, err
 		}
 	}

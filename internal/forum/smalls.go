@@ -263,7 +263,7 @@ func (c *SmishingEUCollector) CollectSince(ctx ctxType, cur checkpoint.Cursor, s
 	for {
 		page := offset/smishingEUPageSize + 1
 		skip := offset % smishingEUPageSize
-		body, err := fetchBytes(ctx, &c.API, fmt.Sprintf("/reports?page=%d", page))
+		body, err := c.API.GetBytes(ctx, fmt.Sprintf("/reports?page=%d", page))
 		if err != nil {
 			return cur, fmt.Errorf("forum: smishing.eu page %d: %w", page, err)
 		}
@@ -396,7 +396,7 @@ func (c *PastebinCollector) Collect(ctx ctxType, sink func(RawReport) error) err
 func (c *PastebinCollector) CollectSince(ctx ctxType, cur checkpoint.Cursor, sink func(RawReport) error) (checkpoint.Cursor, error) {
 	next := cur.Clone()
 	next.Source = "pastebin"
-	index, err := fetchBytes(ctx, &c.API, "/archive")
+	index, err := c.API.GetBytes(ctx, "/archive")
 	if err != nil {
 		return cur, fmt.Errorf("forum: pastebin archive: %w", err)
 	}
@@ -422,7 +422,7 @@ func (c *PastebinCollector) CollectSince(ctx ctxType, cur checkpoint.Cursor, sin
 	}
 	last := cur.LastID
 	for _, id := range ids[start:] {
-		body, err := fetchBytes(ctx, &c.API, "/raw/"+id)
+		body, err := c.API.GetBytes(ctx, "/raw/"+id)
 		if err != nil {
 			return cur, fmt.Errorf("forum: pastebin paste %s: %w", id, err)
 		}

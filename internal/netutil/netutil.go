@@ -1,8 +1,9 @@
 // Package netutil holds the small HTTP plumbing shared by every simulated
 // third-party service (HLR, WHOIS, CT log, passive DNS, AV scanners,
 // shorteners) and their clients: a token-bucket rate limiter, JSON
-// request/response helpers, and a retrying JSON client with exponential
-// backoff honoring Retry-After.
+// request/response helpers, and a retrying client with exponential
+// backoff honoring Retry-After. Clients without their own http.Client share
+// one keep-alive connection pool (see MaxConnsPerHost).
 package netutil
 
 import (
@@ -106,11 +107,30 @@ func WriteRateLimited(w http.ResponseWriter, after time.Duration) {
 	WriteError(w, http.StatusTooManyRequests, "rate limit exceeded")
 }
 
-// Client is a minimal retrying JSON API client.
+// MaxConnsPerHost caps the shared pool's connections to one host, and its
+// idle connections too, so every connection the pool opens stays reusable.
+// Enrichment admits far more records than this, so the cap is what bounds
+// concurrent calls to one upstream; it also bounds the heap each host's
+// idle connections hold.
+const MaxConnsPerHost = 8
+
+// sharedHTTP is the pool every Client without an HTTPClient sends through:
+// one transport, so concurrent calls to a host reuse keep-alive
+// connections instead of dialing (and leaving in TIME_WAIT) one per call.
+var sharedHTTP = newSharedHTTP()
+
+func newSharedHTTP() *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxConnsPerHost = MaxConnsPerHost
+	tr.MaxIdleConnsPerHost = MaxConnsPerHost
+	return &http.Client{Transport: tr, Timeout: 10 * time.Second}
+}
+
+// Client is a minimal retrying API client.
 type Client struct {
 	BaseURL    string
 	APIKey     string       // sent as X-Api-Key when non-empty
-	HTTPClient *http.Client // defaults to a 10s-timeout client
+	HTTPClient *http.Client // defaults to the shared 10s-timeout pool
 	// MaxRetries caps retries on 429/5xx/transport errors: 0 means the
 	// default of 3; any negative value disables retrying entirely (the
 	// first response, whatever it is, is final).
@@ -165,7 +185,7 @@ func (c *Client) httpClient() *http.Client {
 	if c.HTTPClient != nil {
 		return c.HTTPClient
 	}
-	return &http.Client{Timeout: 10 * time.Second}
+	return sharedHTTP
 }
 
 func (c *Client) sleep(ctx context.Context, d time.Duration) error {
@@ -185,7 +205,14 @@ func (c *Client) sleep(ctx context.Context, d time.Duration) error {
 // GetJSON fetches path (relative to BaseURL) and decodes the JSON response
 // into out, retrying 429/5xx with exponential backoff plus jitter.
 func (c *Client) GetJSON(ctx context.Context, path string, out any) error {
-	return c.do(ctx, http.MethodGet, path, nil, out)
+	_, err := c.do(ctx, http.MethodGet, path, nil, out)
+	return err
+}
+
+// GetBytes fetches a raw resource (media, a paste) at path relative to
+// BaseURL and returns its body, with the same retries as GetJSON.
+func (c *Client) GetBytes(ctx context.Context, path string) ([]byte, error) {
+	return c.do(ctx, http.MethodGet, path, nil, nil)
 }
 
 // PostJSON sends body as JSON and decodes the response into out.
@@ -198,25 +225,28 @@ func (c *Client) PostJSON(ctx context.Context, path string, body, out any) error
 			return fmt.Errorf("netutil: encode request: %w", err)
 		}
 	}
-	return c.do(ctx, http.MethodPost, path, buf, out)
+	_, err := c.do(ctx, http.MethodPost, path, buf, out)
+	return err
 }
 
-func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) error {
+// do sends one request with retries and returns the successful response's
+// body, decoded into out when out is non-nil.
+func (c *Client) do(ctx context.Context, method, path string, body []byte, out any) ([]byte, error) {
 	m := c.Metrics
 	if m == nil {
 		return c.doRetry(ctx, method, path, body, out, nil)
 	}
 	m.Calls.Inc()
 	start := time.Now()
-	err := c.doRetry(ctx, method, path, body, out, m)
+	data, err := c.doRetry(ctx, method, path, body, out, m)
 	m.Latency.Observe(time.Since(start))
 	if err != nil {
 		m.Errors.Inc()
 	}
-	return err
+	return data, err
 }
 
-func (c *Client) doRetry(ctx context.Context, method, path string, body []byte, out any, m *telemetry.ClientMetrics) error {
+func (c *Client) doRetry(ctx context.Context, method, path string, body []byte, out any, m *telemetry.ClientMetrics) ([]byte, error) {
 	retries := c.MaxRetries
 	switch {
 	case retries == 0:
@@ -245,7 +275,7 @@ func (c *Client) doRetry(ctx context.Context, method, path string, body []byte, 
 				d = retryAfter
 			}
 			if err := c.sleep(ctx, d); err != nil {
-				return err
+				return nil, err
 			}
 		}
 		retryAfter = 0
@@ -255,7 +285,7 @@ func (c *Client) doRetry(ctx context.Context, method, path string, body []byte, 
 		}
 		req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rdr)
 		if err != nil {
-			return fmt.Errorf("netutil: build request: %w", err)
+			return nil, fmt.Errorf("netutil: build request: %w", err)
 		}
 		if body != nil {
 			req.Header.Set("Content-Type", "application/json")
@@ -279,13 +309,12 @@ func (c *Client) doRetry(ctx context.Context, method, path string, body []byte, 
 		}
 		switch {
 		case resp.StatusCode >= 200 && resp.StatusCode < 300:
-			if out == nil {
-				return nil
+			if out != nil {
+				if err := json.Unmarshal(data, out); err != nil {
+					return nil, fmt.Errorf("netutil: decode response: %w", err)
+				}
 			}
-			if err := json.Unmarshal(data, out); err != nil {
-				return fmt.Errorf("netutil: decode response: %w", err)
-			}
-			return nil
+			return data, nil
 		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode >= 500:
 			if m != nil && resp.StatusCode == http.StatusTooManyRequests {
 				m.RateLimited.Inc()
@@ -294,10 +323,10 @@ func (c *Client) doRetry(ctx context.Context, method, path string, body []byte, 
 			lastErr = &APIError{Status: resp.StatusCode, Body: truncate(string(data), 200)}
 			continue // retryable
 		default:
-			return &APIError{Status: resp.StatusCode, Body: truncate(string(data), 200)}
+			return nil, &APIError{Status: resp.StatusCode, Body: truncate(string(data), 200)}
 		}
 	}
-	return fmt.Errorf("netutil: %s %s failed after %d attempts: %w", method, path, retries+1, lastErr)
+	return nil, fmt.Errorf("netutil: %s %s failed after %d attempts: %w", method, path, retries+1, lastErr)
 }
 
 // parseRetryAfter interprets a Retry-After header value: delay-seconds

@@ -2,6 +2,7 @@ package netutil
 
 import (
 	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -389,5 +390,47 @@ func TestRequireKey(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNoContent {
 		t.Errorf("keyed status = %d", resp.StatusCode)
+	}
+}
+
+// TestSharedPoolCapsConnections sends 200 calls from 32 goroutines through
+// clients without their own http.Client: they share one keep-alive pool,
+// so the server sees at most MaxConnsPerHost connections.
+func TestSharedPoolCapsConnections(t *testing.T) {
+	var conns atomic.Int32
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(time.Millisecond) // keep calls overlapping
+		WriteJSON(w, http.StatusOK, map[string]int{"ok": 1})
+	}))
+	srv.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+
+	const goroutines, calls = 32, 200
+	var next, failed atomic.Int32
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := &Client{BaseURL: srv.URL} // a fresh client: the pool is shared, not per client
+			for next.Add(1) <= calls {
+				if err := c.GetJSON(context.Background(), "/pool", nil); err != nil {
+					failed.Add(1)
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if failed.Load() != 0 {
+		t.Fatalf("%d calls failed", failed.Load())
+	}
+	if n := conns.Load(); n < 1 || n > MaxConnsPerHost {
+		t.Errorf("server saw %d connections for %d calls, want 1..%d", n, calls, MaxConnsPerHost)
 	}
 }
