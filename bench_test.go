@@ -852,7 +852,7 @@ func BenchmarkXDRFilter(b *testing.B) {
 			}
 		}
 	}
-	expander := shortener.NewClient(benchSim.ShortenerURL)
+	expander := shortener.NewClient(benchSim.Endpoints.Shortener.URL)
 
 	for _, mode := range []struct {
 		name string

@@ -41,12 +41,13 @@ func main() {
 	fmt.Printf("  smishing.eu  %s\n", sim.SmishingEUURL)
 	fmt.Printf("  pastebin     %s\n", sim.PastebinURL)
 	fmt.Println("services:")
-	fmt.Printf("  hlr          %s  (key: %s)\n", sim.HLRURL, sim.HLRKey)
-	fmt.Printf("  whois        %s  (key: %s)\n", sim.WhoisURL, sim.WhoisKey)
-	fmt.Printf("  ctlog        %s\n", sim.CTLogURL)
-	fmt.Printf("  dnsdb        %s  (key: %s)\n", sim.DNSDBURL, sim.DNSDBKey)
-	fmt.Printf("  avscan       %s  (key: %s)\n", sim.AVScanURL, sim.AVScanKey)
-	fmt.Printf("  shortener    %s\n", sim.ShortenerURL)
+	ep := sim.Endpoints
+	fmt.Printf("  hlr          %s  (key: %s)\n", ep.HLR.URL, ep.HLR.Key)
+	fmt.Printf("  whois        %s  (key: %s)\n", ep.Whois.URL, ep.Whois.Key)
+	fmt.Printf("  ctlog        %s\n", ep.CTLog.URL)
+	fmt.Printf("  dnsdb        %s  (key: %s)\n", ep.DNSDB.URL, ep.DNSDB.Key)
+	fmt.Printf("  avscan       %s  (key: %s)\n", ep.AVScan.URL, ep.AVScan.Key)
+	fmt.Printf("  shortener    %s\n", ep.Shortener.URL)
 	fmt.Printf("  sites        %s\n", sim.SitesURL)
 	fmt.Printf("telemetry:\n")
 	fmt.Printf("  snapshot     %s/debug/telemetry\n", sim.DebugURL)

@@ -17,10 +17,11 @@
 // cache, batchmux windows, and circuit breakers; output is record-identical
 // for any N. -shard-procs additionally runs each shard as a separate OS
 // process fed over localhost (spawned from this same binary's hidden
-// -shard-worker mode). -shard-failover turns on the lifecycle layer:
-// shard health is probed on -shard-probe-interval, a failed shard's
-// routed records are re-dispatched to survivors (output stays
-// record-identical), and with -shard-procs a dead worker process is
+// -shard-worker mode), built from the same tier config an in-process
+// shard uses, -chaos faults included. -shard-failover turns on the
+// lifecycle layer: shard health is probed on -shard-probe-interval, a
+// failed shard's routed records are re-dispatched to survivors (output
+// stays record-identical), and with -shard-procs a dead worker process is
 // restarted with capped exponential backoff up to -shard-restart-max
 // times.
 //
@@ -83,7 +84,7 @@ func run() error {
 	statusFile := flag.String("status-file", "", "write the daemon's status URL to this file once it is listening, for script orchestration (with -serve)")
 	liveWaves := flag.Int("live-waves", 3, "hold back this many fixture waves and release one per round, so the daemon sees reports arrive over time (with -serve)")
 	shards := flag.Int("shards", 0, "partition enrichment across N key-sharded instances, each owning its own cache/batch/breaker tiers (0 = unsharded; output is record-identical for any N)")
-	shardProcs := flag.Bool("shard-procs", false, "run each shard as a separate OS process fed over localhost (requires -shards)")
+	shardProcs := flag.Bool("shard-procs", false, "run each shard as a separate OS process fed over localhost, built from the same tier config (cache, batch, breakers, -chaos faults) an in-process shard uses (requires -shards)")
 	shardFailover := flag.Bool("shard-failover", false, "probe shard health and re-dispatch a failed shard's records to survivors; with -shard-procs, also restart dead worker processes (requires -shards)")
 	shardProbeInterval := flag.Duration("shard-probe-interval", 2*time.Second, "health-probe cadence (with -shard-failover)")
 	shardRestartMax := flag.Int("shard-restart-max", 5, "restart budget per worker process (with -shard-failover -shard-procs)")
@@ -111,9 +112,6 @@ func run() error {
 	}
 	if *shardFailover && *shards == 0 {
 		return fmt.Errorf("-shard-failover requires -shards")
-	}
-	if *shardProcs && *chaos > 0 {
-		return fmt.Errorf("-shard-procs is incompatible with -chaos: fault injection is seeded per process, so worker-side chaos would break the sharded/unsharded output identity")
 	}
 
 	if *cpuprofile != "" {

@@ -35,8 +35,10 @@ const DefaultEnrichWorkers = 64
 // Options tunes the pipeline.
 type Options struct {
 	// Extractor reads screenshot attachments; defaults to StructuredVision
-	// (the rung the paper settled on in §3.2).
-	Extractor screenshot.Extractor
+	// (the rung the paper settled on in §3.2). Like Telemetry and
+	// Streaming, it is process-local: it does not cross to a shard worker
+	// process, which runs the default.
+	Extractor screenshot.Extractor `json:"-"`
 	// EnrichWorkers is the record-level enrichment fan-out width (0 selects
 	// DefaultEnrichWorkers; negative is a construction error).
 	EnrichWorkers int
@@ -56,11 +58,11 @@ type Options struct {
 	// order is curation order.
 	//
 	// Deprecated: the overlapped mode this selected is gone; leave it unset.
-	Streaming bool
+	Streaming bool `json:"-"`
 	// Telemetry receives per-stage spans, per-record curation outcomes,
 	// and enrichment latency. Nil gets a private registry so
 	// Pipeline.Telemetry always works.
-	Telemetry *telemetry.Registry
+	Telemetry *telemetry.Registry `json:"-"`
 
 	// RecordBudget bounds one record's total enrichment wall time; past it
 	// the record's remaining service calls fail fast and degrade their

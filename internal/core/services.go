@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"github.com/smishkit/smishkit/internal/avscan"
 	"github.com/smishkit/smishkit/internal/ctlog"
 	"github.com/smishkit/smishkit/internal/dnsdb"
 	"github.com/smishkit/smishkit/internal/hlr"
 	"github.com/smishkit/smishkit/internal/shortener"
+	"github.com/smishkit/smishkit/internal/telemetry"
 	"github.com/smishkit/smishkit/internal/whois"
 )
 
@@ -119,4 +121,55 @@ type Services struct {
 	DNSDB     DNSResolver
 	AVScan    AVScanner
 	Shortener ShortExpander
+}
+
+// Endpoint locates one upstream enrichment service: its base URL and the
+// API key its client sends (unused by the keyless CT-log and shortener
+// clients).
+type Endpoint struct {
+	URL string `json:"url"`
+	Key string `json:"key,omitempty"`
+}
+
+// Endpoints locates all six upstream enrichment services. It is plain
+// data, so it crosses the process boundary as JSON: a shard worker
+// process builds its clients from the same value the simulation builds
+// its own from.
+type Endpoints struct {
+	HLR       Endpoint `json:"hlr"`
+	Whois     Endpoint `json:"whois"`
+	CTLog     Endpoint `json:"ctlog"`
+	DNSDB     Endpoint `json:"dnsdb"`
+	AVScan    Endpoint `json:"avscan"`
+	Shortener Endpoint `json:"shortener"`
+}
+
+// Validate reports the first service that has no URL.
+func (e Endpoints) Validate() error {
+	for _, s := range []struct {
+		name string
+		ep   Endpoint
+	}{
+		{"hlr", e.HLR}, {"whois", e.Whois}, {"ctlog", e.CTLog},
+		{"dnsdb", e.DNSDB}, {"avscan", e.AVScan}, {"shortener", e.Shortener},
+	} {
+		if s.ep.URL == "" {
+			return fmt.Errorf("core: no %s URL", s.name)
+		}
+	}
+	return nil
+}
+
+// Services returns one HTTP client per endpoint, each instrumented into
+// reg under "client.<svc>.*". Instruments are named, so clients from
+// repeated calls on one registry share the same counters.
+func (e Endpoints) Services(reg *telemetry.Registry) Services {
+	return Services{
+		HLR:       hlr.NewClient(e.HLR.URL, e.HLR.Key).Instrument(reg),
+		Whois:     whois.NewClient(e.Whois.URL, e.Whois.Key).Instrument(reg),
+		CTLog:     ctlog.NewClient(e.CTLog.URL).Instrument(reg),
+		DNSDB:     dnsdb.NewClient(e.DNSDB.URL, e.DNSDB.Key).Instrument(reg),
+		AVScan:    avscan.NewClient(e.AVScan.URL, e.AVScan.Key).Instrument(reg),
+		Shortener: shortener.NewClient(e.Shortener.URL).Instrument(reg),
+	}
 }

@@ -35,23 +35,16 @@ type Simulation struct {
 	SmishtankURL  string
 	SmishingEUURL string
 	PastebinURL   string
-	HLRURL        string
-	WhoisURL      string
-	CTLogURL      string
-	DNSDBURL      string
-	AVScanURL     string
-	ShortenerURL  string
 	SitesURL      string
 	// DebugURL serves GET /debug/telemetry: a live JSON snapshot of the
 	// simulation's telemetry registry.
 	DebugURL string
 
-	// Credentials the clients need.
+	// TwitterBearer is the credential the Twitter collector needs.
 	TwitterBearer string
-	HLRKey        string
-	WhoisKey      string
-	DNSDBKey      string
-	AVScanKey     string
+	// Endpoints locates the six enrichment services (the shortener's also
+	// serves the redirect front end) and carries their API keys.
+	Endpoints Endpoints
 
 	// Direct handles for case studies and tests.
 	Sites    *crawler.SiteServer
@@ -124,10 +117,12 @@ func StartSimulationCfg(w *corpus.World, reg *telemetry.Registry, cfg SimConfig)
 		World:         w,
 		Telemetry:     reg,
 		TwitterBearer: "sim-bearer",
-		HLRKey:        "sim-hlr",
-		WhoisKey:      "sim-whois",
-		DNSDBKey:      "sim-dnsdb",
-		AVScanKey:     "sim-avscan",
+		Endpoints: Endpoints{
+			HLR:    Endpoint{Key: "sim-hlr"},
+			Whois:  Endpoint{Key: "sim-whois"},
+			DNSDB:  Endpoint{Key: "sim-dnsdb"},
+			AVScan: Endpoint{Key: "sim-avscan"},
+		},
 	}
 
 	fixtures := forum.BuildFixtures(w)
@@ -250,12 +245,13 @@ func StartSimulationCfg(w *corpus.World, reg *telemetry.Registry, cfg SimConfig)
 	sim.SmishtankURL = bootOrDie(sim.SmishtankSrv.Handler())
 	sim.SmishingEUURL = bootOrDie(sim.SmishingEUSrv.Handler())
 	sim.PastebinURL = bootOrDie(sim.PastebinSrv.Handler())
-	sim.HLRURL = bootOrDie(hlr.NewServer(hlrStore, sim.HLRKey, 0).Handler())
-	sim.WhoisURL = bootOrDie(whois.NewServer(whoisStore, sim.WhoisKey, 0).Handler())
-	sim.CTLogURL = bootOrDie(ctlog.NewServer(ctStore, 0).Handler())
-	sim.DNSDBURL = bootOrDie(dnsdb.NewServer(dnsStore, sim.DNSDBKey, 0).Handler())
-	sim.AVScanURL = bootOrDie(avscan.NewServer(avStore, sim.AVScanKey, 0).Handler())
-	sim.ShortenerURL = bootOrDie(sim.ShortSvc.Handler())
+	ep := &sim.Endpoints
+	ep.HLR.URL = bootOrDie(hlr.NewServer(hlrStore, ep.HLR.Key, 0).Handler())
+	ep.Whois.URL = bootOrDie(whois.NewServer(whoisStore, ep.Whois.Key, 0).Handler())
+	ep.CTLog.URL = bootOrDie(ctlog.NewServer(ctStore, 0).Handler())
+	ep.DNSDB.URL = bootOrDie(dnsdb.NewServer(dnsStore, ep.DNSDB.Key, 0).Handler())
+	ep.AVScan.URL = bootOrDie(avscan.NewServer(avStore, ep.AVScan.Key, 0).Handler())
+	ep.Shortener.URL = bootOrDie(sim.ShortSvc.Handler())
 	sim.SitesURL = bootOrDie(sim.Sites.Handler())
 	sim.DebugURL = bootOrDie(telemetry.Handler(reg))
 	if err != nil {
@@ -412,18 +408,8 @@ func (s *Simulation) PendingWaves() int {
 }
 
 // Services returns enrichment clients wired to the simulation's servers,
-// each instrumented into the simulation's telemetry registry. Instruments
-// are named, so clients from repeated calls share the same counters.
-func (s *Simulation) Services() Services {
-	return Services{
-		HLR:       hlr.NewClient(s.HLRURL, s.HLRKey).Instrument(s.Telemetry),
-		Whois:     whois.NewClient(s.WhoisURL, s.WhoisKey).Instrument(s.Telemetry),
-		CTLog:     ctlog.NewClient(s.CTLogURL).Instrument(s.Telemetry),
-		DNSDB:     dnsdb.NewClient(s.DNSDBURL, s.DNSDBKey).Instrument(s.Telemetry),
-		AVScan:    avscan.NewClient(s.AVScanURL, s.AVScanKey).Instrument(s.Telemetry),
-		Shortener: shortener.NewClient(s.ShortenerURL).Instrument(s.Telemetry),
-	}
-}
+// each instrumented into the simulation's telemetry registry.
+func (s *Simulation) Services() Services { return s.Endpoints.Services(s.Telemetry) }
 
 // CrawlRouter returns a crawler Router that dispatches logical smishing
 // URLs onto the simulation's shortener and hosting servers.
@@ -433,7 +419,7 @@ func (s *Simulation) CrawlRouter() *crawler.Router {
 		hosts[h] = true
 	}
 	return &crawler.Router{
-		ShortenerBase:  s.ShortenerURL,
+		ShortenerBase:  s.Endpoints.Shortener.URL,
 		ShortenerHosts: hosts,
 		SiteBase:       s.SitesURL,
 	}

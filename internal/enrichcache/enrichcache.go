@@ -53,8 +53,9 @@ type Config struct {
 	// service names used in telemetry: hlr, whois, ctlog, dnsdb, avscan,
 	// shortener.
 	PerService map[string]ServiceConfig
-	// Clock overrides the time source (tests).
-	Clock func() time.Time
+	// Clock overrides the time source (tests). It is process-local: it
+	// does not cross to a shard worker process, which runs on time.Now.
+	Clock func() time.Time `json:"-"`
 }
 
 // ServiceConfig overrides cache bounds for a single service. Zero fields

@@ -26,8 +26,10 @@ type Config struct {
 	// PerService overrides Breaker for one service (keyed hlr, whois,
 	// ctlog, dnsdb, avscan, shortener; full replacement).
 	PerService map[string]BreakerConfig
-	// Classify overrides the failure classifier (default Classify).
-	Classify func(error) Outcome
+	// Classify overrides the failure classifier (default Classify). It is
+	// process-local: it does not cross to a shard worker process, which
+	// runs the default.
+	Classify func(error) Outcome `json:"-"`
 
 	// RecordBudget bounds one record's total enrichment wall time; an
 	// expired budget degrades the record's remaining fields rather than

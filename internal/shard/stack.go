@@ -42,7 +42,12 @@ type StatsProvider interface {
 // StackConfig assembles one shard's decorator stack. Tiers whose config is
 // nil are omitted; Pipeline tunes the shard's enrichment workers and
 // budgets (see ResolveBudgets; its Telemetry field is overwritten with the
-// stack's registry).
+// stack's registry). It is the one config for a shard wherever it runs: a
+// worker process receives it whole as JSON and builds the stack an
+// in-process shard builds. Fields tagged json:"-" (the cache Clock, the
+// breaker Classify hook, the pipeline's Extractor, Telemetry and
+// Streaming) are process-local and do not cross; a worker runs their
+// defaults.
 type StackConfig struct {
 	Faults     *faultinject.Config
 	Batch      *batchmux.Config
@@ -59,7 +64,7 @@ type StackConfig struct {
 // stack records on the root registry itself.
 type Stack struct {
 	pipe     *core.Pipeline
-	popts    core.Options // what pipe was built from, budgets resolved
+	cfg      StackConfig // what the stack was built from, budgets resolved
 	cache    *enrichcache.Cache
 	batch    *batchmux.Mux
 	breakers *resilience.Breakers
@@ -117,20 +122,20 @@ func NewStack(base core.Services, cfg StackConfig, reg *telemetry.Registry) (*St
 	}
 	// A stack receives already-curated records and runs enrich+annotate
 	// over them, which preserves input order exactly.
-	popts := ResolveBudgets(cfg.Pipeline, cfg.Resilience)
-	popts.Telemetry = reg
-	pipe, err := core.NewPipeline(services, popts)
+	cfg.Pipeline = ResolveBudgets(cfg.Pipeline, cfg.Resilience)
+	cfg.Pipeline.Telemetry = reg
+	pipe, err := core.NewPipeline(services, cfg.Pipeline)
 	if err != nil {
 		return nil, fmt.Errorf("shard: build pipeline: %w", err)
 	}
-	st.pipe, st.popts = pipe, popts
+	st.pipe, st.cfg = pipe, cfg
 	return st, nil
 }
 
-// PipelineOptions returns the options the stack built its pipeline from:
-// the configured ones with ResolveBudgets applied, before the pipeline's
-// own defaults fill the fields still zero.
-func (st *Stack) PipelineOptions() core.Options { return st.popts }
+// Config returns the config the stack was built from, with its pipeline
+// budgets resolved (ResolveBudgets) and Telemetry set to the stack's
+// registry; the tiers' and the pipeline's own defaults are not filled in.
+func (st *Stack) Config() StackConfig { return st.cfg }
 
 // EnrichAnnotate runs the shard's pipeline over a routed record slice,
 // returning the records enriched and annotated in input order.

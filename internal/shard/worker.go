@@ -12,17 +12,8 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/smishkit/smishkit/internal/avscan"
-	"github.com/smishkit/smishkit/internal/batchmux"
 	"github.com/smishkit/smishkit/internal/core"
-	"github.com/smishkit/smishkit/internal/ctlog"
-	"github.com/smishkit/smishkit/internal/dnsdb"
-	"github.com/smishkit/smishkit/internal/enrichcache"
-	"github.com/smishkit/smishkit/internal/hlr"
-	"github.com/smishkit/smishkit/internal/resilience"
-	"github.com/smishkit/smishkit/internal/shortener"
 	"github.com/smishkit/smishkit/internal/telemetry"
-	"github.com/smishkit/smishkit/internal/whois"
 )
 
 // Multi-process mode: each shard runs as a separate OS process hosting a
@@ -33,65 +24,27 @@ import (
 // property), so a remote shard's merged output is byte-identical to a
 // local one's.
 
-// ServiceAddr locates one upstream enrichment service for a worker.
-type ServiceAddr struct {
-	URL string `json:"url"`
-	Key string `json:"key,omitempty"`
-}
-
-// WorkerPipeline is the serializable subset of core.Options a worker's
-// pipeline needs. Durations ride as nanoseconds (encoding/json's default
-// for time.Duration).
-type WorkerPipeline struct {
-	EnrichWorkers    int           `json:"enrich_workers,omitempty"`
-	StepWorkers      int           `json:"step_workers,omitempty"`
-	RecordBudget     time.Duration `json:"record_budget,omitempty"`
-	CallTimeout      time.Duration `json:"call_timeout,omitempty"`
-	AbortFailureRate float64       `json:"abort_failure_rate,omitempty"`
-	MinAbortCalls    int           `json:"min_abort_calls,omitempty"`
-}
-
 // WorkerSpec is everything a shard worker process needs to build its
-// stack: upstream service addresses, pipeline tuning, and which tiers to
-// enable. It is the JSON document the parent writes to the worker's stdin.
+// stack: where the upstream services are, and the same StackConfig an
+// in-process shard is built from. It is the JSON document the parent
+// writes to the worker's stdin.
 type WorkerSpec struct {
 	// Index is the shard's position on the parent's ring; the worker's
 	// telemetry records under "shard.<Index>.*".
-	Index int `json:"index"`
-
-	HLR       ServiceAddr `json:"hlr"`
-	Whois     ServiceAddr `json:"whois"`
-	CTLog     ServiceAddr `json:"ctlog"`
-	DNSDB     ServiceAddr `json:"dnsdb"`
-	AVScan    ServiceAddr `json:"avscan"`
-	Shortener ServiceAddr `json:"shortener"`
-
-	Pipeline WorkerPipeline `json:"pipeline"`
-
-	// Cache/Batch/Resilience enable the worker's private tiers with their
-	// documented defaults (the parent mirrors its own Options here).
-	Cache      bool `json:"cache,omitempty"`
-	Batch      bool `json:"batch,omitempty"`
-	Resilience bool `json:"resilience,omitempty"`
-	// ServeStale carries the cache's serve-stale flag when Cache is set.
-	ServeStale bool `json:"serve_stale,omitempty"`
-
-	// MaxEnrichBytes caps one POST /enrich request body; larger bodies are
-	// rejected with 413 before decoding (0 selects DefaultMaxEnrichBytes).
-	MaxEnrichBytes int64 `json:"max_enrich_bytes,omitempty"`
-	// DrainTimeout bounds the graceful-shutdown drain on SIGTERM: in-flight
-	// /enrich responses get this long to finish before the listener is
-	// closed hard (0 selects 5s).
-	DrainTimeout time.Duration `json:"drain_timeout,omitempty"`
+	Index     int            `json:"index"`
+	Upstreams core.Endpoints `json:"upstreams"`
+	Stack     StackConfig    `json:"stack"`
 }
 
-// DefaultMaxEnrichBytes is the POST /enrich body cap when the spec does
-// not say: sized for the largest routed subset a parent sends in practice
-// (thousands of records at a few KiB of JSON each) with an order of
-// magnitude of headroom.
+// DefaultMaxEnrichBytes caps one POST /enrich request body; larger bodies
+// are rejected with 413 before decoding. It is sized for the largest
+// routed subset a parent sends in practice (thousands of records at a few
+// KiB of JSON each) with an order of magnitude of headroom.
 const DefaultMaxEnrichBytes int64 = 32 << 20
 
-// defaultDrainTimeout bounds Worker.Serve's graceful shutdown.
+// defaultDrainTimeout bounds Worker.Serve's graceful shutdown: in-flight
+// /enrich responses get this long to finish before the listener is closed
+// hard.
 const defaultDrainTimeout = 5 * time.Second
 
 // enrichEnvelope frames a routed record slice on the wire, both ways.
@@ -121,64 +74,28 @@ type workerBackend interface {
 	StatsProvider
 }
 
-// NewWorker builds a worker from its spec, dialing clients at the spec's
-// service addresses.
+// NewWorker builds a worker from its spec: clients dialed at the spec's
+// upstreams, under the stack the spec's StackConfig describes.
 func NewWorker(spec WorkerSpec) (*Worker, error) {
 	if spec.Index < 0 {
 		return nil, fmt.Errorf("shard: worker index must not be negative (got %d)", spec.Index)
 	}
-	for _, a := range []struct {
-		name string
-		addr ServiceAddr
-	}{
-		{"hlr", spec.HLR}, {"whois", spec.Whois}, {"ctlog", spec.CTLog},
-		{"dnsdb", spec.DNSDB}, {"avscan", spec.AVScan}, {"shortener", spec.Shortener},
-	} {
-		if a.addr.URL == "" {
-			return nil, fmt.Errorf("shard: worker spec missing %s URL", a.name)
-		}
+	if err := spec.Upstreams.Validate(); err != nil {
+		return nil, fmt.Errorf("shard: worker spec: %w", err)
 	}
 	reg := telemetry.NewRegistry()
-	base := core.Services{
-		HLR:       hlr.NewClient(spec.HLR.URL, spec.HLR.Key).Instrument(reg),
-		Whois:     whois.NewClient(spec.Whois.URL, spec.Whois.Key).Instrument(reg),
-		CTLog:     ctlog.NewClient(spec.CTLog.URL).Instrument(reg),
-		DNSDB:     dnsdb.NewClient(spec.DNSDB.URL, spec.DNSDB.Key).Instrument(reg),
-		AVScan:    avscan.NewClient(spec.AVScan.URL, spec.AVScan.Key).Instrument(reg),
-		Shortener: shortener.NewClient(spec.Shortener.URL).Instrument(reg),
-	}
-	cfg := StackConfig{
-		Pipeline: core.Options{
-			EnrichWorkers:    spec.Pipeline.EnrichWorkers,
-			StepWorkers:      spec.Pipeline.StepWorkers,
-			RecordBudget:     spec.Pipeline.RecordBudget,
-			CallTimeout:      spec.Pipeline.CallTimeout,
-			AbortFailureRate: spec.Pipeline.AbortFailureRate,
-			MinAbortCalls:    spec.Pipeline.MinAbortCalls,
-		},
-	}
-	if spec.Cache {
-		cfg.Cache = &enrichcache.Config{ServeStale: spec.ServeStale}
-	}
-	if spec.Batch {
-		cfg.Batch = &batchmux.Config{}
-	}
-	if spec.Resilience {
-		cfg.Resilience = &resilience.Config{}
-	}
-	stack, err := NewStack(base, cfg, reg.Prefixed("shard."+strconv.Itoa(spec.Index)+"."))
+	stack, err := NewStack(spec.Upstreams.Services(reg), spec.Stack, reg.Prefixed("shard."+strconv.Itoa(spec.Index)+"."))
 	if err != nil {
 		return nil, err
 	}
-	maxBody := spec.MaxEnrichBytes
-	if maxBody <= 0 {
-		maxBody = DefaultMaxEnrichBytes
-	}
-	drain := spec.DrainTimeout
-	if drain <= 0 {
-		drain = defaultDrainTimeout
-	}
-	return &Worker{stack: stack, reg: reg, maxBody: maxBody, drain: drain}, nil
+	return &Worker{stack: stack, reg: reg, maxBody: DefaultMaxEnrichBytes, drain: defaultDrainTimeout}, nil
+}
+
+// Stack returns the shard stack the worker serves (nil for a worker over
+// a substitute backend).
+func (wk *Worker) Stack() *Stack {
+	st, _ := wk.stack.(*Stack)
+	return st
 }
 
 // Serve runs the worker on an ephemeral loopback listener, reports the

@@ -255,9 +255,11 @@ func TestWorkerServeDrainsInFlightRequests(t *testing.T) {
 }
 
 func TestNewWorkerAppliesSpecDefaults(t *testing.T) {
-	addr := ServiceAddr{URL: "http://127.0.0.1:1"}
-	spec := WorkerSpec{HLR: addr, Whois: addr, CTLog: addr, DNSDB: addr, AVScan: addr, Shortener: addr}
-	wk, err := NewWorker(spec)
+	if _, err := NewWorker(WorkerSpec{}); err == nil {
+		t.Error("NewWorker accepted a spec without upstream URLs")
+	}
+	ep := core.Endpoint{URL: "http://127.0.0.1:1"}
+	wk, err := NewWorker(WorkerSpec{Upstreams: core.Endpoints{HLR: ep, Whois: ep, CTLog: ep, DNSDB: ep, AVScan: ep, Shortener: ep}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,13 +269,41 @@ func TestNewWorkerAppliesSpecDefaults(t *testing.T) {
 	if wk.drain != defaultDrainTimeout {
 		t.Errorf("drain = %v, want %v", wk.drain, defaultDrainTimeout)
 	}
-	spec.MaxEnrichBytes = 1 << 10
-	spec.DrainTimeout = 2 * time.Second
-	wk, err = NewWorker(spec)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// FuzzWorkerEnrich feeds arbitrary bodies to POST /enrich. Whatever the
+// bytes, the handler must not panic, must answer 200, 400 or 413, and a
+// 200 must carry back exactly as many records as the body held. Malformed
+// and oversized seeds live in testdata/fuzz/FuzzWorkerEnrich.
+func FuzzWorkerEnrich(f *testing.F) {
+	for _, n := range []int{0, 1, 3} {
+		body, err := json.Marshal(enrichEnvelope{Records: testRecords(n)})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
 	}
-	if wk.maxBody != 1<<10 || wk.drain != 2*time.Second {
-		t.Errorf("spec overrides not applied: maxBody=%d drain=%v", wk.maxBody, wk.drain)
-	}
+	const limit = 1 << 10
+	wk := &Worker{stack: &stubBackend{}, reg: telemetry.NewRegistry(), maxBody: limit, drain: time.Second}
+	h := wk.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/enrich", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+			var in, out enrichEnvelope
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&in); err != nil {
+				t.Fatalf("200 for a body that does not decode: %v", err)
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+				t.Fatalf("200 reply does not decode: %v", err)
+			}
+			if len(out.Records) != len(in.Records) {
+				t.Fatalf("sent %d records, got %d back", len(in.Records), len(out.Records))
+			}
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		default:
+			t.Fatalf("status %d (%s)", rec.Code, rec.Body.String())
+		}
+	})
 }

@@ -1,18 +1,19 @@
 package smishkit
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
+	"fmt"
+	"math/rand"
 	"net/http/httptest"
+	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"github.com/smishkit/smishkit/internal/report"
+	"github.com/smishkit/smishkit/internal/resilience"
 	"github.com/smishkit/smishkit/internal/shard"
 )
 
@@ -21,7 +22,13 @@ import (
 // contract is pinned on.
 func runStudy(t *testing.T, shards *ShardConfig) []byte {
 	t.Helper()
-	study, err := NewStudy(Options{Seed: 7, Messages: 600, Shards: shards})
+	return runOptions(t, Options{Seed: 7, Messages: 600, Shards: shards})
+}
+
+// runOptions is runStudy over any Options.
+func runOptions(t *testing.T, o Options) []byte {
+	t.Helper()
+	study, err := NewStudy(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,12 +174,14 @@ func TestShardConfigValidation(t *testing.T) {
 	}
 }
 
-// TestShardWorkerSpecBudgets pins that a worker process gets the
-// enrichment budgets an in-process shard gets: the spec's WorkerPipeline
-// must equal what shard.NewStack resolves from the same Options, whether
-// the budgets come from Pipeline, from Resilience, or from both (Pipeline
-// wins field by field).
-func TestShardWorkerSpecBudgets(t *testing.T) {
+// TestShardWorkerSpecRoundTrip is the one-config property: for any
+// Options, a worker built from the JSON of ShardWorkerSpec runs exactly the
+// stack an in-process shard of the same study runs — every tier config,
+// faults included, and the pipeline budgets resolved the same way. Only
+// the process-local json:"-" fields (clocks, classifiers, extractors,
+// registries) are exempt. Three fixed inputs pin the budget resolution
+// (Pipeline wins field by field over Resilience); the rest are random.
+func TestShardWorkerSpecRoundTrip(t *testing.T) {
 	pipe := PipelineOptions{
 		EnrichWorkers:    3,
 		StepWorkers:      2,
@@ -188,55 +197,200 @@ func TestShardWorkerSpecBudgets(t *testing.T) {
 		MinAbortCalls:    30,
 	}
 	partial := PipelineOptions{RecordBudget: 3 * time.Second, AbortFailureRate: 0.5}
-	cases := []struct {
+	budgets := func(o PipelineOptions) PipelineOptions {
+		return PipelineOptions{
+			EnrichWorkers: o.EnrichWorkers, StepWorkers: o.StepWorkers,
+			RecordBudget: o.RecordBudget, CallTimeout: o.CallTimeout,
+			AbortFailureRate: o.AbortFailureRate, MinAbortCalls: o.MinAbortCalls,
+		}
+	}
+	fixed := []struct {
 		name string
-		pipe PipelineOptions
-		res  *ResilienceConfig
-		want shard.WorkerPipeline
+		opts Options
+		want PipelineOptions
 	}{
-		{"pipeline only", pipe, nil, shard.WorkerPipeline{
-			EnrichWorkers: 3, StepWorkers: 2, RecordBudget: 3 * time.Second,
-			CallTimeout: 500 * time.Millisecond, AbortFailureRate: 0.5, MinAbortCalls: 20,
-		}},
-		{"resilience only", PipelineOptions{}, res, shard.WorkerPipeline{
+		{"pipeline only", Options{Pipeline: pipe}, budgets(pipe)},
+		{"resilience only", Options{Resilience: res}, PipelineOptions{
 			RecordBudget: 7 * time.Second, CallTimeout: time.Second, AbortFailureRate: 0.7, MinAbortCalls: 30,
 		}},
-		{"both", partial, res, shard.WorkerPipeline{
+		{"both", Options{Pipeline: partial, Resilience: res}, PipelineOptions{
 			RecordBudget: 3 * time.Second, CallTimeout: time.Second, AbortFailureRate: 0.5, MinAbortCalls: 30,
 		}},
 	}
-	for _, tc := range cases {
+	for _, tc := range fixed {
 		t.Run(tc.name, func(t *testing.T) {
-			study, err := NewStudy(Options{Seed: 1, Messages: 20, Pipeline: tc.pipe, Resilience: tc.res})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer study.Close()
-			stack, err := shard.NewStack(study.Sim.Services(), shard.StackConfig{
-				Resilience: tc.res,
-				Pipeline:   tc.pipe,
-			}, NewCollector())
-			if err != nil {
-				t.Fatal(err)
-			}
-			o := stack.PipelineOptions()
-			local := shard.WorkerPipeline{
-				EnrichWorkers:    o.EnrichWorkers,
-				StepWorkers:      o.StepWorkers,
-				RecordBudget:     o.RecordBudget,
-				CallTimeout:      o.CallTimeout,
-				AbortFailureRate: o.AbortFailureRate,
-				MinAbortCalls:    o.MinAbortCalls,
-			}
-			spec := study.ShardWorkerSpec(0).Pipeline
-			if spec != local {
-				t.Errorf("worker spec pipeline %+v, local stack resolved %+v", spec, local)
-			}
-			if spec != tc.want {
-				t.Errorf("worker spec pipeline %+v, want %+v", spec, tc.want)
+			local := checkWorkerSpecRoundTrip(t, tc.opts)
+			if got := budgets(local.Pipeline); got != tc.want {
+				t.Errorf("resolved budgets %+v, want %+v", got, tc.want)
 			}
 		})
 	}
+	t.Run("random", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(20))
+		for i := 0; i < 200; i++ {
+			o := randomStackOptions(rng)
+			if !t.Run(fmt.Sprint(i), func(t *testing.T) { checkWorkerSpecRoundTrip(t, o) }) {
+				t.Fatalf("case %d failed: %+v", i, o)
+			}
+		}
+	})
+}
+
+// checkWorkerSpecRoundTrip builds a two-shard study from o, builds a worker
+// from the decoded JSON of each shard's spec, and compares the worker's
+// stack config with an in-process stack's. It returns the local config.
+func checkWorkerSpecRoundTrip(t *testing.T, o Options) shard.StackConfig {
+	t.Helper()
+	o.Seed, o.Messages, o.Shards = 1, 1, &ShardConfig{Shards: 2}
+	study, err := NewStudy(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer study.Close()
+	local, err := shard.NewStack(study.Sim.Services(), shard.StackConfig{
+		Faults: o.Faults, Batch: o.Batch, Cache: o.Cache, Resilience: o.Resilience, Pipeline: o.Pipeline,
+	}, NewCollector())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := local.Config()
+	stripLocal(reflect.ValueOf(&want))
+	for i := 0; i < 2; i++ {
+		raw, err := json.Marshal(study.ShardWorkerSpec(i))
+		if err != nil {
+			t.Fatalf("marshal spec %d: %v", i, err)
+		}
+		var spec ShardWorkerSpec
+		if err := json.Unmarshal(raw, &spec); err != nil {
+			t.Fatalf("unmarshal spec %d: %v", i, err)
+		}
+		if spec.Index != i || spec.Upstreams != study.Sim.Endpoints {
+			t.Errorf("spec %d: index %d, upstreams %+v, want the study's %+v", i, spec.Index, spec.Upstreams, study.Sim.Endpoints)
+		}
+		wk, err := shard.NewWorker(spec)
+		if err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+		got := wk.Stack().Config()
+		stripLocal(reflect.ValueOf(&got))
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("worker %d stack config differs from the in-process stack's\nworker: %s\nlocal:  %s", i, dump(got), dump(want))
+		}
+	}
+	return want
+}
+
+// stripLocal zeroes every field tagged json:"-" reachable from v through
+// pointers and structs: the process-local fields that stay behind when a
+// StackConfig crosses to a worker process.
+func stripLocal(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			stripLocal(v.Elem())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).Tag.Get("json") == "-" {
+				v.Field(i).SetZero()
+			} else {
+				stripLocal(v.Field(i))
+			}
+		}
+	}
+}
+
+func dump(c shard.StackConfig) string {
+	raw, _ := json.Marshal(c)
+	return string(raw)
+}
+
+// randomStackOptions draws Options whose tiers are each absent or set with
+// random bounds and per-service overrides, plus random pipeline budgets and
+// widths. Process-local hooks are set now and then too: they must neither
+// break the spec's JSON nor count as a difference.
+func randomStackOptions(rng *rand.Rand) Options {
+	coin := func() bool { return rng.Intn(2) == 0 }
+	dur := func() time.Duration {
+		if coin() {
+			return 0
+		}
+		return time.Duration(1 + rng.Int63n(int64(time.Minute)))
+	}
+	rate := func() float64 { return []float64{0, -1, rng.Float64()}[rng.Intn(3)] }
+	services := []string{"hlr", "whois", "ctlog", "dnsdb", "avscan", "shortener"}
+	perService := func(each func(name string)) {
+		for _, name := range services {
+			if rng.Intn(3) == 0 {
+				each(name)
+			}
+		}
+	}
+	var o Options
+	o.Pipeline = PipelineOptions{
+		EnrichWorkers: rng.Intn(17), StepWorkers: rng.Intn(9), StageWorkers: rng.Intn(5),
+		RecordBudget: dur(), CallTimeout: dur(), AbortFailureRate: rate(), MinAbortCalls: rng.Intn(100),
+	}
+	if coin() {
+		o.Pipeline.Extractor = ExtractorNaiveOCR
+	}
+	if coin() {
+		c := &CacheConfig{TTL: dur(), NegativeTTL: dur(), MaxEntries: rng.Intn(5000), ServeStale: coin()}
+		if coin() {
+			c.Clock = time.Now
+		}
+		if coin() {
+			c.PerService = map[string]CacheServiceConfig{}
+			perService(func(n string) {
+				c.PerService[n] = CacheServiceConfig{TTL: dur(), NegativeTTL: dur(), MaxEntries: rng.Intn(500)}
+			})
+		}
+		o.Cache = c
+	}
+	if coin() {
+		b := &BatchConfig{Window: rng.Intn(64), FlushInterval: dur(), BatchTimeout: dur(), MaxInFlight: rng.Intn(8)}
+		if coin() {
+			b.PerService = map[string]BatchServiceConfig{}
+			perService(func(n string) { b.PerService[n] = BatchServiceConfig{Window: rng.Intn(64), FlushInterval: dur()} })
+		}
+		o.Batch = b
+	}
+	breaker := func() BreakerConfig {
+		return BreakerConfig{
+			FailureThreshold: rng.Intn(10), OpenTimeout: dur(),
+			HalfOpenProbes: rng.Intn(4), ProbeSuccesses: rng.Intn(4),
+		}
+	}
+	if coin() {
+		r := &ResilienceConfig{
+			Breaker: breaker(), RecordBudget: dur(), CallTimeout: dur(),
+			AbortFailureRate: rate(), MinAbortCalls: rng.Intn(100),
+		}
+		if coin() {
+			r.Classify = resilience.Classify
+		}
+		if coin() {
+			r.PerService = map[string]BreakerConfig{}
+			perService(func(n string) { r.PerService[n] = breaker() })
+		}
+		o.Resilience = r
+	}
+	faults := func() ServiceFaults {
+		return ServiceFaults{
+			ErrorRate: rng.Float64() / 4, Rate429: rng.Float64() / 4, Rate5xx: rng.Float64() / 4,
+			HangRate: rng.Float64() / 4, SlowRate: rng.Float64() / 4, Latency: dur(),
+			FlapPeriod: rng.Intn(10), FlapDown: rng.Intn(3),
+		}
+	}
+	if coin() {
+		f := &FaultConfig{Seed: rng.Int63(), Default: faults()}
+		if coin() {
+			f.PerService = map[string]ServiceFaults{}
+			perService(func(n string) { f.PerService[n] = faults() })
+		}
+		o.Faults = f
+	}
+	return o
 }
 
 // TestShardWorkersInProcess drives the multi-process seam without spawning
@@ -244,77 +398,89 @@ func TestShardWorkerSpecBudgets(t *testing.T) {
 // spec piped to stdin, exactly as smishctl -shard-worker would, and the
 // parent connects over localhost HTTP. Output must match the unsharded
 // baseline byte for byte — this is what pins core.Record's lossless JSON
-// round-trip through the worker wire format.
+// round-trip through the worker wire format — with the default tiers and
+// with non-default ones, which each worker must run as configured rather
+// than with its tiers' defaults.
 func TestShardWorkersInProcess(t *testing.T) {
-	baseline := runStudy(t, nil)
-
-	const shards = 2
-	study, err := NewStudy(Options{Seed: 7, Messages: 600, Shards: &ShardConfig{Shards: shards}})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		opts Options
+	}{
+		{"defaults", Options{}},
+		{"non-default tiers", Options{
+			Batch:      &BatchConfig{Window: 4},
+			Cache:      &CacheConfig{MaxEntries: 64},
+			Resilience: &ResilienceConfig{Breaker: BreakerConfig{FailureThreshold: 2}},
+		}},
 	}
-	defer study.Close()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o := tc.opts
+			o.Seed, o.Messages = 7, 600
+			baseline := runOptions(t, o)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
-	urls := make([]string, shards)
-	for i := 0; i < shards; i++ {
-		spec, err := json.Marshal(study.ShardWorkerSpec(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr, pw := io.Pipe()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer pw.Close()
-			if err := RunShardWorker(ctx, bytes.NewReader(spec), pw); err != nil && ctx.Err() == nil {
-				t.Errorf("worker: %v", err)
+			const shards = 2
+			o.Shards = &ShardConfig{Shards: shards}
+			study, err := NewStudy(o)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-		line, err := bufio.NewReader(pr).ReadString('\n')
-		if err != nil {
-			t.Fatalf("worker %d printed no URL: %v", i, err)
-		}
-		urls[i] = strings.TrimSpace(line)
-	}
+			defer study.Close()
+			urls, _ := startTestWorkers(t, study, shards)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := study.ConnectShardWorkers(ctx, urls); err != nil {
+				t.Fatal(err)
+			}
 
-	cctx, ccancel := context.WithTimeout(ctx, 10*time.Second)
-	defer ccancel()
-	if err := study.ConnectShardWorkers(cctx, urls); err != nil {
-		t.Fatal(err)
-	}
+			ds, err := study.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := json.Marshal(ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(baseline, raw) {
+				t.Error("remote-worker dataset differs from unsharded baseline")
+			}
 
-	ds, err := study.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := json.Marshal(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(baseline, raw) {
-		t.Error("remote-worker dataset differs from unsharded baseline")
-	}
+			st := study.ShardStats()
+			if st == nil {
+				t.Fatal("ShardStats nil after remote run")
+			}
+			for _, sh := range st.PerShard {
+				if !sh.Remote {
+					t.Errorf("shard %d not marked remote", sh.Index)
+				}
+				if sh.Routed > 0 && sh.Stack == nil {
+					t.Errorf("shard %d: no stack stats from live worker", sh.Index)
+				}
+				if sh.Stack == nil {
+					continue
+				}
+				if b := o.Batch; b != nil {
+					for svc, bs := range sh.Stack.Batch {
+						if bs.AvgBatch() > float64(b.Window) {
+							t.Errorf("shard %d %s: %.1f keys per flush, window is %d", sh.Index, svc, bs.AvgBatch(), b.Window)
+						}
+					}
+				}
+				if c := o.Cache; c != nil {
+					// dnsdb and avscan keep two and three LRUs, each capped.
+					lrus := map[string]int{"dnsdb": 2, "avscan": 3}
+					for svc, cs := range sh.Stack.Cache {
+						if limit := c.MaxEntries * max(1, lrus[svc]); cs.Entries > limit {
+							t.Errorf("shard %d %s: %d cache entries, cap is %d", sh.Index, svc, cs.Entries, limit)
+						}
+					}
+				}
+			}
 
-	st := study.ShardStats()
-	if st == nil {
-		t.Fatal("ShardStats nil after remote run")
+			// Mismatched URL count is rejected before any connection attempt.
+			if err := study.ConnectShardWorkers(ctx, urls[:1]); err == nil {
+				t.Error("ConnectShardWorkers accepted a short URL list")
+			}
+		})
 	}
-	for _, sh := range st.PerShard {
-		if !sh.Remote {
-			t.Errorf("shard %d not marked remote", sh.Index)
-		}
-		if sh.Routed > 0 && sh.Stack == nil {
-			t.Errorf("shard %d: no stack stats from live worker", sh.Index)
-		}
-	}
-
-	// Mismatched URL count is rejected before any connection attempt.
-	if err := study.ConnectShardWorkers(cctx, urls[:1]); err == nil {
-		t.Error("ConnectShardWorkers accepted a short URL list")
-	}
-	cancel()
-	wg.Wait()
 }

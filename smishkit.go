@@ -382,8 +382,9 @@ type Study struct {
 	// goes through the shard stacks and their tiers.
 	Pipe *core.Pipeline
 
-	rlog  *recordlog.Log // nil when Options.Durability was nil
-	group *shard.Group   // one shard when Options.Shards was nil
+	rlog  *recordlog.Log    // nil when Options.Durability was nil
+	group *shard.Group      // one shard when Options.Shards was nil
+	stack shard.StackConfig // every shard's stack, local or in a worker
 
 	proberStop context.CancelFunc // stops the health-probe loop (nil without Shards.Failover)
 
@@ -477,6 +478,17 @@ func NewStudy(opts Options) (*Study, error) {
 	if sh == nil {
 		sh = &ShardConfig{Shards: 1}
 	}
+	// The one StackConfig: local stacks are built from it here, and
+	// ShardWorkerSpec ships it whole to worker processes. Faults included —
+	// every stack, in or out of process, seeds its own injector from the
+	// same Seed.
+	stack := shard.StackConfig{
+		Faults:     opts.Faults,
+		Batch:      opts.Batch,
+		Cache:      opts.Cache,
+		Resilience: opts.Resilience,
+		Pipeline:   opts.Pipeline,
+	}
 	enrichers := make([]shard.Enricher, sh.Shards)
 	for i := range enrichers {
 		if len(sh.WorkerURLs) > 0 {
@@ -487,17 +499,11 @@ func NewStudy(opts Options) (*Study, error) {
 		if opts.Shards != nil {
 			stackReg = reg.Prefixed(fmt.Sprintf("shard.%d.", i))
 		}
-		stack, err := shard.NewStack(base, shard.StackConfig{
-			Faults:     opts.Faults,
-			Batch:      opts.Batch,
-			Cache:      opts.Cache,
-			Resilience: opts.Resilience,
-			Pipeline:   opts.Pipeline,
-		}, stackReg)
+		st, err := shard.NewStack(base, stack, stackReg)
 		if err != nil {
 			return fail(fmt.Errorf("smishkit: build shard %d: %w", i, err))
 		}
-		enrichers[i] = stack
+		enrichers[i] = st
 	}
 	group, err := shard.NewGroup(pipe, enrichers, sh.Replicas, reg)
 	if err != nil {
@@ -508,7 +514,7 @@ func NewStudy(opts Options) (*Study, error) {
 			return fail(err)
 		}
 	}
-	st := &Study{World: w, Sim: sim, Pipe: pipe, group: group, rlog: rlog, opts: opts}
+	st := &Study{World: w, Sim: sim, Pipe: pipe, group: group, stack: stack, rlog: rlog, opts: opts}
 	if sh.Failover {
 		prober := shard.NewProber(sh.Shards, shard.ProbeConfig{
 			Interval: sh.ProbeInterval,
@@ -573,40 +579,12 @@ func (s *Study) ShardStats() *ShardStats {
 }
 
 // ShardWorkerSpec builds the spec a shard worker process for this study
-// needs: the study's own simulated service addresses plus the pipeline and
-// tier flags mirroring the study's Options, with the enrichment budgets
-// resolved as an in-process stack resolves them (shard.ResolveBudgets).
-// Write its JSON to the worker's
-// stdin (see RunShardWorker). Index is the shard the worker will serve.
-// Faults are deliberately absent: the chaos layer is seeded per process,
-// so injecting it in workers would break the shards=1 vs shards=N
-// record-identity contract.
+// needs: the study's own simulated service endpoints plus the StackConfig
+// its in-process shards are built from, faults included. Write its JSON
+// to the worker's stdin (see RunShardWorker). Index is the shard the
+// worker will serve.
 func (s *Study) ShardWorkerSpec(index int) ShardWorkerSpec {
-	p := shard.ResolveBudgets(s.opts.Pipeline, s.opts.Resilience)
-	spec := ShardWorkerSpec{
-		Index:     index,
-		HLR:       shard.ServiceAddr{URL: s.Sim.HLRURL, Key: s.Sim.HLRKey},
-		Whois:     shard.ServiceAddr{URL: s.Sim.WhoisURL, Key: s.Sim.WhoisKey},
-		CTLog:     shard.ServiceAddr{URL: s.Sim.CTLogURL},
-		DNSDB:     shard.ServiceAddr{URL: s.Sim.DNSDBURL, Key: s.Sim.DNSDBKey},
-		AVScan:    shard.ServiceAddr{URL: s.Sim.AVScanURL, Key: s.Sim.AVScanKey},
-		Shortener: shard.ServiceAddr{URL: s.Sim.ShortenerURL},
-		Pipeline: shard.WorkerPipeline{
-			EnrichWorkers:    p.EnrichWorkers,
-			StepWorkers:      p.StepWorkers,
-			RecordBudget:     p.RecordBudget,
-			CallTimeout:      p.CallTimeout,
-			AbortFailureRate: p.AbortFailureRate,
-			MinAbortCalls:    p.MinAbortCalls,
-		},
-		Cache:      s.opts.Cache != nil,
-		Batch:      s.opts.Batch != nil,
-		Resilience: s.opts.Resilience != nil,
-	}
-	if c := s.opts.Cache; c != nil {
-		spec.ServeStale = c.ServeStale
-	}
-	return spec
+	return ShardWorkerSpec{Index: index, Upstreams: s.Sim.Endpoints, Stack: s.stack}
 }
 
 // ConnectShardWorkers switches a sharded study to remote shard workers:
