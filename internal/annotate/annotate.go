@@ -16,18 +16,21 @@ type Annotation struct {
 }
 
 // Annotate runs the full labeling pipeline over a message text and its
-// (optional) URL.
+// (optional) URL. The text is normalized once and every lexicon is matched
+// in one automaton pass per normalized form; each detector reads the hits.
 func Annotate(text, url string) Annotation {
-	scam := ClassifyScamType(text)
-	brand := DetectBrand(text, url)
+	v := newView(text)
+	defer v.release()
+	scam := v.scamType()
+	brand := v.brand(url)
 	a := Annotation{
 		ScamType: scam,
-		Language: DetectLanguage(text),
+		Language: v.language(),
 		Brand:    brand,
-		Lures:    DetectLures(text, scam, brand),
+		Lures:    v.lures(scam, brand),
 	}
 	if scam == corpus.ScamOthers {
-		a.SubType = ClassifyOthersSubType(text, brand)
+		a.SubType = v.othersSubType(brand)
 	}
 	return a
 }

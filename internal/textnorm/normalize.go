@@ -9,6 +9,7 @@ package textnorm
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // homoglyphs maps visually confusable runes to their ASCII skeleton.
@@ -66,45 +67,164 @@ var zeroWidth = map[rune]bool{
 	'\u2060': true, // word joiner
 }
 
+// foldMap sends a lowercased non-ASCII rune to its Fold output, or to -1
+// when Fold drops it. Homoglyphs win over diacritics (their outputs are
+// ASCII, which the diacritics table never rewrites), and zero-width runes
+// have no case, so one lookup after unicode.ToLower does all three tables'
+// work.
+var foldMap = func() map[rune]rune {
+	m := make(map[rune]rune, len(homoglyphs)+len(diacritics)+len(zeroWidth))
+	for r, to := range diacritics {
+		m[r] = to
+	}
+	for r, to := range homoglyphs {
+		m[r] = to
+	}
+	for r := range zeroWidth {
+		m[r] = -1
+	}
+	return m
+}()
+
+// foldRune is Fold for one rune; ok is false when Fold drops it.
+func foldRune(r rune) (out rune, ok bool) {
+	if r < utf8.RuneSelf {
+		if 'A' <= r && r <= 'Z' {
+			r += 'a' - 'A'
+		}
+		return r, true
+	}
+	// Lowercase first so fullwidth/Cyrillic/Greek capitals land on the
+	// lowercase keys of the confusable tables; the tables emit ASCII,
+	// which makes Fold idempotent.
+	r = unicode.ToLower(r)
+	if m, found := foldMap[r]; found {
+		return m, m >= 0
+	}
+	return r, true
+}
+
 // Fold lowercases s and collapses homoglyphs, diacritics, and zero-width
 // characters into an ASCII-leaning skeleton. It does NOT apply leetspeak
 // substitution; see Skeleton for the aggressive form used in brand matching.
+// A string Fold leaves unchanged is returned as is.
 func Fold(s string) string {
+	// Find the first rune Fold rewrites; an invalid byte counts, since it
+	// comes out as the three-byte U+FFFD.
+	i := 0
+	for i < len(s) {
+		r, size := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRuneInString(s[i:])
+		}
+		if out, ok := foldRune(r); !ok || out != r || size == 1 && r == utf8.RuneError {
+			break
+		}
+		i += size
+	}
+	if i == len(s) {
+		return s
+	}
 	var b strings.Builder
 	b.Grow(len(s))
-	for _, r := range s {
-		if zeroWidth[r] {
-			continue
+	b.WriteString(s[:i])
+	for _, r := range s[i:] {
+		if out, ok := foldRune(r); ok {
+			b.WriteRune(out)
 		}
-		// Lowercase first so fullwidth/Cyrillic/Greek capitals land on the
-		// lowercase keys of the confusable tables; the tables emit ASCII,
-		// which makes Fold idempotent.
-		r = unicode.ToLower(r)
-		if m, ok := homoglyphs[r]; ok {
-			r = m
-		}
-		if m, ok := diacritics[r]; ok {
-			r = m
-		}
-		b.WriteRune(r)
 	}
 	return b.String()
 }
 
 // Skeleton applies Fold and then leetspeak de-substitution to letter-bearing
 // words, producing the canonical form used for brand matching: both
-// "N3tfl!x" and "netflix" skeletonize to "netflix".
+// "N3tfl!x" and "netflix" skeletonize to "netflix". Words are the runs
+// between Unicode spaces, joined by one ASCII space.
 func Skeleton(s string) string {
 	folded := Fold(s)
-	words := strings.FieldsFunc(folded, func(r rune) bool {
-		return unicode.IsSpace(r)
-	})
-	for i, w := range words {
-		if hasLetter(w) {
-			words[i] = deLeet(w)
+	if isSkeleton(folded) {
+		return folded
+	}
+	var b strings.Builder
+	b.Grow(len(folded))
+	for rest := folded; ; {
+		var w string
+		if w, rest = nextWord(rest); w == "" {
+			break
+		}
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		if !hasLetter(w) {
+			b.WriteString(w)
+			continue
+		}
+		for _, r := range w {
+			if m, ok := leet[r]; ok {
+				r = m
+			}
+			b.WriteRune(r)
 		}
 	}
-	return strings.Join(words, " ")
+	return b.String()
+}
+
+// nextWord returns the first run of non-space runes in s and what follows it.
+func nextWord(s string) (word, rest string) {
+	start := strings.IndexFunc(s, func(r rune) bool { return !unicode.IsSpace(r) })
+	if start < 0 {
+		return "", ""
+	}
+	s = s[start:]
+	end := strings.IndexFunc(s, unicode.IsSpace)
+	if end < 0 {
+		return s, ""
+	}
+	return s[:end], s[end:]
+}
+
+// isSkeleton reports whether Skeleton would return the folded string s
+// unchanged: single ASCII spaces between words, none at either end, and no
+// leet rune inside a letter-bearing word.
+func isSkeleton(s string) bool {
+	letter, leetRune, afterSpace := false, false, true
+	for _, r := range s {
+		if r == ' ' {
+			if afterSpace || letter && leetRune {
+				return false
+			}
+			letter, leetRune, afterSpace = false, false, true
+			continue
+		}
+		if unicode.IsSpace(r) {
+			return false
+		}
+		afterSpace = false
+		if unicode.IsLetter(r) {
+			letter = true
+		} else if isLeet(r) {
+			leetRune = true
+		}
+	}
+	return (s == "" || !afterSpace) && !(letter && leetRune)
+}
+
+// leetASCII is the ASCII part of leet as a table.
+var leetASCII = func() (t [utf8.RuneSelf]bool) {
+	for r := range leet {
+		if r < utf8.RuneSelf {
+			t[r] = true
+		}
+	}
+	return t
+}()
+
+func isLeet(r rune) bool {
+	if r < utf8.RuneSelf {
+		return leetASCII[r]
+	}
+	_, ok := leet[r]
+	return ok
 }
 
 func hasLetter(w string) bool {
@@ -114,18 +234,6 @@ func hasLetter(w string) bool {
 		}
 	}
 	return false
-}
-
-func deLeet(w string) string {
-	var b strings.Builder
-	b.Grow(len(w))
-	for _, r := range w {
-		if m, ok := leet[r]; ok {
-			r = m
-		}
-		b.WriteRune(r)
-	}
-	return b.String()
 }
 
 // Tokenize splits s into lowercase word tokens after folding. Punctuation is
@@ -164,13 +272,13 @@ func CollapseRepeats(s string) string {
 // words survive.
 func StripSpacingTricks(s string) string {
 	for _, sep := range []string{"-", ".", " ", "_", "*"} {
-		parts := strings.Split(s, sep)
-		if len(parts) < 4 {
-			continue
+		if strings.Count(s, sep) < 3 {
+			continue // fewer than four fragments
 		}
+		parts := strings.Split(s, sep)
 		allSingle := true
 		for _, p := range parts {
-			if len([]rune(p)) != 1 {
+			if utf8.RuneCountInString(p) != 1 {
 				allSingle = false
 				break
 			}
