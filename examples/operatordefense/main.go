@@ -94,7 +94,7 @@ func main() {
 	cache := enrichcache.New(enrichcache.Config{ServeStale: true}, collector)
 	full := xdrfilter.New(xdrfilter.Config{
 		Blocklist:       blocklist,
-		Expander:        cache.Shortener(shortener.NewClient(sim.Endpoints.Shortener.URL)),
+		Expander:        cache.WrapServices(core.Services{Shortener: shortener.NewClient(sim.Endpoints.Shortener.URL)}).Shortener,
 		Classifier:      model,
 		BlockBadSenders: true,
 	})

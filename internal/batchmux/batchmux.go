@@ -26,13 +26,13 @@ package batchmux
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"sort"
 	"sync"
 	"time"
 
+	"github.com/smishkit/smishkit/internal/core"
 	"github.com/smishkit/smishkit/internal/telemetry"
 )
 
@@ -116,10 +116,6 @@ func newMetrics(reg *telemetry.Registry, service string) *metrics {
 		fellThrough: reg.Counter(prefix + "fallthrough"),
 	}
 }
-
-// errShape marks a bulk implementation that answered fewer slots than it
-// was asked; the missing slots degrade individually instead of panicking.
-var errShape = errors.New("batchmux: bulk result missing its slot")
 
 // window is one accumulating batch: distinct keys in arrival order, and
 // the parallel result/error slices populated at flush. done is closed
@@ -229,14 +225,7 @@ func (b *batcher[V]) flush(w *window[V]) {
 	w.vals = make([]V, len(w.keys))
 	w.errs = make([]error, len(w.keys))
 	for i := range w.keys {
-		switch {
-		case i < len(errs) && errs[i] != nil:
-			w.errs[i] = errs[i]
-		case i < len(vals):
-			w.vals[i] = vals[i]
-		default:
-			w.errs[i] = errShape
-		}
+		w.vals[i], w.errs[i] = core.BulkSlot(vals, errs, i)
 	}
 	b.met.flushes.Inc()
 	b.met.batchSize.Add(int64(len(w.keys)))

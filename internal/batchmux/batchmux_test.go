@@ -191,7 +191,7 @@ func TestShortBulkResultDegradesMissingSlot(t *testing.T) {
 		switch {
 		case err == nil:
 			healthy++
-		case errors.Is(err, errShape):
+		case errors.Is(err, core.ErrMissingSlot):
 			missing++
 		default:
 			t.Fatalf("unexpected error: %v", err)
@@ -255,7 +255,7 @@ func TestMuxBatchesBulkCapableService(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := New(Config{Window: 4, FlushInterval: time.Hour}, reg)
 	backend := &bulkCapableHLR{}
-	wrapped := m.HLR(backend)
+	wrapped := m.WrapServices(core.Services{HLR: backend}).HLR
 
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -289,7 +289,7 @@ func TestMuxFallsThroughWithoutBulkSeam(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	m := New(Config{}, reg)
 	backend := &perKeyOnlyHLR{}
-	wrapped := m.HLR(backend)
+	wrapped := m.WrapServices(core.Services{HLR: backend}).HLR
 
 	for i := 0; i < 3; i++ {
 		if _, err := wrapped.Lookup(context.Background(), "+447700900123"); err != nil {
@@ -313,17 +313,24 @@ func TestMuxFallsThroughWithoutBulkSeam(t *testing.T) {
 
 func TestWrapServicesLeavesUnbatchableServicesAlone(t *testing.T) {
 	t.Parallel()
-	m := New(Config{}, nil)
+	ctx := context.Background()
+	m := New(Config{Window: 1}, telemetry.NewRegistry())
 	s := m.WrapServices(core.Services{HLR: &bulkCapableHLR{}})
-	if _, ok := s.HLR.(*batchedHLR); !ok {
-		t.Errorf("bulk-capable HLR wrapped as %T, want *batchedHLR", s.HLR)
+	if _, err := s.HLR.Lookup(ctx, "+447700900123"); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats()["hlr"]; st.Flushes != 1 || st.Fallthrough != 0 {
+		t.Errorf("bulk-capable HLR: stats %+v, want one flush and no fallthrough", st)
 	}
 	if s.Whois != nil || s.DNSDB != nil || s.AVScan != nil || s.Shortener != nil {
 		t.Error("WrapServices invented services that were nil")
 	}
 	s2 := m.WrapServices(core.Services{HLR: &perKeyOnlyHLR{}})
-	if _, ok := s2.HLR.(*fallthroughHLR); !ok {
-		t.Errorf("per-key HLR wrapped as %T, want *fallthroughHLR", s2.HLR)
+	if _, err := s2.HLR.Lookup(ctx, "+447700900123"); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.Stats()["hlr"]; st.Flushes != 1 || st.Fallthrough != 1 {
+		t.Errorf("per-key HLR: stats %+v, want one per-key fallthrough", st)
 	}
 }
 

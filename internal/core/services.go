@@ -73,9 +73,9 @@ type ShortExpander interface {
 // round trip additionally implements its Bulk* interface. Every batch
 // method returns parallel result and error slices, one slot per input key
 // — per-key error demultiplexing is the contract, so one bad key degrades
-// one record, never the batch. Decorators that cannot batch simply don't
-// implement these, and callers (the batchmux tier) detect that by type
-// assertion and fall through to the per-key methods.
+// one record, never the batch. OpsOf detects these by type assertion and
+// sets the op's Bulk; a service without one falls through to the per-key
+// methods.
 
 // BulkHLRLookuper resolves many MSISDNs in one call.
 type BulkHLRLookuper interface {
@@ -113,7 +113,7 @@ var (
 // Services bundles the enrichment clients behind the per-service
 // interfaces. Any nil service skips its enrichment stage, mirroring how
 // the paper's analyses draw on different data sources (Table 2).
-// Decorators (caching, instrumentation) wrap individual fields.
+// The enrichment tiers wrap its methods as ops (see OpsOf).
 type Services struct {
 	HLR       HLRLookuper
 	Whois     WhoisLookuper

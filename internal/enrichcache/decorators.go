@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 
 	"github.com/smishkit/smishkit/internal/avscan"
 	"github.com/smishkit/smishkit/internal/core"
@@ -15,20 +14,7 @@ import (
 	"github.com/smishkit/smishkit/internal/hlr"
 	"github.com/smishkit/smishkit/internal/shortener"
 	"github.com/smishkit/smishkit/internal/telemetry"
-	"github.com/smishkit/smishkit/internal/whois"
 )
-
-// whoisAnswer and transAnswer bundle multi-value client results into one
-// cacheable value.
-type whoisAnswer struct {
-	rec   whois.Record
-	found bool
-}
-
-type transAnswer struct {
-	res     avscan.TransparencyResult
-	blocked bool
-}
 
 // Cache is one shared enrichment cache: a per-service set of
 // singleflight-coalesced TTL/LRU lookup tables that decorate the
@@ -36,13 +22,13 @@ type transAnswer struct {
 // share a telemetry registry) and attach it with WrapServices.
 type Cache struct {
 	hlrC   *lookupCache[hlr.Result]
-	whoisC *lookupCache[whoisAnswer]
+	whoisC *lookupCache[core.WhoisAnswer]
 	ctC    *lookupCache[ctlog.Summary]
 	pdnsC  *lookupCache[[]dnsdb.Observation]
 	asnC   *lookupCache[dnsdb.ASInfo]
 	scanC  *lookupCache[avscan.Report]
 	gsbC   *lookupCache[avscan.GSBResult]
-	transC *lookupCache[transAnswer]
+	transC *lookupCache[core.TransparencyAnswer]
 	shortC *lookupCache[string]
 
 	perService map[string]*serviceState
@@ -61,208 +47,68 @@ type serviceState struct {
 func New(cfg Config, reg *telemetry.Registry) *Cache {
 	cfg = cfg.withDefaults()
 	c := &Cache{perService: make(map[string]*serviceState, 6)}
-	svc := func(name string) (*metrics, ServiceConfig) {
-		met := newMetrics(reg, name)
-		c.perService[name] = &serviceState{met: met}
-		return met, cfg.forService(name)
-	}
-	track := func(name string, length func() int) {
-		st := c.perService[name]
-		st.lens = append(st.lens, length)
-	}
-
-	met, sc := svc("hlr")
-	c.hlrC = newLookupCache[hlr.Result](sc, cfg.ServeStale, cfg.Clock, met)
-	track("hlr", c.hlrC.len)
-
-	met, sc = svc("whois")
-	c.whoisC = newLookupCache[whoisAnswer](sc, cfg.ServeStale, cfg.Clock, met)
+	c.hlrC = newTable[hlr.Result](c, "hlr", cfg, reg)
+	c.whoisC = newTable[core.WhoisAnswer](c, "whois", cfg, reg)
 	// WHOIS not-found is a value-level negative: cache it, but let it age
 	// with NegativeTTL since the domain may get registered.
-	c.whoisC.isNegVal = func(a whoisAnswer) bool { return !a.found }
-	track("whois", c.whoisC.len)
-
-	met, sc = svc("ctlog")
-	c.ctC = newLookupCache[ctlog.Summary](sc, cfg.ServeStale, cfg.Clock, met)
-	track("ctlog", c.ctC.len)
-
-	met, sc = svc("dnsdb")
-	c.pdnsC = newLookupCache[[]dnsdb.Observation](sc, cfg.ServeStale, cfg.Clock, met)
-	c.asnC = newLookupCache[dnsdb.ASInfo](sc, cfg.ServeStale, cfg.Clock, met)
+	c.whoisC.isNegVal = func(a core.WhoisAnswer) bool { return !a.Found }
+	c.ctC = newTable[ctlog.Summary](c, "ctlog", cfg, reg)
+	c.pdnsC = newTable[[]dnsdb.Observation](c, "dnsdb", cfg, reg)
+	c.asnC = newTable[dnsdb.ASInfo](c, "dnsdb", cfg, reg)
 	c.asnC.isNegErr = func(err error) bool { return errors.Is(err, dnsdb.ErrNoRoute) }
-	track("dnsdb", c.pdnsC.len)
-	track("dnsdb", c.asnC.len)
-
-	met, sc = svc("avscan")
-	c.scanC = newLookupCache[avscan.Report](sc, cfg.ServeStale, cfg.Clock, met)
-	c.gsbC = newLookupCache[avscan.GSBResult](sc, cfg.ServeStale, cfg.Clock, met)
-	c.transC = newLookupCache[transAnswer](sc, cfg.ServeStale, cfg.Clock, met)
-	track("avscan", c.scanC.len)
-	track("avscan", c.gsbC.len)
-	track("avscan", c.transC.len)
-
-	met, sc = svc("shortener")
-	c.shortC = newLookupCache[string](sc, cfg.ServeStale, cfg.Clock, met)
+	c.scanC = newTable[avscan.Report](c, "avscan", cfg, reg)
+	c.gsbC = newTable[avscan.GSBResult](c, "avscan", cfg, reg)
+	c.transC = newTable[core.TransparencyAnswer](c, "avscan", cfg, reg)
+	c.shortC = newTable[string](c, "shortener", cfg, reg)
 	c.shortC.isNegErr = func(err error) bool {
 		return errors.Is(err, shortener.ErrNotFound) || errors.Is(err, shortener.ErrTakenDown)
 	}
-	track("shortener", c.shortC.len)
-
 	return c
 }
 
-// WrapServices decorates every non-nil service with its cache. Nil
-// services stay nil, so stage-skipping semantics are preserved.
+// newTable builds one lookup table recorded under service: the tables of
+// one service share its metric bundle, and Stats sums their entries.
+func newTable[V any](c *Cache, service string, cfg Config, reg *telemetry.Registry) *lookupCache[V] {
+	st := c.perService[service]
+	if st == nil {
+		st = &serviceState{met: newMetrics(reg, service)}
+		c.perService[service] = st
+	}
+	t := newLookupCache[V](cfg.forService(service), cfg.ServeStale, cfg.Clock, st.met)
+	st.lens = append(st.lens, t.len)
+	return t
+}
+
+// WrapServices puts every method of every non-nil service behind its
+// table. Nil services stay nil, so stage-skipping semantics are preserved.
+// The wrapped services offer no core.Bulk* seam: bulk calls belong below
+// the cache, where only its misses go.
 func (c *Cache) WrapServices(s core.Services) core.Services {
-	if s.HLR != nil {
-		s.HLR = c.HLR(s.HLR)
+	o := core.OpsOf(s)
+	o.HLR = cached(o.HLR, c.hlrC)
+	o.Whois = cached(o.Whois, c.whoisC)
+	o.CT = cached(o.CT, c.ctC)
+	o.PDNS = cached(o.PDNS, c.pdnsC)
+	o.ASN = cached(o.ASN, c.asnC)
+	o.Scan = cached(o.Scan, c.scanC)
+	o.GSB = cached(o.GSB, c.gsbC)
+	o.Transparency = cached(o.Transparency, c.transC)
+	o.Expand = cached(o.Expand, c.shortC)
+	return o.Services()
+}
+
+// cached answers op from table t under op's canonical key, calling op
+// only on a miss. An absent op stays absent.
+func cached[K, V any](op core.Op[K, V], t *lookupCache[V]) core.Op[K, V] {
+	if op.Call == nil {
+		return op
 	}
-	if s.Whois != nil {
-		s.Whois = c.Whois(s.Whois)
+	call, key := op.Call, op.Key
+	op.Call = func(ctx context.Context, k K) (V, error) {
+		return t.get(ctx, key(k), func(ctx context.Context) (V, error) { return call(ctx, k) })
 	}
-	if s.CTLog != nil {
-		s.CTLog = c.CTLog(s.CTLog)
-	}
-	if s.DNSDB != nil {
-		s.DNSDB = c.DNSDB(s.DNSDB)
-	}
-	if s.AVScan != nil {
-		s.AVScan = c.AVScan(s.AVScan)
-	}
-	if s.Shortener != nil {
-		s.Shortener = c.Shortener(s.Shortener)
-	}
-	return s
-}
-
-// HLR caches next by normalized MSISDN.
-func (c *Cache) HLR(next core.HLRLookuper) core.HLRLookuper {
-	return &cachedHLR{next: next, c: c.hlrC}
-}
-
-// Whois caches next by lowercase domain, including not-found answers.
-func (c *Cache) Whois(next core.WhoisLookuper) core.WhoisLookuper {
-	return &cachedWhois{next: next, c: c.whoisC}
-}
-
-// CTLog caches next by lowercase domain.
-func (c *Cache) CTLog(next core.CTSummarizer) core.CTSummarizer {
-	return &cachedCT{next: next, c: c.ctC}
-}
-
-// DNSDB caches next's pDNS history by domain and AS answers by IP
-// (ErrNoRoute cached as a negative).
-func (c *Cache) DNSDB(next core.DNSResolver) core.DNSResolver {
-	return &cachedDNS{next: next, pdns: c.pdnsC, asn: c.asnC}
-}
-
-// AVScan caches next's three reputation paths by URL.
-func (c *Cache) AVScan(next core.AVScanner) core.AVScanner {
-	return &cachedAV{next: next, scan: c.scanC, gsb: c.gsbC, trans: c.transC}
-}
-
-// Shortener caches next by service/code, with ErrNotFound and
-// ErrTakenDown cached as negatives (takedowns stay down).
-func (c *Cache) Shortener(next core.ShortExpander) core.ShortExpander {
-	return &cachedShort{next: next, c: c.shortC}
-}
-
-type cachedHLR struct {
-	next core.HLRLookuper
-	c    *lookupCache[hlr.Result]
-}
-
-func (d *cachedHLR) Lookup(ctx context.Context, msisdn string) (hlr.Result, error) {
-	return d.c.get(ctx, normalizeKey(msisdn), func(ctx context.Context) (hlr.Result, error) {
-		return d.next.Lookup(ctx, msisdn)
-	})
-}
-
-type cachedWhois struct {
-	next core.WhoisLookuper
-	c    *lookupCache[whoisAnswer]
-}
-
-func (d *cachedWhois) Lookup(ctx context.Context, domain string) (whois.Record, bool, error) {
-	a, err := d.c.get(ctx, normalizeKey(domain), func(ctx context.Context) (whoisAnswer, error) {
-		rec, found, err := d.next.Lookup(ctx, domain)
-		return whoisAnswer{rec: rec, found: found}, err
-	})
-	return a.rec, a.found, err
-}
-
-type cachedCT struct {
-	next core.CTSummarizer
-	c    *lookupCache[ctlog.Summary]
-}
-
-func (d *cachedCT) Summary(ctx context.Context, domain string) (ctlog.Summary, error) {
-	return d.c.get(ctx, normalizeKey(domain), func(ctx context.Context) (ctlog.Summary, error) {
-		return d.next.Summary(ctx, domain)
-	})
-}
-
-type cachedDNS struct {
-	next core.DNSResolver
-	pdns *lookupCache[[]dnsdb.Observation]
-	asn  *lookupCache[dnsdb.ASInfo]
-}
-
-func (d *cachedDNS) Resolutions(ctx context.Context, domain string) ([]dnsdb.Observation, error) {
-	return d.pdns.get(ctx, normalizeKey(domain), func(ctx context.Context) ([]dnsdb.Observation, error) {
-		return d.next.Resolutions(ctx, domain)
-	})
-}
-
-func (d *cachedDNS) ASOf(ctx context.Context, ip string) (dnsdb.ASInfo, error) {
-	return d.asn.get(ctx, normalizeKey(ip), func(ctx context.Context) (dnsdb.ASInfo, error) {
-		return d.next.ASOf(ctx, ip)
-	})
-}
-
-type cachedAV struct {
-	next  core.AVScanner
-	scan  *lookupCache[avscan.Report]
-	gsb   *lookupCache[avscan.GSBResult]
-	trans *lookupCache[transAnswer]
-}
-
-func (d *cachedAV) Scan(ctx context.Context, u string) (avscan.Report, error) {
-	return d.scan.get(ctx, u, func(ctx context.Context) (avscan.Report, error) {
-		return d.next.Scan(ctx, u)
-	})
-}
-
-func (d *cachedAV) GSBLookup(ctx context.Context, u string) (avscan.GSBResult, error) {
-	return d.gsb.get(ctx, u, func(ctx context.Context) (avscan.GSBResult, error) {
-		return d.next.GSBLookup(ctx, u)
-	})
-}
-
-func (d *cachedAV) Transparency(ctx context.Context, u string) (avscan.TransparencyResult, bool, error) {
-	a, err := d.trans.get(ctx, u, func(ctx context.Context) (transAnswer, error) {
-		res, blocked, err := d.next.Transparency(ctx, u)
-		return transAnswer{res: res, blocked: blocked}, err
-	})
-	return a.res, a.blocked, err
-}
-
-type cachedShort struct {
-	next core.ShortExpander
-	c    *lookupCache[string]
-}
-
-func (d *cachedShort) Expand(ctx context.Context, service, code string) (string, error) {
-	key := normalizeKey(service) + "/" + code
-	return d.c.get(ctx, key, func(ctx context.Context) (string, error) {
-		return d.next.Expand(ctx, service, code)
-	})
-}
-
-// normalizeKey folds case and whitespace so "Bit.ly" and "bit.ly " share
-// an entry, matching the case-insensitive stores behind the services.
-func normalizeKey(s string) string {
-	return strings.ToLower(strings.TrimSpace(s))
+	op.Bulk = nil
+	return op
 }
 
 // ServiceStats is one service's cache scoreboard.

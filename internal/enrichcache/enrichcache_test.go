@@ -343,7 +343,7 @@ func TestDecoratorsShareServiceCounters(t *testing.T) {
 func TestShortenerNegativeDecorator(t *testing.T) {
 	cache := New(Config{}, telemetry.NewRegistry())
 	upstream := &countingExpander{}
-	exp := cache.Shortener(upstream)
+	exp := cache.WrapServices(core.Services{Shortener: upstream}).Shortener
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		if _, err := exp.Expand(ctx, "bit.ly", "dead"); !errors.Is(err, shortener.ErrTakenDown) {
@@ -365,7 +365,7 @@ func TestShortenerNegativeDecorator(t *testing.T) {
 func TestDNSNegativeNoRoute(t *testing.T) {
 	cache := New(Config{}, telemetry.NewRegistry())
 	var calls atomic.Int32
-	res := cache.DNSDB(fakeDNS{calls: &calls})
+	res := cache.WrapServices(core.Services{DNSDB: fakeDNS{calls: &calls}}).DNSDB
 	ctx := context.Background()
 	for i := 0; i < 3; i++ {
 		if _, err := res.ASOf(ctx, "203.0.113.9"); !errors.Is(err, dnsdb.ErrNoRoute) {
@@ -396,7 +396,7 @@ func TestPerServiceConfigOverride(t *testing.T) {
 		PerService: map[string]ServiceConfig{"hlr": {TTL: time.Second}},
 	}, telemetry.NewRegistry())
 	upstream := &countingHLR{}
-	lk := cache.HLR(upstream)
+	lk := cache.WrapServices(core.Services{HLR: upstream}).HLR
 	ctx := context.Background()
 	if _, err := lk.Lookup(ctx, "+1"); err != nil {
 		t.Fatal(err)

@@ -3,13 +3,8 @@ package faultinject
 import (
 	"context"
 
-	"github.com/smishkit/smishkit/internal/avscan"
 	"github.com/smishkit/smishkit/internal/core"
-	"github.com/smishkit/smishkit/internal/ctlog"
-	"github.com/smishkit/smishkit/internal/dnsdb"
-	"github.com/smishkit/smishkit/internal/hlr"
 	"github.com/smishkit/smishkit/internal/telemetry"
-	"github.com/smishkit/smishkit/internal/whois"
 )
 
 // Injector decorates the core.Services seam with per-service fault
@@ -29,59 +24,58 @@ func New(cfg Config, reg *telemetry.Registry) *Injector {
 	return in
 }
 
-// WrapServices decorates every non-nil service whose fault mix is
-// non-empty. Nil services stay nil and fault-free services pass through
-// undecorated, so a targeted single-service outage costs nothing on the
-// healthy paths.
+// WrapServices puts every method of a non-nil service whose fault mix is
+// non-empty behind its service's gate. Nil services stay nil and
+// fault-free services pass through ungated, so a targeted single-service
+// outage costs nothing on the healthy paths.
 // Bulk-capable services keep their core.Bulk* seam through the fault
-// layer: the bulk decorator variants gate each key individually, so a
-// flapping window degrades some slots of a batch rather than hiding the
-// batching tier's fast path entirely.
+// layer: the bulk form gates each key individually, so a flapping window
+// degrades some slots of a batch rather than hiding the batching tier's
+// fast path entirely.
 func (in *Injector) WrapServices(s core.Services) core.Services {
-	if s.HLR != nil && in.gates["hlr"].f.enabled() {
-		base := faultyHLR{next: s.HLR, g: in.gates["hlr"]}
-		if bulk, ok := s.HLR.(core.BulkHLRLookuper); ok {
-			s.HLR = &faultyBulkHLR{faultyHLR: base, bulk: bulk}
-		} else {
-			s.HLR = &base
+	o := core.OpsOf(s)
+	o.HLR = gated(o.HLR, in)
+	o.Whois = gated(o.Whois, in)
+	o.CT = gated(o.CT, in)
+	o.PDNS = gated(o.PDNS, in)
+	o.ASN = gated(o.ASN, in)
+	o.Scan = gated(o.Scan, in)
+	o.GSB = gated(o.GSB, in)
+	o.Transparency = gated(o.Transparency, in)
+	o.Expand = gated(o.Expand, in)
+	return o.Services()
+}
+
+// gated runs op's service gate before each call. An absent op, or one
+// whose service has no faults configured, passes through as it is.
+func gated[K, V any](op core.Op[K, V], in *Injector) core.Op[K, V] {
+	g := in.gates[op.Service]
+	if op.Call == nil || !g.f.enabled() {
+		return op
+	}
+	call, bulk := op.Call, op.Bulk
+	op.Call = func(ctx context.Context, k K) (V, error) {
+		if err := g.before(ctx); err != nil {
+			var zero V
+			return zero, err
 		}
+		return call(ctx, k)
 	}
-	if s.Whois != nil && in.gates["whois"].f.enabled() {
-		s.Whois = &faultyWhois{next: s.Whois, g: in.gates["whois"]}
+	if bulk != nil {
+		op.Bulk = func(ctx context.Context, ks []K) ([]V, []error) { return gateBatch(ctx, g, ks, bulk) }
 	}
-	if s.CTLog != nil && in.gates["ctlog"].f.enabled() {
-		s.CTLog = &faultyCT{next: s.CTLog, g: in.gates["ctlog"]}
-	}
-	if s.DNSDB != nil && in.gates["dnsdb"].f.enabled() {
-		base := faultyDNS{next: s.DNSDB, g: in.gates["dnsdb"]}
-		if bulk, ok := s.DNSDB.(core.BulkDNSResolver); ok {
-			s.DNSDB = &faultyBulkDNS{faultyDNS: base, bulk: bulk}
-		} else {
-			s.DNSDB = &base
-		}
-	}
-	if s.AVScan != nil && in.gates["avscan"].f.enabled() {
-		base := faultyAV{next: s.AVScan, g: in.gates["avscan"]}
-		if bulk, ok := s.AVScan.(core.BulkAVScanner); ok {
-			s.AVScan = &faultyBulkAV{faultyAV: base, bulk: bulk}
-		} else {
-			s.AVScan = &base
-		}
-	}
-	if s.Shortener != nil && in.gates["shortener"].f.enabled() {
-		s.Shortener = &faultyShort{next: s.Shortener, g: in.gates["shortener"]}
-	}
-	return s
+	return op
 }
 
 // gateBatch applies one gate decision per key: keys the gate rejects get
 // that fault as their slot error, the survivors go upstream as a smaller
-// batch, and the answers demultiplex back into their original slots.
-func gateBatch[V any](ctx context.Context, g *gate, keys []string,
-	bulk func(ctx context.Context, keys []string) ([]V, []error)) ([]V, []error) {
+// batch, and the answers demultiplex back into their original slots. A
+// survivor the bulk answer has no slot for gets core.ErrMissingSlot.
+func gateBatch[K, V any](ctx context.Context, g *gate, keys []K,
+	bulk func(ctx context.Context, keys []K) ([]V, []error)) ([]V, []error) {
 	vals := make([]V, len(keys))
 	errs := make([]error, len(keys))
-	pass := make([]string, 0, len(keys))
+	pass := make([]K, 0, len(keys))
 	slots := make([]int, 0, len(keys))
 	for i, k := range keys {
 		if err := g.before(ctx); err != nil {
@@ -96,137 +90,7 @@ func gateBatch[V any](ctx context.Context, g *gate, keys []string,
 	}
 	pvals, perrs := bulk(ctx, pass)
 	for j, i := range slots {
-		if j < len(perrs) && perrs[j] != nil {
-			errs[i] = perrs[j]
-			continue
-		}
-		if j < len(pvals) {
-			vals[i] = pvals[j]
-		}
+		vals[i], errs[i] = core.BulkSlot(pvals, perrs, j)
 	}
 	return vals, errs
-}
-
-type faultyHLR struct {
-	next core.HLRLookuper
-	g    *gate
-}
-
-func (d *faultyHLR) Lookup(ctx context.Context, msisdn string) (hlr.Result, error) {
-	if err := d.g.before(ctx); err != nil {
-		return hlr.Result{}, err
-	}
-	return d.next.Lookup(ctx, msisdn)
-}
-
-type faultyBulkHLR struct {
-	faultyHLR
-	bulk core.BulkHLRLookuper
-}
-
-func (d *faultyBulkHLR) LookupBatch(ctx context.Context, msisdns []string) ([]hlr.Result, []error) {
-	return gateBatch(ctx, d.g, msisdns, d.bulk.LookupBatch)
-}
-
-type faultyWhois struct {
-	next core.WhoisLookuper
-	g    *gate
-}
-
-func (d *faultyWhois) Lookup(ctx context.Context, domain string) (whois.Record, bool, error) {
-	if err := d.g.before(ctx); err != nil {
-		return whois.Record{}, false, err
-	}
-	return d.next.Lookup(ctx, domain)
-}
-
-type faultyCT struct {
-	next core.CTSummarizer
-	g    *gate
-}
-
-func (d *faultyCT) Summary(ctx context.Context, domain string) (ctlog.Summary, error) {
-	if err := d.g.before(ctx); err != nil {
-		return ctlog.Summary{}, err
-	}
-	return d.next.Summary(ctx, domain)
-}
-
-type faultyDNS struct {
-	next core.DNSResolver
-	g    *gate
-}
-
-func (d *faultyDNS) Resolutions(ctx context.Context, domain string) ([]dnsdb.Observation, error) {
-	if err := d.g.before(ctx); err != nil {
-		return nil, err
-	}
-	return d.next.Resolutions(ctx, domain)
-}
-
-func (d *faultyDNS) ASOf(ctx context.Context, ip string) (dnsdb.ASInfo, error) {
-	if err := d.g.before(ctx); err != nil {
-		return dnsdb.ASInfo{}, err
-	}
-	return d.next.ASOf(ctx, ip)
-}
-
-type faultyBulkDNS struct {
-	faultyDNS
-	bulk core.BulkDNSResolver
-}
-
-func (d *faultyBulkDNS) ResolutionsBatch(ctx context.Context, domains []string) ([][]dnsdb.Observation, []error) {
-	return gateBatch(ctx, d.g, domains, d.bulk.ResolutionsBatch)
-}
-
-type faultyAV struct {
-	next core.AVScanner
-	g    *gate
-}
-
-func (d *faultyAV) Scan(ctx context.Context, u string) (avscan.Report, error) {
-	if err := d.g.before(ctx); err != nil {
-		return avscan.Report{}, err
-	}
-	return d.next.Scan(ctx, u)
-}
-
-func (d *faultyAV) GSBLookup(ctx context.Context, u string) (avscan.GSBResult, error) {
-	if err := d.g.before(ctx); err != nil {
-		return avscan.GSBResult{}, err
-	}
-	return d.next.GSBLookup(ctx, u)
-}
-
-func (d *faultyAV) Transparency(ctx context.Context, u string) (avscan.TransparencyResult, bool, error) {
-	if err := d.g.before(ctx); err != nil {
-		return avscan.TransparencyResult{}, false, err
-	}
-	return d.next.Transparency(ctx, u)
-}
-
-type faultyBulkAV struct {
-	faultyAV
-	bulk core.BulkAVScanner
-}
-
-func (d *faultyBulkAV) ScanBatch(ctx context.Context, urls []string) ([]avscan.Report, []error) {
-	return gateBatch(ctx, d.g, urls, d.bulk.ScanBatch)
-}
-
-func (d *faultyBulkAV) GSBLookupBatch(ctx context.Context, urls []string) ([]avscan.GSBResult, []error) {
-	return gateBatch(ctx, d.g, urls, d.bulk.GSBLookupBatch)
-}
-
-type faultyShort struct {
-	next core.ShortExpander
-	g    *gate
-}
-
-func (d *faultyShort) Expand(ctx context.Context, service, code string) (string, error) {
-	if err := d.g.before(ctx); err != nil {
-		return "", err
-	}
-	return d.next.Expand(ctx, service, code)
 }

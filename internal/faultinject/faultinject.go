@@ -2,7 +2,7 @@
 // harness. Real measurement runs die on exactly the failures a clean
 // simulation never produces — timeouts, 5xx bursts, rate-limit storms,
 // hung connections, services flapping up and down — so this package
-// injects them deliberately: deterministic, seed-driven decorators over
+// injects them deliberately: deterministic, seed-driven gates over
 // the per-service interfaces in internal/core that fail, slow, or hang a
 // configurable fraction of calls before they reach the real client.
 //

@@ -164,7 +164,7 @@ func TestLatencyInjection(t *testing.T) {
 }
 
 // TestWrapServicesPreservesNilAndHealthy: nil services stay nil (stage
-// skipping) and fault-free services pass through undecorated.
+// skipping) and fault-free services pass through ungated.
 func TestWrapServicesPreservesNilAndHealthy(t *testing.T) {
 	next := &fakeHLR{}
 	in := New(Config{Seed: 1, PerService: map[string]ServiceFaults{"whois": {ErrorRate: 1}}}, nil)
@@ -172,7 +172,13 @@ func TestWrapServicesPreservesNilAndHealthy(t *testing.T) {
 	if s.Whois != nil || s.CTLog != nil || s.DNSDB != nil || s.AVScan != nil || s.Shortener != nil {
 		t.Error("nil services did not stay nil")
 	}
-	if s.HLR != core.HLRLookuper(next) {
-		t.Error("fault-free HLR service was decorated")
+	for i := 0; i < 10; i++ {
+		if _, err := s.HLR.Lookup(context.Background(), "+447700900123"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if next.calls != 10 || in.gates["hlr"].calls != 0 {
+		t.Errorf("fault-free HLR service was gated: %d downstream calls, %d gate decisions, want 10 and 0",
+			next.calls, in.gates["hlr"].calls)
 	}
 }

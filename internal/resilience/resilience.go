@@ -7,13 +7,8 @@ import (
 	"sort"
 	"time"
 
-	"github.com/smishkit/smishkit/internal/avscan"
 	"github.com/smishkit/smishkit/internal/core"
-	"github.com/smishkit/smishkit/internal/ctlog"
-	"github.com/smishkit/smishkit/internal/dnsdb"
-	"github.com/smishkit/smishkit/internal/hlr"
 	"github.com/smishkit/smishkit/internal/telemetry"
-	"github.com/smishkit/smishkit/internal/whois"
 )
 
 // Config assembles the resilience layer: one breaker per enrichment
@@ -77,141 +72,44 @@ func New(cfg Config, reg *telemetry.Registry) *Breakers {
 // Breaker returns the named service's breaker (nil for unknown names).
 func (bs *Breakers) Breaker(name string) *Breaker { return bs.perService[name] }
 
-// WrapServices decorates every non-nil service with its breaker. Nil
-// services stay nil, preserving stage-skipping. Multi-method services
-// (dnsdb, avscan) share one breaker: an outage takes the whole service
-// down, not one endpoint.
+// WrapServices puts every method of every non-nil service behind its
+// service's breaker. Nil services stay nil, preserving stage-skipping.
+// Multi-method services (dnsdb, avscan) share one breaker: an outage takes
+// the whole service down, not one endpoint. The wrapped services offer no
+// core.Bulk* seam: the pipeline above calls per key.
 func (bs *Breakers) WrapServices(s core.Services) core.Services {
-	if s.HLR != nil {
-		s.HLR = &guardedHLR{next: s.HLR, b: bs.perService["hlr"]}
-	}
-	if s.Whois != nil {
-		s.Whois = &guardedWhois{next: s.Whois, b: bs.perService["whois"]}
-	}
-	if s.CTLog != nil {
-		s.CTLog = &guardedCT{next: s.CTLog, b: bs.perService["ctlog"]}
-	}
-	if s.DNSDB != nil {
-		s.DNSDB = &guardedDNS{next: s.DNSDB, b: bs.perService["dnsdb"]}
-	}
-	if s.AVScan != nil {
-		s.AVScan = &guardedAV{next: s.AVScan, b: bs.perService["avscan"]}
-	}
-	if s.Shortener != nil {
-		s.Shortener = &guardedShort{next: s.Shortener, b: bs.perService["shortener"]}
-	}
-	return s
+	o := core.OpsOf(s)
+	o.HLR = guarded(o.HLR, bs)
+	o.Whois = guarded(o.Whois, bs)
+	o.CT = guarded(o.CT, bs)
+	o.PDNS = guarded(o.PDNS, bs)
+	o.ASN = guarded(o.ASN, bs)
+	o.Scan = guarded(o.Scan, bs)
+	o.GSB = guarded(o.GSB, bs)
+	o.Transparency = guarded(o.Transparency, bs)
+	o.Expand = guarded(o.Expand, bs)
+	return o.Services()
 }
 
-type guardedHLR struct {
-	next core.HLRLookuper
-	b    *Breaker
-}
-
-func (d *guardedHLR) Lookup(ctx context.Context, msisdn string) (hlr.Result, error) {
-	if err := d.b.Allow(); err != nil {
-		return hlr.Result{}, err
+// guarded admits each call of op through its service's breaker and
+// records the outcome; a shed call returns ErrOpen without reaching op.
+// An absent op stays absent.
+func guarded[K, V any](op core.Op[K, V], bs *Breakers) core.Op[K, V] {
+	if op.Call == nil {
+		return op
 	}
-	res, err := d.next.Lookup(ctx, msisdn)
-	d.b.Record(err)
-	return res, err
-}
-
-type guardedWhois struct {
-	next core.WhoisLookuper
-	b    *Breaker
-}
-
-func (d *guardedWhois) Lookup(ctx context.Context, domain string) (whois.Record, bool, error) {
-	if err := d.b.Allow(); err != nil {
-		return whois.Record{}, false, err
+	b, call := bs.perService[op.Service], op.Call
+	op.Call = func(ctx context.Context, k K) (V, error) {
+		if err := b.Allow(); err != nil {
+			var zero V
+			return zero, err
+		}
+		v, err := call(ctx, k)
+		b.Record(err)
+		return v, err
 	}
-	rec, found, err := d.next.Lookup(ctx, domain)
-	d.b.Record(err)
-	return rec, found, err
-}
-
-type guardedCT struct {
-	next core.CTSummarizer
-	b    *Breaker
-}
-
-func (d *guardedCT) Summary(ctx context.Context, domain string) (ctlog.Summary, error) {
-	if err := d.b.Allow(); err != nil {
-		return ctlog.Summary{}, err
-	}
-	sum, err := d.next.Summary(ctx, domain)
-	d.b.Record(err)
-	return sum, err
-}
-
-type guardedDNS struct {
-	next core.DNSResolver
-	b    *Breaker
-}
-
-func (d *guardedDNS) Resolutions(ctx context.Context, domain string) ([]dnsdb.Observation, error) {
-	if err := d.b.Allow(); err != nil {
-		return nil, err
-	}
-	obs, err := d.next.Resolutions(ctx, domain)
-	d.b.Record(err)
-	return obs, err
-}
-
-func (d *guardedDNS) ASOf(ctx context.Context, ip string) (dnsdb.ASInfo, error) {
-	if err := d.b.Allow(); err != nil {
-		return dnsdb.ASInfo{}, err
-	}
-	info, err := d.next.ASOf(ctx, ip)
-	d.b.Record(err)
-	return info, err
-}
-
-type guardedAV struct {
-	next core.AVScanner
-	b    *Breaker
-}
-
-func (d *guardedAV) Scan(ctx context.Context, u string) (avscan.Report, error) {
-	if err := d.b.Allow(); err != nil {
-		return avscan.Report{}, err
-	}
-	rep, err := d.next.Scan(ctx, u)
-	d.b.Record(err)
-	return rep, err
-}
-
-func (d *guardedAV) GSBLookup(ctx context.Context, u string) (avscan.GSBResult, error) {
-	if err := d.b.Allow(); err != nil {
-		return avscan.GSBResult{}, err
-	}
-	res, err := d.next.GSBLookup(ctx, u)
-	d.b.Record(err)
-	return res, err
-}
-
-func (d *guardedAV) Transparency(ctx context.Context, u string) (avscan.TransparencyResult, bool, error) {
-	if err := d.b.Allow(); err != nil {
-		return avscan.TransparencyResult{}, false, err
-	}
-	res, blocked, err := d.next.Transparency(ctx, u)
-	d.b.Record(err)
-	return res, blocked, err
-}
-
-type guardedShort struct {
-	next core.ShortExpander
-	b    *Breaker
-}
-
-func (d *guardedShort) Expand(ctx context.Context, service, code string) (string, error) {
-	if err := d.b.Allow(); err != nil {
-		return "", err
-	}
-	target, err := d.next.Expand(ctx, service, code)
-	d.b.Record(err)
-	return target, err
+	op.Bulk = nil
+	return op
 }
 
 // BreakerStats is one service breaker's scoreboard.

@@ -39,7 +39,7 @@ type StatsProvider interface {
 	Stats() (StackStats, bool)
 }
 
-// StackConfig assembles one shard's decorator stack. Tiers whose config is
+// StackConfig assembles one shard's tier stack. Tiers whose config is
 // nil are omitted; Pipeline tunes the shard's enrichment workers and
 // budgets (see ResolveBudgets; its Telemetry field is overwritten with the
 // stack's registry). It is the one config for a shard wherever it runs: a
@@ -64,7 +64,8 @@ type StackConfig struct {
 // stack records on the root registry itself.
 type Stack struct {
 	pipe     *core.Pipeline
-	cfg      StackConfig // what the stack was built from, budgets resolved
+	services core.Services // the composed tiers the pipeline calls
+	cfg      StackConfig   // what the stack was built from, budgets resolved
 	cache    *enrichcache.Cache
 	batch    *batchmux.Mux
 	breakers *resilience.Breakers
@@ -94,14 +95,15 @@ func ResolveBudgets(p core.Options, r *resilience.Config) core.Options {
 	return p
 }
 
-// NewStack builds one shard's tiers around base. Decorator order,
-// innermost first: instrumented client <- faults <- batchmux <- cache <-
-// breaker <- pipeline. Faults sit inside the batching tier so a flapping
-// window degrades individual slots of a batch, not the tier itself;
-// batchmux sits inside the cache so only cache misses reach a window and
-// every flushed answer is cached on the way back out; breakers sit outside
-// the cache so hits cost them nothing and upstream 5xx reach the
-// serve-stale path before being counted.
+// NewStack builds one shard's tiers around base. Tier order, innermost
+// first: instrumented client <- faults <- batchmux <- cache <- breaker <-
+// pipeline. Faults sit inside the batching tier so a flapping window
+// degrades individual slots of a batch, not the tier itself; batchmux sits
+// inside the cache so only cache misses reach a window and every flushed
+// answer is cached on the way back out; breakers sit outside the cache so
+// hits cost them nothing and upstream 5xx reach the serve-stale path
+// before being counted. Only the fault tier passes the core.Bulk* seam
+// up; TestStackComposesTiersInOrder pins this order.
 func NewStack(base core.Services, cfg StackConfig, reg *telemetry.Registry) (*Stack, error) {
 	services := base
 	if cfg.Faults != nil {
@@ -128,7 +130,7 @@ func NewStack(base core.Services, cfg StackConfig, reg *telemetry.Registry) (*St
 	if err != nil {
 		return nil, fmt.Errorf("shard: build pipeline: %w", err)
 	}
-	st.pipe, st.cfg = pipe, cfg
+	st.pipe, st.cfg, st.services = pipe, cfg, services
 	return st, nil
 }
 
