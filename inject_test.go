@@ -73,7 +73,7 @@ func TestInjectWave(t *testing.T) {
 	}
 }
 
-// TestServeStatusSchema drives the daemon the way the benchmark harness
+// TestServeStatusSchema drives the daemon the way an external process
 // does — OnReady for the URL, POST /inject over HTTP mid-run, GET /status
 // decoded against the versioned schema — and pins the schema's contract:
 // schema_version present, all five forums in reports_1m, round
@@ -106,7 +106,7 @@ func TestServeStatusSchema(t *testing.T) {
 					return
 				}
 
-				// Inject a wave over HTTP, exactly as cmd/loadgen does.
+				// Inject a wave over HTTP, exactly as scripts/durgate does.
 				body, _ := json.Marshal(InjectSpec{Seed: 7, Messages: 20})
 				resp, err := http.Post(base+"/inject", "application/json", bytes.NewReader(body))
 				if err != nil {

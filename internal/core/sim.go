@@ -339,8 +339,8 @@ type InjectSpec struct {
 	NoiseFraction float64 `json:"noise_fraction,omitempty"`
 }
 
-// MaxInjectMessages bounds one injected wave; larger loads are repeated
-// waves (how cmd/loadgen drives sustained RPS).
+// MaxInjectMessages bounds one injected wave; sustained load is repeated
+// waves.
 const MaxInjectMessages = 50000
 
 // Inject synthesizes the wave described by spec and appends its posts to

@@ -237,20 +237,9 @@ type SpanStats struct {
 }
 
 // CounterValue returns the named counter's value, or 0 when the snapshot
-// never recorded it — the lookup shape external pollers (benchwatch) need
-// after decoding a /debug/telemetry response, where a quiet instrument is
-// simply absent from the maps.
+// never recorded it: a quiet instrument is simply absent from the maps,
+// including in a snapshot decoded from a /debug/telemetry response.
 func (s Snapshot) CounterValue(name string) int64 { return s.Counters[name] }
-
-// GaugeValue returns the named gauge's level, or 0 when absent.
-func (s Snapshot) GaugeValue(name string) int64 { return s.Gauges[name] }
-
-// Hist returns the named histogram summary and whether it was present;
-// absent histograms decode as the zero HistogramStats.
-func (s Snapshot) Hist(name string) (HistogramStats, bool) {
-	h, ok := s.Histograms[name]
-	return h, ok
-}
 
 // Snapshot copies the current state of every instrument. A nil registry
 // yields an empty (but usable) snapshot. A prefixed view snapshots the

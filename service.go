@@ -111,9 +111,9 @@ type RoundInfo struct {
 }
 
 // ServiceStatsSchemaVersion is the current GET /status JSON layout
-// version. External pollers (cmd/benchwatch and anything like it) should
-// check it and refuse layouts they don't understand; fields are only ever
-// added within a version, never renamed or repurposed.
+// version. External pollers should check it and refuse layouts they don't
+// understand; fields are only ever added within a version, never renamed
+// or repurposed.
 const ServiceStatsSchemaVersion = 1
 
 // RoundQuantiles summarizes serve-round wall time in milliseconds, from
@@ -362,7 +362,7 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 	mux.Handle("GET /query/reports", st.proj.Query().ReportsHandler())
 	mux.Handle("GET /query/summary", st.proj.Query().SummaryHandler())
 	// Load injection: POST /inject appends a synthetic report wave to the
-	// live forum servers (the seam cmd/loadgen drives). The wave is visible
+	// live forum servers (the seam scripts/durgate drives). The wave is visible
 	// to the daemon's own collectors on its next round, closing the loop.
 	mux.HandleFunc("POST /inject", func(w http.ResponseWriter, r *http.Request) {
 		var spec InjectSpec
