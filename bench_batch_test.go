@@ -5,17 +5,11 @@
 // enrichment output. Run with:
 //
 //	go test -run=NONE -bench=EnrichBatched -benchtime=1x -count=5 .
-//
-// When BENCH_BATCH_JSON names a file, BenchmarkEnrichBatched writes a
-// machine-readable baseline there (backend calls per 1k records, batched
-// vs unbatched); CI uploads it next to BENCH_enrich.json.
 package smishkit
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -266,29 +260,4 @@ func BenchmarkEnrichBatched(b *testing.B) {
 	reduction := unbatched / batched
 	b.Logf("backend calls per 1k records: unbatched=%.0f batched=%.0f reduction=%.1fx",
 		unbatched, batched, reduction)
-	writeBenchBatchJSON(b, unbatched, batched, reduction)
-}
-
-// writeBenchBatchJSON emits the machine-readable baseline when the
-// BENCH_BATCH_JSON environment variable names a destination file.
-func writeBenchBatchJSON(b *testing.B, unbatched, batched, reduction float64) {
-	path := os.Getenv("BENCH_BATCH_JSON")
-	if path == "" {
-		return
-	}
-	doc := struct {
-		Records              int     `json:"records"`
-		Phones               int     `json:"distinct_phones"`
-		Domains              int     `json:"distinct_domains"`
-		UnbatchedCallsPer1k  float64 `json:"unbatched_calls_per_1k_records"`
-		BatchedCallsPer1k    float64 `json:"batched_calls_per_1k_records"`
-		ReductionUnoverBatch float64 `json:"reduction_unbatched_over_batched"`
-	}{batchBenchRecords, batchBenchPhones, batchBenchDomains, unbatched, batched, reduction}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		b.Errorf("writing %s: %v", path, err)
-	}
 }

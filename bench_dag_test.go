@@ -3,17 +3,11 @@
 // not the loopback HTTP stack). Run with:
 //
 //	go test -run=NONE -bench='EnrichSequentialVsDAG' -benchtime=1x -count=5 .
-//
-// When BENCH_ENRICH_JSON names a file, BenchmarkEnrichSequentialVsDAG
-// writes a machine-readable baseline there; CI uploads it as an artifact
-// and benchstat-compares the text output against bench/baseline_enrich.txt.
 package smishkit
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -178,29 +172,4 @@ func BenchmarkEnrichSequentialVsDAG(b *testing.B) {
 	}
 	speedup := float64(seq) / float64(dag)
 	b.Logf("per-record enrichment: sequential=%v dag-4=%v speedup=%.2fx", seq, dag, speedup)
-	writeBenchEnrichJSON(b, seq, dag, speedup)
-}
-
-// writeBenchEnrichJSON emits the machine-readable baseline when the
-// BENCH_ENRICH_JSON environment variable names a destination file.
-func writeBenchEnrichJSON(b *testing.B, seq, dag time.Duration, speedup float64) {
-	path := os.Getenv("BENCH_ENRICH_JSON")
-	if path == "" {
-		return
-	}
-	doc := struct {
-		Records               int     `json:"records"`
-		EnrichWorkers         int     `json:"enrich_workers"`
-		ServiceRTTNs          int64   `json:"service_rtt_ns"`
-		SequentialNsPerRecord int64   `json:"sequential_ns_per_record"`
-		DAG4NsPerRecord       int64   `json:"dag4_ns_per_record"`
-		SpeedupSeqOverDAG     float64 `json:"speedup_seq_over_dag"`
-	}{benchRecords, benchWorkers, int64(benchRTT), int64(seq), int64(dag), speedup}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		b.Errorf("writing %s: %v", path, err)
-	}
 }

@@ -5,17 +5,11 @@
 // round-duration p95. Run with:
 //
 //	go test -run=NONE -bench=ShardedPipeline -benchtime=5x .
-//
-// When BENCH_SHARD_JSON names a file, BenchmarkShardedPipeline writes a
-// machine-readable baseline there (per shard count: records/sec, round
-// p95); CI uploads it next to BENCH_enrich.json and BENCH_batch.json.
 package smishkit
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"testing"
 	"time"
@@ -23,11 +17,11 @@ import (
 
 // shardBenchResult is one shard count's scoreboard row.
 type shardBenchResult struct {
-	Shards        int     `json:"shards"`
-	Rounds        int     `json:"rounds"`
-	RecordsPerRun int     `json:"records_per_round"`
-	RecordsPerSec float64 `json:"records_per_sec"`
-	RoundP95Ms    float64 `json:"round_p95_ms"`
+	Shards        int
+	Rounds        int
+	RecordsPerRun int
+	RecordsPerSec float64
+	RoundP95Ms    float64
 }
 
 // runShardRound builds a fresh study at the given shard count (so no round
@@ -110,26 +104,5 @@ func BenchmarkShardedPipeline(b *testing.B) {
 		}
 		b.Logf("throughput: 1-shard=%.0f rec/s, 2-shard=%.0f rec/s, 4-shard=%.0f rec/s",
 			rows[0].RecordsPerSec, rows[1].RecordsPerSec, rows[2].RecordsPerSec)
-		writeBenchShardJSON(b, rows)
-	}
-}
-
-// writeBenchShardJSON emits the machine-readable baseline when the
-// BENCH_SHARD_JSON environment variable names a destination file.
-func writeBenchShardJSON(b *testing.B, results []shardBenchResult) {
-	path := os.Getenv("BENCH_SHARD_JSON")
-	if path == "" {
-		return
-	}
-	doc := struct {
-		Corpus  int                `json:"corpus_messages"`
-		Results []shardBenchResult `json:"results"`
-	}{2000, results}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		b.Errorf("writing %s: %v", path, err)
 	}
 }

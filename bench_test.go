@@ -554,8 +554,8 @@ func BenchmarkEnrichDegraded(b *testing.B) {
 		slice = slice[:800]
 	}
 
-	enrich := func(b *testing.B, services core.Services) (degraded int64) {
-		pipe, err := core.NewPipeline(services, core.Options{EnrichWorkers: 16})
+	enrich := func(b *testing.B, ops core.Ops) (degraded int64) {
+		pipe, err := core.NewPipelineOver(ops, core.Options{EnrichWorkers: 16})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -578,7 +578,7 @@ func BenchmarkEnrichDegraded(b *testing.B) {
 	}
 
 	b.Run("healthy", func(b *testing.B) {
-		if degraded := enrich(b, benchSim.Services()); degraded != 0 {
+		if degraded := enrich(b, core.OpsOf(benchSim.Services())); degraded != 0 {
 			b.Fatalf("healthy run degraded %d fields", degraded)
 		}
 	})
@@ -589,7 +589,7 @@ func BenchmarkEnrichDegraded(b *testing.B) {
 			PerService: map[string]faultinject.ServiceFaults{"whois": {ErrorRate: 0.5}},
 		}, reg)
 		breakers := resilience.New(resilience.Config{}, reg)
-		degraded := enrich(b, breakers.WrapServices(faults.WrapServices(benchSim.Services())))
+		degraded := enrich(b, breakers.Wrap(faults.Wrap(core.OpsOf(benchSim.Services()))))
 		if degraded == 0 {
 			b.Fatal("50% whois errors degraded nothing")
 		}

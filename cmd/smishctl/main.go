@@ -147,10 +147,9 @@ func run() error {
 				Latency:   2 * time.Millisecond,
 			},
 		}
-		opts.Resilience = &smishkit.ResilienceConfig{
-			CallTimeout:  2 * time.Second,
-			RecordBudget: 30 * time.Second,
-		}
+		opts.Resilience = &smishkit.ResilienceConfig{}
+		opts.Pipeline.CallTimeout = 2 * time.Second
+		opts.Pipeline.RecordBudget = 30 * time.Second
 	}
 	opts.Pipeline.EnrichWorkers = *workers
 	opts.Pipeline.StepWorkers = *stepWorkers

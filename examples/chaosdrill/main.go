@@ -45,7 +45,9 @@ func main() {
 			},
 		},
 		Resilience: &smishkit.ResilienceConfig{
-			Breaker:      smishkit.BreakerConfig{FailureThreshold: 5, OpenTimeout: 100 * time.Millisecond},
+			Breaker: smishkit.BreakerConfig{FailureThreshold: 5, OpenTimeout: 100 * time.Millisecond},
+		},
+		Pipeline: smishkit.PipelineOptions{
 			CallTimeout:  500 * time.Millisecond,
 			RecordBudget: 10 * time.Second,
 		},

@@ -8,8 +8,8 @@ import (
 )
 
 // Mux is one shared batching tier: a per-service set of windowed batchers
-// that decorate the core.Services seam. Build one per study and attach it
-// with WrapServices.
+// that decorate the core.Ops seam. Build one per study and attach it
+// with Wrap.
 type Mux struct {
 	cfg        Config
 	sem        chan struct{}
@@ -33,21 +33,24 @@ func New(cfg Config, reg *telemetry.Registry) *Mux {
 	return m
 }
 
-// WrapServices batches every bulk-capable method of a non-nil service:
-// HLR lookups, pDNS resolutions, vendor-aggregate scans and Safe Browsing
-// lookups (the last two in separate windows on one scoreboard). A
-// batchable method whose service lacks the core.Bulk* seam gets a
-// counting per-key fallthrough, so the gap is visible in telemetry; the
-// other methods (WHOIS, CT, ASOf, transparency, shortener expansion) have
-// no bulk form and pass through. The wrapped services offer no core.Bulk*
-// seam themselves: the windows already batch everything below them.
-func (m *Mux) WrapServices(s core.Services) core.Services {
-	o := core.OpsOf(s)
+// Wrap batches every present batchable op: HLR lookups, pDNS
+// resolutions, vendor-aggregate scans and Safe Browsing lookups (the last
+// two in separate windows on one scoreboard). A batchable op without a
+// Bulk form gets a counting per-key fallthrough, so the gap is visible in
+// telemetry; the other ops (WHOIS, CT, ASOf, transparency, shortener
+// expansion) have no bulk form and pass through. The wrapped ops have no
+// Bulk form themselves: the windows already batch everything below them.
+func (m *Mux) Wrap(o core.Ops) core.Ops {
 	o.HLR = batched(o.HLR, m)
 	o.PDNS = batched(o.PDNS, m)
 	o.Scan = batched(o.Scan, m)
 	o.GSB = batched(o.GSB, m)
-	return o.Services()
+	return o
+}
+
+// WrapServices is Wrap for callers holding service clients.
+func (m *Mux) WrapServices(s core.Services) core.Services {
+	return m.Wrap(core.OpsOf(s)).Services()
 }
 
 // batched parks each call in a window of op's service that flushes as one

@@ -69,9 +69,9 @@ func TestChaosSoak(t *testing.T) {
 
 	// Composition order is the production one: pipeline -> breaker ->
 	// (cache would sit here) -> faults -> instrumented client.
-	services := breakers.WrapServices(faults.WrapServices(sim.Services()))
+	ops := breakers.Wrap(faults.Wrap(core.OpsOf(sim.Services())))
 
-	pipe, err := core.NewPipeline(services, core.Options{
+	pipe, err := core.NewPipelineOver(ops, core.Options{
 		Telemetry:    reg,
 		CallTimeout:  250 * time.Millisecond, // bounds injected hangs
 		RecordBudget: 5 * time.Second,

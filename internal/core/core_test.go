@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -193,8 +194,8 @@ func TestPipelineContextCancellation(t *testing.T) {
 	ds := pipe.Curate(reports)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := pipe.Enrich(ctx, ds); err == nil {
-		t.Fatal("cancelled enrichment returned nil error")
+	if err := pipe.Enrich(ctx, ds); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled enrichment returned %v, want context.Canceled", err)
 	}
 }
 

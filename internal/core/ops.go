@@ -20,6 +20,10 @@ type Op[K, V any] struct {
 	// Service is the telemetry name of the service the method belongs to
 	// (hlr, whois, ctlog, dnsdb, avscan, shortener).
 	Service string
+	// Field names the record field the method fills, as an
+	// EnrichmentError reports it when the call fails (hlr, whois, ct,
+	// pdns, as_names, vt, gsb, gsb_status, final_url).
+	Field string
 	// Key is k's canonical lookup key: the cache stores under it, and the
 	// batching tier coalesces on it and sends it upstream.
 	Key func(k K) string
@@ -73,47 +77,36 @@ func shortKey(l ShortLink) string { return normKey(l.Service) + "/" + l.Code }
 
 // OpsOf returns the ops behind s, one per method; an absent service
 // leaves its ops zero. It is the one place the optional Bulk* seam is
-// detected: a service implementing its Bulk* interface gets Bulk set. A
-// service that Ops.Services made yields the ops it was made from.
+// detected: a service implementing its Bulk* interface gets Bulk set.
 func OpsOf(s Services) Ops {
 	var o Ops
-	if a, ok := s.HLR.(opsCarrier); ok {
-		o.HLR = a.ops().HLR
-	} else if s.HLR != nil {
-		o.HLR = Op[string, hlr.Result]{Service: "hlr", Key: normKey, Call: s.HLR.Lookup}
+	if s.HLR != nil {
+		o.HLR = Op[string, hlr.Result]{Service: "hlr", Field: "hlr", Key: normKey, Call: s.HLR.Lookup}
 		if b, ok := s.HLR.(BulkHLRLookuper); ok {
 			o.HLR.Bulk = b.LookupBatch
 		}
 	}
-	if a, ok := s.Whois.(opsCarrier); ok {
-		o.Whois = a.ops().Whois
-	} else if w := s.Whois; w != nil {
-		o.Whois = Op[string, WhoisAnswer]{Service: "whois", Key: normKey,
+	if w := s.Whois; w != nil {
+		o.Whois = Op[string, WhoisAnswer]{Service: "whois", Field: "whois", Key: normKey,
 			Call: func(ctx context.Context, domain string) (WhoisAnswer, error) {
 				rec, found, err := w.Lookup(ctx, domain)
 				return WhoisAnswer{Record: rec, Found: found}, err
 			}}
 	}
-	if a, ok := s.CTLog.(opsCarrier); ok {
-		o.CT = a.ops().CT
-	} else if s.CTLog != nil {
-		o.CT = Op[string, ctlog.Summary]{Service: "ctlog", Key: normKey, Call: s.CTLog.Summary}
+	if s.CTLog != nil {
+		o.CT = Op[string, ctlog.Summary]{Service: "ctlog", Field: "ct", Key: normKey, Call: s.CTLog.Summary}
 	}
-	if a, ok := s.DNSDB.(opsCarrier); ok {
-		o.PDNS, o.ASN = a.ops().PDNS, a.ops().ASN
-	} else if s.DNSDB != nil {
-		o.PDNS = Op[string, []dnsdb.Observation]{Service: "dnsdb", Key: normKey, Call: s.DNSDB.Resolutions}
-		o.ASN = Op[string, dnsdb.ASInfo]{Service: "dnsdb", Key: normKey, Call: s.DNSDB.ASOf}
+	if s.DNSDB != nil {
+		o.PDNS = Op[string, []dnsdb.Observation]{Service: "dnsdb", Field: "pdns", Key: normKey, Call: s.DNSDB.Resolutions}
+		o.ASN = Op[string, dnsdb.ASInfo]{Service: "dnsdb", Field: "as_names", Key: normKey, Call: s.DNSDB.ASOf}
 		if b, ok := s.DNSDB.(BulkDNSResolver); ok {
 			o.PDNS.Bulk = b.ResolutionsBatch
 		}
 	}
-	if a, ok := s.AVScan.(opsCarrier); ok {
-		o.Scan, o.GSB, o.Transparency = a.ops().Scan, a.ops().GSB, a.ops().Transparency
-	} else if av := s.AVScan; av != nil {
-		o.Scan = Op[string, avscan.Report]{Service: "avscan", Key: rawKey, Call: av.Scan}
-		o.GSB = Op[string, avscan.GSBResult]{Service: "avscan", Key: rawKey, Call: av.GSBLookup}
-		o.Transparency = Op[string, TransparencyAnswer]{Service: "avscan", Key: rawKey,
+	if av := s.AVScan; av != nil {
+		o.Scan = Op[string, avscan.Report]{Service: "avscan", Field: "vt", Key: rawKey, Call: av.Scan}
+		o.GSB = Op[string, avscan.GSBResult]{Service: "avscan", Field: "gsb", Key: rawKey, Call: av.GSBLookup}
+		o.Transparency = Op[string, TransparencyAnswer]{Service: "avscan", Field: "gsb_status", Key: rawKey,
 			Call: func(ctx context.Context, u string) (TransparencyAnswer, error) {
 				res, blocked, err := av.Transparency(ctx, u)
 				return TransparencyAnswer{Result: res, Blocked: blocked}, err
@@ -122,10 +115,8 @@ func OpsOf(s Services) Ops {
 			o.Scan.Bulk, o.GSB.Bulk = b.ScanBatch, b.GSBLookupBatch
 		}
 	}
-	if a, ok := s.Shortener.(opsCarrier); ok {
-		o.Expand = a.ops().Expand
-	} else if x := s.Shortener; x != nil {
-		o.Expand = Op[ShortLink, string]{Service: "shortener", Key: shortKey,
+	if x := s.Shortener; x != nil {
+		o.Expand = Op[ShortLink, string]{Service: "shortener", Field: "final_url", Key: shortKey,
 			Call: func(ctx context.Context, l ShortLink) (string, error) {
 				return x.Expand(ctx, l.Service, l.Code)
 			}}
@@ -133,9 +124,10 @@ func OpsOf(s Services) Ops {
 	return o
 }
 
-// Services returns the Services seam over o. A service whose ops are
-// absent is nil, so the pipeline skips its stage; a service implements
-// its Bulk* interface only when its ops have Bulk.
+// Services returns the Services seam over o, for callers that take the
+// service interfaces rather than ops. A service whose ops are absent is
+// nil; a service implements its Bulk* interface only when its ops have
+// Bulk.
 func (o Ops) Services() Services {
 	r := opsRef{&o}
 	var s Services
@@ -172,13 +164,9 @@ func (o Ops) Services() Services {
 	return s
 }
 
-// opsRef is embedded in every service Ops.Services makes, so OpsOf can
-// take the ops back instead of wrapping the service in a second layer.
+// opsRef is embedded in every service Ops.Services makes: the ops its
+// methods call.
 type opsRef struct{ o *Ops }
-
-type opsCarrier interface{ ops() *Ops }
-
-func (r opsRef) ops() *Ops { return r.o }
 
 type hlrOps struct{ opsRef }
 

@@ -12,10 +12,13 @@ import (
 	"time"
 
 	"github.com/smishkit/smishkit/internal/annotate"
+	"github.com/smishkit/smishkit/internal/avscan"
 	"github.com/smishkit/smishkit/internal/corpus"
+	"github.com/smishkit/smishkit/internal/ctlog"
 	"github.com/smishkit/smishkit/internal/dnsdb"
 	"github.com/smishkit/smishkit/internal/extract"
 	"github.com/smishkit/smishkit/internal/forum"
+	"github.com/smishkit/smishkit/internal/hlr"
 	"github.com/smishkit/smishkit/internal/screenshot"
 	"github.com/smishkit/smishkit/internal/senderid"
 	"github.com/smishkit/smishkit/internal/shortener"
@@ -109,10 +112,10 @@ func (o Options) withDefaults() Options {
 // Pipeline runs collection output through curation, enrichment, and
 // annotation.
 type Pipeline struct {
-	services Services
-	opts     Options
-	tel      *telemetry.Registry
-	met      pipelineMetrics
+	ops  Ops
+	opts Options
+	tel  *telemetry.Registry
+	met  pipelineMetrics
 }
 
 // pipelineMetrics pre-resolves the hot-path instruments so per-record
@@ -140,14 +143,20 @@ type pipelineMetrics struct {
 }
 
 // familyNames are the independent arms of the per-record enrichment DAG.
-// The slice order is the historical sequential call order, which scatter
-// preserves exactly when StepWorkers is 1.
+// The slice order is the historical sequential call order, which the
+// scatter preserves exactly when StepWorkers is 1.
 var familyNames = []string{"hlr", "whois", "ct", "pdns", "vt", "gsb", "gsb_status"}
 
-// NewPipeline builds a pipeline over the given services. It fails on
-// invalid options (currently negative worker counts) so facades can tear
-// down already-booted resources instead of deferring the blowup to Run.
+// NewPipeline builds a pipeline over the given service clients.
 func NewPipeline(services Services, opts Options) (*Pipeline, error) {
+	return NewPipelineOver(OpsOf(services), opts)
+}
+
+// NewPipelineOver builds a pipeline over ops; an op with a nil Call is an
+// absent service, whose stage the pipeline skips. It fails on invalid
+// options (currently negative worker counts) so facades can tear down
+// already-booted resources instead of deferring the blowup to Run.
+func NewPipelineOver(ops Ops, opts Options) (*Pipeline, error) {
 	if opts.EnrichWorkers < 0 {
 		return nil, errors.New("core: EnrichWorkers must not be negative")
 	}
@@ -164,9 +173,9 @@ func NewPipeline(services Services, opts Options) (*Pipeline, error) {
 		famLat[name] = tel.Histogram("pipeline.enrich.family." + name)
 	}
 	return &Pipeline{
-		services: services,
-		opts:     opts,
-		tel:      tel,
+		ops:  ops,
+		opts: opts,
+		tel:  tel,
 		met: pipelineMetrics{
 			curateOK:    tel.Counter("pipeline.curate.ok"),
 			curateDecoy: tel.Counter("pipeline.curate.decoy"),
@@ -396,83 +405,71 @@ func (p *Pipeline) abortErr(st *enrichState) error {
 // HLR lookups on phone senders, and WHOIS / CT / passive-DNS / AV lookups
 // on landing URLs. It runs min(EnrichWorkers, len(ds.Records)) record
 // workers. A failing service degrades that record's fields
-// (recorded in Record.EnrichmentErrors), not the run; the run aborts only
-// when ctx dies or the overall call failure rate crosses
-// Options.AbortFailureRate.
+// (recorded in Record.EnrichmentErrors), not the run; the run stops at
+// the first record that sees ctx die or the overall call failure rate
+// cross Options.AbortFailureRate, and returns that error. A sweep that
+// finished every record returns nil.
 func (p *Pipeline) Enrich(ctx context.Context, ds *Dataset) error {
 	sp := p.tel.StartSpan("enrich")
 	defer sp.End()
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	errOnce := sync.Once{}
-	var firstErr error
-	abort := make(chan struct{})
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			close(abort)
-		})
-	}
-
+	ctx, stop := context.WithCancelCause(ctx)
+	defer stop(nil)
 	st := &enrichState{}
-	workers := min(p.opts.EnrichWorkers, len(ds.Records))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				p.met.busyWorkers.Add(1)
-				start := time.Now()
-				err := p.enrichOne(ctx, st, &ds.Records[idx])
-				p.met.recordLat.Observe(time.Since(start))
-				p.met.busyWorkers.Add(-1)
-				if err == nil {
-					err = p.abortErr(st)
-				}
-				if err != nil {
-					fail(err)
-					return
-				}
-				if ds.Records[idx].Degraded() {
-					p.met.degradedRecs.Inc()
-				}
-				p.met.enriched.Inc()
-			}
-		}()
-	}
-loop:
-	for i := range ds.Records {
-		select {
-		case jobs <- i:
-		case <-abort:
-			break loop
-		case <-ctx.Done():
-			fail(ctx.Err())
-			break loop
+	var done atomic.Int64
+	parallelFor(ctx, len(ds.Records), p.opts.EnrichWorkers, func(i int) {
+		rec := &ds.Records[i]
+		p.met.busyWorkers.Add(1)
+		start := time.Now()
+		err := p.enrichOne(ctx, st, rec)
+		p.met.recordLat.Observe(time.Since(start))
+		p.met.busyWorkers.Add(-1)
+		if err == nil {
+			err = p.abortErr(st)
 		}
+		if err != nil {
+			stop(err)
+			return
+		}
+		if rec.Degraded() {
+			p.met.degradedRecs.Inc()
+		}
+		p.met.enriched.Inc()
+		done.Add(1)
+	})
+	if done.Load() == int64(len(ds.Records)) {
+		return nil
 	}
-	close(jobs)
-	wg.Wait()
-	return firstErr
+	return context.Cause(ctx)
 }
 
-// enrichStep runs one service call under the per-call timeout. A failure
-// degrades the record's field — appended to Record.EnrichmentErrors under
-// the record's mutex and counted in telemetry — instead of propagating;
-// the return value reports whether the field resolved. mu serializes the
-// only record state shared between concurrently scattered families; every
-// other field a step writes belongs to exactly one family.
-func (p *Pipeline) enrichStep(ctx context.Context, st *enrichState, rec *Record, mu *sync.Mutex, field, service string, fn func(context.Context) error) bool {
+// recordRun is one record's enrichment in flight: the run's failure
+// accounting, the record, and mu, which serializes the only record state
+// shared between concurrently scattered families. Every other field a
+// step writes belongs to exactly one family.
+type recordRun struct {
+	p   *Pipeline
+	st  *enrichState
+	rec *Record
+	mu  sync.Mutex
+}
+
+// enrichStep calls op on k under the per-call timeout and hands the answer
+// to use, which stores it and returns the error that counts as a failure
+// (nil for an answer, even a negative one). A failure degrades op.Field of
+// the record, appended to Record.EnrichmentErrors and counted in
+// telemetry, instead of propagating; the return value reports whether
+// the field resolved.
+func enrichStep[K, V any](r *recordRun, ctx context.Context, op Op[K, V], k K, use func(V, error) error) bool {
 	callCtx, cancel := ctx, context.CancelFunc(nil)
-	if p.opts.CallTimeout > 0 {
-		callCtx, cancel = context.WithTimeout(ctx, p.opts.CallTimeout)
+	if r.p.opts.CallTimeout > 0 {
+		callCtx, cancel = context.WithTimeout(ctx, r.p.opts.CallTimeout)
 	}
-	err := fn(callCtx)
+	err := use(op.Call(callCtx, k))
 	if cancel != nil {
 		cancel()
 	}
 	if err == nil {
-		st.calls.Add(1)
+		r.st.calls.Add(1)
 		return true
 	}
 	// A short-circuited call never reached the service: the field is still
@@ -480,15 +477,15 @@ func (p *Pipeline) enrichStep(ctx context.Context, st *enrichState, rec *Record,
 	// so it stays out of the abort ratio — an open breaker shedding load
 	// must not read as "everything is failing".
 	if !errors.Is(err, ErrShortCircuited) {
-		st.calls.Add(1)
-		st.fails.Add(1)
+		r.st.calls.Add(1)
+		r.st.fails.Add(1)
 	}
-	p.met.degradedFields.Inc()
-	mu.Lock()
-	rec.EnrichmentErrors = append(rec.EnrichmentErrors, EnrichmentError{
-		Field: field, Service: service, Err: err.Error(),
+	r.p.met.degradedFields.Inc()
+	r.mu.Lock()
+	r.rec.EnrichmentErrors = append(r.rec.EnrichmentErrors, EnrichmentError{
+		Field: op.Field, Service: op.Service, Err: err.Error(),
 	})
-	mu.Unlock()
+	r.mu.Unlock()
 	return false
 }
 
@@ -497,48 +494,10 @@ func (p *Pipeline) enrichStep(ctx context.Context, st *enrichState, rec *Record,
 // (the committed FinalURL/Domain and immutable curation fields), so
 // families are safe to execute concurrently: each writes a disjoint set of
 // record fields and routes the shared EnrichmentErrors slice through
-// enrichStep's lock.
+// recordRun's lock.
 type enrichFamily struct {
 	name string
 	run  func(context.Context)
-}
-
-// scatter executes the record's enrichment families under at most
-// Options.StepWorkers goroutines. Width 1 (or a single family) runs them
-// inline in slice order — the historical sequential behavior, kept exact
-// so barrier-mode output with StepWorkers=1 is bit-identical to the
-// pre-DAG pipeline. parent is checked between launches so a dead run stops
-// scheduling new service calls; families already launched finish (failing
-// fast against their dead contexts and degrading their fields).
-func (p *Pipeline) scatter(ctx, parent context.Context, fams []enrichFamily) {
-	width := p.opts.StepWorkers
-	if width > len(fams) {
-		width = len(fams)
-	}
-	if width <= 1 {
-		for i := range fams {
-			if parent.Err() != nil {
-				return
-			}
-			p.runFamily(ctx, &fams[i])
-		}
-		return
-	}
-	sem := make(chan struct{}, width)
-	var wg sync.WaitGroup
-	for i := range fams {
-		if parent.Err() != nil {
-			break
-		}
-		f := &fams[i]
-		sem <- struct{}{} // bounds in-flight families, keeps launch order
-		wg.Add(1)
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			p.runFamily(ctx, f)
-		}()
-	}
-	wg.Wait()
 }
 
 // runFamily times one family and tracks the live intra-record parallelism.
@@ -571,31 +530,27 @@ func (p *Pipeline) enrichOne(parent context.Context, st *enrichState, rec *Recor
 		ctx, cancel = context.WithTimeout(parent, p.opts.RecordBudget)
 		defer cancel()
 	}
-	var mu sync.Mutex // guards rec.EnrichmentErrors across scattered families
+	r := &recordRun{p: p, st: st, rec: rec}
 
 	// 1. Shortener expansion: resolve into a local, commit once. A failed
 	// expansion must not leave FinalURL/Domain half-rewritten, so the
 	// record's URL fields only change after the expansion settles.
 	finalURL := rec.ShownURL
-	if rec.Shortener != "" && p.services.Shortener != nil {
+	if rec.Shortener != "" && p.ops.Expand.Call != nil {
 		if service, code := splitShort(rec.ShownURL); service != "" && code != "" {
-			ok := p.enrichStep(ctx, st, rec, &mu, "final_url", "shortener", func(c context.Context) error {
-				target, err := p.services.Shortener.Expand(c, service, code)
-				switch {
-				case err == nil:
-					finalURL = target
-				case errors.Is(err, shortener.ErrNotFound), errors.Is(err, shortener.ErrTakenDown):
-					finalURL = "" // chain lost (§3.3.5)
-				default:
-					return err
+			// Unless the expansion answers, the landing URL is unknown:
+			// degrade rather than mislabel the shortener host as the
+			// landing domain.
+			finalURL = ""
+			enrichStep(r, ctx, p.ops.Expand, ShortLink{Service: service, Code: code}, func(target string, err error) error {
+				if errors.Is(err, shortener.ErrNotFound) || errors.Is(err, shortener.ErrTakenDown) {
+					return nil // chain lost (§3.3.5)
 				}
-				return nil
+				if err == nil {
+					finalURL = target
+				}
+				return err
 			})
-			if !ok {
-				// Unknown landing URL: degrade rather than mislabel the
-				// shortener host as the landing domain.
-				finalURL = ""
-			}
 		}
 	}
 	rec.FinalURL = finalURL
@@ -610,57 +565,47 @@ func (p *Pipeline) enrichOne(parent context.Context, st *enrichState, rec *Recor
 
 	// 2. The independent families, scattered up to StepWorkers wide.
 	fams := make([]enrichFamily, 0, len(familyNames))
-	if rec.SenderKind == senderid.KindPhone && p.services.HLR != nil {
+	if rec.SenderKind == senderid.KindPhone && p.ops.HLR.Call != nil {
 		fams = append(fams, enrichFamily{"hlr", func(c context.Context) {
-			p.enrichStep(c, st, rec, &mu, "hlr", "hlr", func(c context.Context) error {
-				res, err := p.services.HLR.Lookup(c, rec.SenderRaw)
-				if err != nil {
-					return err
+			enrichStep(r, c, p.ops.HLR, rec.SenderRaw, func(res hlr.Result, err error) error {
+				if err == nil {
+					rec.HLR, rec.HLRDone = res, true
 				}
-				rec.HLR = res
-				rec.HLRDone = true
-				return nil
+				return err
 			})
 		}})
 	}
 	if rec.Domain != "" && !isSharedPlatform(rec) {
-		if p.services.Whois != nil {
+		if p.ops.Whois.Call != nil {
 			fams = append(fams, enrichFamily{"whois", func(c context.Context) {
-				p.enrichStep(c, st, rec, &mu, "whois", "whois", func(c context.Context) error {
-					w, found, err := p.services.Whois.Lookup(c, rec.Domain)
-					if err != nil {
-						return err
+				enrichStep(r, c, p.ops.Whois, rec.Domain, func(a WhoisAnswer, err error) error {
+					if err == nil {
+						rec.Whois, rec.WhoisFound = a.Record, a.Found
 					}
-					rec.Whois, rec.WhoisFound = w, found
-					return nil
+					return err
 				})
 			}})
 		}
-		if p.services.CTLog != nil {
+		if p.ops.CT.Call != nil {
 			fams = append(fams, enrichFamily{"ct", func(c context.Context) {
-				p.enrichStep(c, st, rec, &mu, "ct", "ctlog", func(c context.Context) error {
-					sum, err := p.services.CTLog.Summary(c, rec.Domain)
-					if err != nil {
-						return err
+				enrichStep(r, c, p.ops.CT, rec.Domain, func(sum ctlog.Summary, err error) error {
+					if err == nil {
+						rec.CT = sum
 					}
-					rec.CT = sum
-					return nil
+					return err
 				})
 			}})
 		}
-		if p.services.DNSDB != nil {
+		if p.ops.PDNS.Call != nil && p.ops.ASN.Call != nil {
 			// The pDNS→AS chain is internally sequential (the AS lookups
 			// need the resolutions) but independent of every other family.
 			fams = append(fams, enrichFamily{"pdns", func(c context.Context) {
-				ok := p.enrichStep(c, st, rec, &mu, "pdns", "dnsdb", func(c context.Context) error {
-					obs, err := p.services.DNSDB.Resolutions(c, rec.Domain)
-					if err != nil {
-						return err
+				if !enrichStep(r, c, p.ops.PDNS, rec.Domain, func(obs []dnsdb.Observation, err error) error {
+					if err == nil {
+						rec.PDNS = obs
 					}
-					rec.PDNS = obs
-					return nil
-				})
-				if !ok {
+					return err
+				}) {
 					return
 				}
 				// Cross-record IP dedup lives in the enrichcache layer (the
@@ -668,19 +613,15 @@ func (p *Pipeline) enrichOne(parent context.Context, st *enrichState, rec *Recor
 				// re-query here); within one record a linear pair scan keeps
 				// the AS list unique without a per-record map allocation.
 				for _, o := range rec.PDNS {
-					if !p.enrichStep(c, st, rec, &mu, "as_names", "dnsdb", func(c context.Context) error {
-						info, err := p.services.DNSDB.ASOf(c, o.IP)
+					if !enrichStep(r, c, p.ops.ASN, o.IP, func(info dnsdb.ASInfo, err error) error {
 						if errors.Is(err, dnsdb.ErrNoRoute) {
 							return nil // unrouted IP: an answer, not a failure
 						}
-						if err != nil {
-							return err
-						}
-						if !hasASPair(rec.ASNames, rec.ASCountries, info.Name, info.Country) {
+						if err == nil && !hasASPair(rec.ASNames, rec.ASCountries, info.Name, info.Country) {
 							rec.ASNames = append(rec.ASNames, info.Name)
 							rec.ASCountries = append(rec.ASCountries, info.Country)
 						}
-						return nil
+						return err
 					}) {
 						return // one degraded AS list; don't hammer a failing service per IP
 					}
@@ -690,43 +631,47 @@ func (p *Pipeline) enrichOne(parent context.Context, st *enrichState, rec *Recor
 	}
 	// AV verdicts on the landing URL — three independent endpoints; each
 	// degrades alone.
-	if rec.FinalURL != "" && p.services.AVScan != nil {
-		fams = append(fams, enrichFamily{"vt", func(c context.Context) {
-			p.enrichStep(c, st, rec, &mu, "vt", "avscan", func(c context.Context) error {
-				scan, err := p.services.AVScan.Scan(c, rec.FinalURL)
-				if err != nil {
+	if rec.FinalURL != "" {
+		if p.ops.Scan.Call != nil {
+			fams = append(fams, enrichFamily{"vt", func(c context.Context) {
+				enrichStep(r, c, p.ops.Scan, rec.FinalURL, func(scan avscan.Report, err error) error {
+					if err == nil {
+						rec.VTMalicious, rec.VTSuspicious = scan.Stats.Malicious, scan.Stats.Suspicious
+					}
 					return err
-				}
-				rec.VTMalicious = scan.Stats.Malicious
-				rec.VTSuspicious = scan.Stats.Suspicious
-				return nil
-			})
-		}})
-		fams = append(fams, enrichFamily{"gsb", func(c context.Context) {
-			p.enrichStep(c, st, rec, &mu, "gsb", "avscan", func(c context.Context) error {
-				gsb, err := p.services.AVScan.GSBLookup(c, rec.FinalURL)
-				if err != nil {
+				})
+			}})
+		}
+		if p.ops.GSB.Call != nil {
+			fams = append(fams, enrichFamily{"gsb", func(c context.Context) {
+				enrichStep(r, c, p.ops.GSB, rec.FinalURL, func(gsb avscan.GSBResult, err error) error {
+					if err == nil {
+						rec.GSBMatched = gsb.Matched
+					}
 					return err
-				}
-				rec.GSBMatched = gsb.Matched
-				return nil
-			})
-		}})
-		fams = append(fams, enrichFamily{"gsb_status", func(c context.Context) {
-			p.enrichStep(c, st, rec, &mu, "gsb_status", "avscan", func(c context.Context) error {
-				tr, blocked, err := p.services.AVScan.Transparency(c, rec.FinalURL)
-				if err != nil {
+				})
+			}})
+		}
+		if p.ops.Transparency.Call != nil {
+			fams = append(fams, enrichFamily{"gsb_status", func(c context.Context) {
+				enrichStep(r, c, p.ops.Transparency, rec.FinalURL, func(a TransparencyAnswer, err error) error {
+					if err == nil {
+						rec.GSBBlocked = a.Blocked
+						if !a.Blocked {
+							rec.GSBStatus = string(a.Result.Status)
+						}
+					}
 					return err
-				}
-				rec.GSBBlocked = blocked
-				if !blocked {
-					rec.GSBStatus = string(tr.Status)
-				}
-				return nil
-			})
-		}})
+				})
+			}})
+		}
 	}
-	p.scatter(ctx, parent, fams)
+	// The scatter checks parent between families, so a dead run stops
+	// scheduling new service calls; families already started finish,
+	// failing fast against their dead contexts and degrading their fields.
+	// Width 1 runs the families inline in slice order, the historical
+	// sequential order.
+	parallelFor(parent, len(fams), p.opts.StepWorkers, func(i int) { p.runFamily(ctx, &fams[i]) })
 	// Concurrent families append in completion order; order the list by
 	// family so a degraded record's bytes do not depend on scheduling.
 	slices.SortStableFunc(rec.EnrichmentErrors, func(a, b EnrichmentError) int {

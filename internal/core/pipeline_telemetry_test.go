@@ -70,8 +70,8 @@ func TestEnrichAbortsOnTransportError(t *testing.T) {
 	go func() { done <- pipe.Enrich(context.Background(), ds) }()
 	select {
 	case err := <-done:
-		if err == nil {
-			t.Fatal("transport failure did not surface")
+		if err == nil || !strings.Contains(err.Error(), "enrichment aborted") {
+			t.Fatalf("transport failure surfaced as %v, want the enrichment aborted error", err)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("Enrich did not return after transport error (worker pool hung)")

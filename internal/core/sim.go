@@ -400,13 +400,6 @@ func (s *Simulation) InjectedPosts() int {
 	return s.injected
 }
 
-// PendingWaves reports how many fixture waves are still held back.
-func (s *Simulation) PendingWaves() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.waves)
-}
-
 // Services returns enrichment clients wired to the simulation's servers,
 // each instrumented into the simulation's telemetry registry.
 func (s *Simulation) Services() Services { return s.Endpoints.Services(s.Telemetry) }

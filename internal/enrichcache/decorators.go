@@ -18,8 +18,8 @@ import (
 
 // Cache is one shared enrichment cache: a per-service set of
 // singleflight-coalesced TTL/LRU lookup tables that decorate the
-// core.Services seam. Build one per study (or share across studies that
-// share a telemetry registry) and attach it with WrapServices.
+// core.Ops seam. Build one per study (or share across studies that
+// share a telemetry registry) and attach it with Wrap.
 type Cache struct {
 	hlrC   *lookupCache[hlr.Result]
 	whoisC *lookupCache[core.WhoisAnswer]
@@ -79,12 +79,10 @@ func newTable[V any](c *Cache, service string, cfg Config, reg *telemetry.Regist
 	return t
 }
 
-// WrapServices puts every method of every non-nil service behind its
-// table. Nil services stay nil, so stage-skipping semantics are preserved.
-// The wrapped services offer no core.Bulk* seam: bulk calls belong below
-// the cache, where only its misses go.
-func (c *Cache) WrapServices(s core.Services) core.Services {
-	o := core.OpsOf(s)
+// Wrap puts every present op behind its table. Absent ops stay absent,
+// so stage-skipping semantics are preserved. The wrapped ops have no Bulk
+// form: bulk calls belong below the cache, where only its misses go.
+func (c *Cache) Wrap(o core.Ops) core.Ops {
 	o.HLR = cached(o.HLR, c.hlrC)
 	o.Whois = cached(o.Whois, c.whoisC)
 	o.CT = cached(o.CT, c.ctC)
@@ -94,7 +92,12 @@ func (c *Cache) WrapServices(s core.Services) core.Services {
 	o.GSB = cached(o.GSB, c.gsbC)
 	o.Transparency = cached(o.Transparency, c.transC)
 	o.Expand = cached(o.Expand, c.shortC)
-	return o.Services()
+	return o
+}
+
+// WrapServices is Wrap for callers holding service clients.
+func (c *Cache) WrapServices(s core.Services) core.Services {
+	return c.Wrap(core.OpsOf(s)).Services()
 }
 
 // cached answers op from table t under op's canonical key, calling op

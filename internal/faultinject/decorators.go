@@ -7,7 +7,7 @@ import (
 	"github.com/smishkit/smishkit/internal/telemetry"
 )
 
-// Injector decorates the core.Services seam with per-service fault
+// Injector decorates the core.Ops seam with per-service fault
 // gates. Build one per chaos run; it is safe for concurrent use.
 type Injector struct {
 	gates map[string]*gate
@@ -24,16 +24,14 @@ func New(cfg Config, reg *telemetry.Registry) *Injector {
 	return in
 }
 
-// WrapServices puts every method of a non-nil service whose fault mix is
-// non-empty behind its service's gate. Nil services stay nil and
-// fault-free services pass through ungated, so a targeted single-service
-// outage costs nothing on the healthy paths.
-// Bulk-capable services keep their core.Bulk* seam through the fault
-// layer: the bulk form gates each key individually, so a flapping window
-// degrades some slots of a batch rather than hiding the batching tier's
-// fast path entirely.
-func (in *Injector) WrapServices(s core.Services) core.Services {
-	o := core.OpsOf(s)
+// Wrap puts every present op whose service's fault mix is non-empty
+// behind its service's gate. Absent ops stay absent and fault-free
+// services pass through ungated, so a targeted single-service outage
+// costs nothing on the healthy paths. Bulk-capable ops keep their Bulk
+// form through the fault layer: the bulk form gates each key
+// individually, so a flapping window degrades some slots of a batch
+// rather than hiding the batching tier's fast path entirely.
+func (in *Injector) Wrap(o core.Ops) core.Ops {
 	o.HLR = gated(o.HLR, in)
 	o.Whois = gated(o.Whois, in)
 	o.CT = gated(o.CT, in)
@@ -43,7 +41,7 @@ func (in *Injector) WrapServices(s core.Services) core.Services {
 	o.GSB = gated(o.GSB, in)
 	o.Transparency = gated(o.Transparency, in)
 	o.Expand = gated(o.Expand, in)
-	return o.Services()
+	return o
 }
 
 // gated runs op's service gate before each call. An absent op, or one

@@ -21,7 +21,7 @@ func (f *fakeHLR) Lookup(context.Context, string) (hlr.Result, error) {
 }
 
 func wrapHLR(cfg Config, reg *telemetry.Registry, next core.HLRLookuper) core.HLRLookuper {
-	return New(cfg, reg).WrapServices(core.Services{HLR: next}).HLR
+	return New(cfg, reg).Wrap(core.OpsOf(core.Services{HLR: next})).Services().HLR
 }
 
 // TestDeterministicSequence is the reproducibility contract: two
@@ -163,17 +163,18 @@ func TestLatencyInjection(t *testing.T) {
 	}
 }
 
-// TestWrapServicesPreservesNilAndHealthy: nil services stay nil (stage
+// TestWrapPreservesNilAndHealthy: absent ops stay absent (stage
 // skipping) and fault-free services pass through ungated.
-func TestWrapServicesPreservesNilAndHealthy(t *testing.T) {
+func TestWrapPreservesNilAndHealthy(t *testing.T) {
 	next := &fakeHLR{}
 	in := New(Config{Seed: 1, PerService: map[string]ServiceFaults{"whois": {ErrorRate: 1}}}, nil)
-	s := in.WrapServices(core.Services{HLR: next})
-	if s.Whois != nil || s.CTLog != nil || s.DNSDB != nil || s.AVScan != nil || s.Shortener != nil {
-		t.Error("nil services did not stay nil")
+	o := in.Wrap(core.OpsOf(core.Services{HLR: next}))
+	if o.Whois.Call != nil || o.CT.Call != nil || o.PDNS.Call != nil || o.ASN.Call != nil ||
+		o.Scan.Call != nil || o.GSB.Call != nil || o.Transparency.Call != nil || o.Expand.Call != nil {
+		t.Error("absent ops did not stay absent")
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := s.HLR.Lookup(context.Background(), "+447700900123"); err != nil {
+		if _, err := o.HLR.Call(context.Background(), "+447700900123"); err != nil {
 			t.Fatal(err)
 		}
 	}

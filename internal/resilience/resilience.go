@@ -5,16 +5,14 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"github.com/smishkit/smishkit/internal/core"
 	"github.com/smishkit/smishkit/internal/telemetry"
 )
 
 // Config assembles the resilience layer: one breaker per enrichment
-// service plus the pipeline-side budget and abort knobs (consumed by
-// core.Options, wired by the facade). The zero value selects defaults
-// everywhere.
+// service. The enrichment budgets and the failure-rate abort live in
+// core.Options. The zero value selects defaults everywhere.
 type Config struct {
 	// Breaker is the default per-service breaker tuning.
 	Breaker BreakerConfig
@@ -25,22 +23,6 @@ type Config struct {
 	// process-local: it does not cross to a shard worker process, which
 	// runs the default.
 	Classify func(error) Outcome `json:"-"`
-
-	// RecordBudget bounds one record's total enrichment wall time; an
-	// expired budget degrades the record's remaining fields rather than
-	// aborting the run (0 = unbounded).
-	RecordBudget time.Duration
-	// CallTimeout bounds each individual service call, so one hung
-	// connection can't consume a whole record budget (0 = unbounded).
-	CallTimeout time.Duration
-	// AbortFailureRate is the fraction of failed service calls above
-	// which the run aborts — degradation is for partial outages, not for
-	// a world where everything is down. 0 selects the pipeline default
-	// (0.9); negative disables the abort.
-	AbortFailureRate float64
-	// MinAbortCalls is the minimum call sample before the abort check
-	// fires (0 selects the pipeline default of 50).
-	MinAbortCalls int
 }
 
 func (c Config) forService(name string) BreakerConfig {
@@ -50,7 +32,7 @@ func (c Config) forService(name string) BreakerConfig {
 	return c.Breaker
 }
 
-// Breakers is the per-service breaker set decorating a core.Services.
+// Breakers is the per-service breaker set decorating a core.Ops.
 type Breakers struct {
 	perService map[string]*Breaker
 }
@@ -72,13 +54,12 @@ func New(cfg Config, reg *telemetry.Registry) *Breakers {
 // Breaker returns the named service's breaker (nil for unknown names).
 func (bs *Breakers) Breaker(name string) *Breaker { return bs.perService[name] }
 
-// WrapServices puts every method of every non-nil service behind its
-// service's breaker. Nil services stay nil, preserving stage-skipping.
-// Multi-method services (dnsdb, avscan) share one breaker: an outage takes
-// the whole service down, not one endpoint. The wrapped services offer no
-// core.Bulk* seam: the pipeline above calls per key.
-func (bs *Breakers) WrapServices(s core.Services) core.Services {
-	o := core.OpsOf(s)
+// Wrap puts every present op behind its service's breaker. Absent ops
+// stay absent, preserving stage-skipping. Multi-method services (dnsdb,
+// avscan) share one breaker: an outage takes the whole service down, not
+// one endpoint. The wrapped ops have no Bulk form: the pipeline above
+// calls per key.
+func (bs *Breakers) Wrap(o core.Ops) core.Ops {
 	o.HLR = guarded(o.HLR, bs)
 	o.Whois = guarded(o.Whois, bs)
 	o.CT = guarded(o.CT, bs)
@@ -88,7 +69,12 @@ func (bs *Breakers) WrapServices(s core.Services) core.Services {
 	o.GSB = guarded(o.GSB, bs)
 	o.Transparency = guarded(o.Transparency, bs)
 	o.Expand = guarded(o.Expand, bs)
-	return o.Services()
+	return o
+}
+
+// WrapServices is Wrap for callers holding service clients.
+func (bs *Breakers) WrapServices(s core.Services) core.Services {
+	return bs.Wrap(core.OpsOf(s)).Services()
 }
 
 // guarded admits each call of op through its service's breaker and

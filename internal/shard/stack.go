@@ -41,13 +41,12 @@ type StatsProvider interface {
 
 // StackConfig assembles one shard's tier stack. Tiers whose config is
 // nil are omitted; Pipeline tunes the shard's enrichment workers and
-// budgets (see ResolveBudgets; its Telemetry field is overwritten with the
-// stack's registry). It is the one config for a shard wherever it runs: a
-// worker process receives it whole as JSON and builds the stack an
-// in-process shard builds. Fields tagged json:"-" (the cache Clock, the
-// breaker Classify hook, the pipeline's Extractor, Telemetry and
-// Streaming) are process-local and do not cross; a worker runs their
-// defaults.
+// budgets (its Telemetry field is overwritten with the stack's registry).
+// It is the one config for a shard wherever it runs: a worker process
+// receives it whole as JSON and builds the stack an in-process shard
+// builds. Fields tagged json:"-" (the cache Clock, the breaker Classify
+// hook, the pipeline's Extractor, Telemetry and Streaming) are
+// process-local and do not cross; a worker runs their defaults.
 type StackConfig struct {
 	Faults     *faultinject.Config
 	Batch      *batchmux.Config
@@ -56,7 +55,7 @@ type StackConfig struct {
 	Pipeline   core.Options
 }
 
-// Stack is one shard's private tier set over a shared base Services value:
+// Stack is one shard's private tier set over the ops of a shared base:
 // its own enrichment cache, batchmux windows, breaker set, and pipeline,
 // all recording into the registry the stack was built with. A sharded
 // study hands each shard a Prefixed view, so instruments land under
@@ -64,35 +63,12 @@ type StackConfig struct {
 // stack records on the root registry itself.
 type Stack struct {
 	pipe     *core.Pipeline
-	services core.Services // the composed tiers the pipeline calls
-	cfg      StackConfig   // what the stack was built from, budgets resolved
+	ops      core.Ops    // the composed tiers the pipeline calls
+	cfg      StackConfig // what the stack was built from
 	cache    *enrichcache.Cache
 	batch    *batchmux.Mux
 	breakers *resilience.Breakers
 	enriched *telemetry.Counter
-}
-
-// ResolveBudgets returns p with its enrichment budgets resolved: a budget
-// set explicitly in p wins, and each one left at zero takes r's value (r
-// may be nil). Every stack, local or in a worker process, runs with the
-// budgets this resolves.
-func ResolveBudgets(p core.Options, r *resilience.Config) core.Options {
-	if r == nil {
-		return p
-	}
-	if p.RecordBudget == 0 {
-		p.RecordBudget = r.RecordBudget
-	}
-	if p.CallTimeout == 0 {
-		p.CallTimeout = r.CallTimeout
-	}
-	if p.AbortFailureRate == 0 {
-		p.AbortFailureRate = r.AbortFailureRate
-	}
-	if p.MinAbortCalls == 0 {
-		p.MinAbortCalls = r.MinAbortCalls
-	}
-	return p
 }
 
 // NewStack builds one shard's tiers around base. Tier order, innermost
@@ -102,41 +78,40 @@ func ResolveBudgets(p core.Options, r *resilience.Config) core.Options {
 // inside the cache so only cache misses reach a window and every flushed
 // answer is cached on the way back out; breakers sit outside the cache so
 // hits cost them nothing and upstream 5xx reach the serve-stale path
-// before being counted. Only the fault tier passes the core.Bulk* seam
+// before being counted. Only the fault tier passes an op's Bulk form
 // up; TestStackComposesTiersInOrder pins this order.
 func NewStack(base core.Services, cfg StackConfig, reg *telemetry.Registry) (*Stack, error) {
-	services := base
+	ops := core.OpsOf(base)
 	if cfg.Faults != nil {
-		services = faultinject.New(*cfg.Faults, reg).WrapServices(services)
+		ops = faultinject.New(*cfg.Faults, reg).Wrap(ops)
 	}
 	st := &Stack{enriched: reg.Counter("enriched")}
 	if cfg.Batch != nil {
 		st.batch = batchmux.New(*cfg.Batch, reg)
-		services = st.batch.WrapServices(services)
+		ops = st.batch.Wrap(ops)
 	}
 	if cfg.Cache != nil {
 		st.cache = enrichcache.New(*cfg.Cache, reg)
-		services = st.cache.WrapServices(services)
+		ops = st.cache.Wrap(ops)
 	}
 	if cfg.Resilience != nil {
 		st.breakers = resilience.New(*cfg.Resilience, reg)
-		services = st.breakers.WrapServices(services)
+		ops = st.breakers.Wrap(ops)
 	}
 	// A stack receives already-curated records and runs enrich+annotate
 	// over them, which preserves input order exactly.
-	cfg.Pipeline = ResolveBudgets(cfg.Pipeline, cfg.Resilience)
 	cfg.Pipeline.Telemetry = reg
-	pipe, err := core.NewPipeline(services, cfg.Pipeline)
+	pipe, err := core.NewPipelineOver(ops, cfg.Pipeline)
 	if err != nil {
 		return nil, fmt.Errorf("shard: build pipeline: %w", err)
 	}
-	st.pipe, st.cfg, st.services = pipe, cfg, services
+	st.pipe, st.cfg, st.ops = pipe, cfg, ops
 	return st, nil
 }
 
-// Config returns the config the stack was built from, with its pipeline
-// budgets resolved (ResolveBudgets) and Telemetry set to the stack's
-// registry; the tiers' and the pipeline's own defaults are not filled in.
+// Config returns the config the stack was built from, with Telemetry set
+// to the stack's registry; the tiers' and the pipeline's own defaults are
+// not filled in.
 func (st *Stack) Config() StackConfig { return st.cfg }
 
 // EnrichAnnotate runs the shard's pipeline over a routed record slice,

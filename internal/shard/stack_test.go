@@ -167,9 +167,9 @@ func newTestStack(t *testing.T, base core.Services, cfg StackConfig, reg *teleme
 	return st
 }
 
-// lookupAll looks every key up concurrently through s, so keys share a
+// lookupAll looks every key up concurrently through o, so keys share a
 // batch window, and returns the answers in key order.
-func lookupAll(s core.Services, keys []string) ([]hlr.Result, []error) {
+func lookupAll(o core.Ops, keys []string) ([]hlr.Result, []error) {
 	vals := make([]hlr.Result, len(keys))
 	errs := make([]error, len(keys))
 	var wg sync.WaitGroup
@@ -177,7 +177,7 @@ func lookupAll(s core.Services, keys []string) ([]hlr.Result, []error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			vals[i], errs[i] = s.HLR.Lookup(context.Background(), k)
+			vals[i], errs[i] = o.HLR.Call(context.Background(), k)
 		}()
 	}
 	wg.Wait()
@@ -200,7 +200,7 @@ func TestStackComposesTiersInOrder(t *testing.T) {
 			"whois": {FailureThreshold: 2, OpenTimeout: time.Hour},
 		}},
 	}, reg)
-	s := st.services
+	s := st.ops
 	count := func(name string) int64 { return reg.Counter(name).Value() }
 	ctx := context.Background()
 
@@ -217,7 +217,7 @@ func TestStackComposesTiersInOrder(t *testing.T) {
 	}
 
 	// A cache hit reaches no batch window and no fault gate.
-	if _, err := s.HLR.Lookup(ctx, keys[0]); err != nil {
+	if _, err := s.HLR.Call(ctx, keys[0]); err != nil {
 		t.Fatal(err)
 	}
 	if count("cache.hlr.hits") != 1 || count("batch.hlr.batch_size") != 4 || count("batch.hlr.coalesced") != 0 ||
@@ -228,7 +228,7 @@ func TestStackComposesTiersInOrder(t *testing.T) {
 	// An injected fault is counted by the breaker and is not cached as a
 	// positive: the second call misses again.
 	for i := 0; i < 2; i++ {
-		if _, _, err := s.Whois.Lookup(ctx, "evil.example"); !errors.Is(err, faultinject.ErrInjected) {
+		if _, err := s.Whois.Call(ctx, "evil.example"); !errors.Is(err, faultinject.ErrInjected) {
 			t.Fatalf("whois call %d: err = %v, want an injected fault", i, err)
 		}
 	}
@@ -239,7 +239,7 @@ func TestStackComposesTiersInOrder(t *testing.T) {
 
 	// A call shed by the now open breaker reaches neither the cache nor
 	// anything below it.
-	if _, _, err := s.Whois.Lookup(ctx, "evil.example"); !errors.Is(err, resilience.ErrOpen) {
+	if _, err := s.Whois.Call(ctx, "evil.example"); !errors.Is(err, resilience.ErrOpen) {
 		t.Fatalf("third whois call: err = %v, want the open breaker's ErrOpen", err)
 	}
 	if count("cache.whois.misses") != 2 || count("cache.whois.hits") != 0 || count("fault.whois.injected") != 2 ||
@@ -247,22 +247,22 @@ func TestStackComposesTiersInOrder(t *testing.T) {
 		t.Errorf("a shed call reached a lower tier: %v", reg.Snapshot().Counters)
 	}
 
-	// Only the fault tier keeps the Bulk* seam.
+	// Only the fault tier keeps the Bulk form.
 	for _, c := range []struct {
 		tier string
-		wrap func(core.Services) core.Services
+		wrap func(core.Ops) core.Ops
 		bulk bool
 	}{
-		{"faults", faultinject.New(faultinject.Config{Default: faultinject.ServiceFaults{ErrorRate: 0.1}}, nil).WrapServices, true},
-		{"batchmux", batchmux.New(batchmux.Config{}, nil).WrapServices, false},
-		{"cache", enrichcache.New(enrichcache.Config{}, nil).WrapServices, false},
-		{"breaker", resilience.New(resilience.Config{}, nil).WrapServices, false},
-		{"stack", func(core.Services) core.Services { return s }, false},
+		{"faults", faultinject.New(faultinject.Config{Default: faultinject.ServiceFaults{ErrorRate: 0.1}}, nil).Wrap, true},
+		{"batchmux", batchmux.New(batchmux.Config{}, nil).Wrap, false},
+		{"cache", enrichcache.New(enrichcache.Config{}, nil).Wrap, false},
+		{"breaker", resilience.New(resilience.Config{}, nil).Wrap, false},
+		{"stack", func(core.Ops) core.Ops { return s }, false},
 	} {
-		w := c.wrap(rec.services())
-		_, h := w.HLR.(core.BulkHLRLookuper)
-		_, d := w.DNSDB.(core.BulkDNSResolver)
-		_, a := w.AVScan.(core.BulkAVScanner)
+		w := c.wrap(core.OpsOf(rec.services()))
+		h := w.HLR.Bulk != nil
+		d := w.PDNS.Bulk != nil
+		a := w.Scan.Bulk != nil && w.GSB.Bulk != nil
 		if h != c.bulk || d != c.bulk || a != c.bulk {
 			t.Errorf("%s: bulk seams hlr=%v dnsdb=%v avscan=%v, want %v", c.tier, h, d, a, c.bulk)
 		}
@@ -281,7 +281,7 @@ func TestShortBulkUnderFaultsIsNotCached(t *testing.T) {
 		Cache:  &enrichcache.Config{},
 	}, telemetry.NewRegistry())
 
-	vals, errs := lookupAll(st.services, []string{"+447700900001", "+447700900002", "+447700900003", "+447700900004"})
+	vals, errs := lookupAll(st.ops, []string{"+447700900001", "+447700900002", "+447700900003", "+447700900004"})
 	answered, missing := 0, 0
 	for i, err := range errs {
 		switch {
@@ -311,24 +311,27 @@ func TestCanonicalKeys(t *testing.T) {
 		method, service string
 		a, b, canonical string // canonical is "" when a and b are distinct keys
 		batched         bool
-		call            func(core.Services, string) error
+		call            func(core.Ops, string) error
 	}{
 		{"hlr", "hlr", "+447700900123", " +447700900123", "+447700900123", true,
-			func(s core.Services, k string) error { _, err := s.HLR.Lookup(ctx, k); return err }},
+			func(o core.Ops, k string) error { _, err := o.HLR.Call(ctx, k); return err }},
 		{"whois", "whois", "Bit.ly", " bit.ly", "bit.ly", false,
-			func(s core.Services, k string) error { _, _, err := s.Whois.Lookup(ctx, k); return err }},
+			func(o core.Ops, k string) error { _, err := o.Whois.Call(ctx, k); return err }},
 		{"ct", "ctlog", "Bit.ly", " bit.ly", "bit.ly", false,
-			func(s core.Services, k string) error { _, err := s.CTLog.Summary(ctx, k); return err }},
+			func(o core.Ops, k string) error { _, err := o.CT.Call(ctx, k); return err }},
 		{"pdns", "dnsdb", "Bit.ly", " bit.ly", "bit.ly", true,
-			func(s core.Services, k string) error { _, err := s.DNSDB.Resolutions(ctx, k); return err }},
+			func(o core.Ops, k string) error { _, err := o.PDNS.Call(ctx, k); return err }},
 		{"expand", "shortener", "Bit.ly", " bit.ly", "bit.ly/abc", false,
-			func(s core.Services, k string) error { _, err := s.Shortener.Expand(ctx, k, "abc"); return err }},
+			func(o core.Ops, k string) error {
+				_, err := o.Expand.Call(ctx, core.ShortLink{Service: k, Code: "abc"})
+				return err
+			}},
 		{"scan", "avscan", "https://bit.ly/Abc", "https://bit.ly/abc", "", true,
-			func(s core.Services, k string) error { _, err := s.AVScan.Scan(ctx, k); return err }},
+			func(o core.Ops, k string) error { _, err := o.Scan.Call(ctx, k); return err }},
 		{"gsb", "avscan", "https://bit.ly/Abc", "https://bit.ly/abc", "", true,
-			func(s core.Services, k string) error { _, err := s.AVScan.GSBLookup(ctx, k); return err }},
+			func(o core.Ops, k string) error { _, err := o.GSB.Call(ctx, k); return err }},
 		{"transparency", "avscan", "https://bit.ly/Abc", "https://bit.ly/abc", "", false,
-			func(s core.Services, k string) error { _, _, err := s.AVScan.Transparency(ctx, k); return err }},
+			func(o core.Ops, k string) error { _, err := o.Transparency.Call(ctx, k); return err }},
 	} {
 		t.Run(c.method, func(t *testing.T) {
 			want := 2
@@ -338,7 +341,7 @@ func TestCanonicalKeys(t *testing.T) {
 			// Cache: a then b.
 			st := newTestStack(t, newRecorder().services(), StackConfig{Cache: &enrichcache.Config{}}, nil)
 			for _, k := range []string{c.a, c.b} {
-				if err := c.call(st.services, k); err != nil {
+				if err := c.call(st.ops, k); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -359,7 +362,7 @@ func TestCanonicalKeys(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if err := c.call(st.services, k); err != nil {
+					if err := c.call(st.ops, k); err != nil {
 						t.Error(err)
 					}
 				}()
@@ -374,9 +377,10 @@ func TestCanonicalKeys(t *testing.T) {
 }
 
 // TestTierSeamAllocs pins the allocations of a warm cache hit through
-// breaker <- cache <- batchmux: none for HLR, WHOIS and ASOf, and one for
-// Expand (its service/code cache key). A tier closure that moved a fetch
-// closure to the heap would show here.
+// breaker <- cache <- batchmux, called through the stack's ops as the
+// pipeline calls them: none for HLR, WHOIS and ASOf, and one for Expand
+// (its service/code cache key). A tier closure that moved a fetch closure
+// to the heap would show here.
 func TestTierSeamAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -386,16 +390,16 @@ func TestTierSeamAllocs(t *testing.T) {
 		Cache:      &enrichcache.Config{},
 		Resilience: &resilience.Config{},
 	}, telemetry.NewRegistry())
-	s, ctx := st.services, context.Background()
+	o, ctx := st.ops, context.Background()
 	for _, c := range []struct {
 		method string
 		want   float64
 		call   func()
 	}{
-		{"hlr", 0, func() { _, _ = s.HLR.Lookup(ctx, "+447700900123") }},
-		{"whois", 0, func() { _, _, _ = s.Whois.Lookup(ctx, "evil.example") }},
-		{"asn", 0, func() { _, _ = s.DNSDB.ASOf(ctx, "192.0.2.1") }},
-		{"expand", 1, func() { _, _ = s.Shortener.Expand(ctx, "bit.ly", "abc") }},
+		{"hlr", 0, func() { _, _ = o.HLR.Call(ctx, "+447700900123") }},
+		{"whois", 0, func() { _, _ = o.Whois.Call(ctx, "evil.example") }},
+		{"asn", 0, func() { _, _ = o.ASN.Call(ctx, "192.0.2.1") }},
+		{"expand", 1, func() { _, _ = o.Expand.Call(ctx, core.ShortLink{Service: "bit.ly", Code: "abc"}) }},
 	} {
 		c.call() // warm the cache
 		if got := testing.AllocsPerRun(200, c.call); got != c.want {

@@ -161,7 +161,6 @@ func TestShardConfigValidation(t *testing.T) {
 		{Shards: &ShardConfig{Shards: 0}},
 		{Shards: &ShardConfig{Shards: -2}},
 		{Shards: &ShardConfig{Shards: 2, Replicas: -1}},
-		{Shards: &ShardConfig{Shards: 3, WorkerURLs: []string{"http://127.0.0.1:1"}}},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -177,10 +176,10 @@ func TestShardConfigValidation(t *testing.T) {
 // TestShardWorkerSpecRoundTrip is the one-config property: for any
 // Options, a worker built from the JSON of ShardWorkerSpec runs exactly the
 // stack an in-process shard of the same study runs — every tier config,
-// faults included, and the pipeline budgets resolved the same way. Only
-// the process-local json:"-" fields (clocks, classifiers, extractors,
-// registries) are exempt. Three fixed inputs pin the budget resolution
-// (Pipeline wins field by field over Resilience); the rest are random.
+// faults included, and the pipeline budgets. Only the process-local
+// json:"-" fields (clocks, classifiers, extractors, registries) are
+// exempt. One fixed input pins that the budgets reach the stack; the rest
+// are random.
 func TestShardWorkerSpecRoundTrip(t *testing.T) {
 	pipe := PipelineOptions{
 		EnrichWorkers:    3,
@@ -190,13 +189,6 @@ func TestShardWorkerSpecRoundTrip(t *testing.T) {
 		AbortFailureRate: 0.5,
 		MinAbortCalls:    20,
 	}
-	res := &ResilienceConfig{
-		RecordBudget:     7 * time.Second,
-		CallTimeout:      time.Second,
-		AbortFailureRate: 0.7,
-		MinAbortCalls:    30,
-	}
-	partial := PipelineOptions{RecordBudget: 3 * time.Second, AbortFailureRate: 0.5}
 	budgets := func(o PipelineOptions) PipelineOptions {
 		return PipelineOptions{
 			EnrichWorkers: o.EnrichWorkers, StepWorkers: o.StepWorkers,
@@ -210,18 +202,12 @@ func TestShardWorkerSpecRoundTrip(t *testing.T) {
 		want PipelineOptions
 	}{
 		{"pipeline only", Options{Pipeline: pipe}, budgets(pipe)},
-		{"resilience only", Options{Resilience: res}, PipelineOptions{
-			RecordBudget: 7 * time.Second, CallTimeout: time.Second, AbortFailureRate: 0.7, MinAbortCalls: 30,
-		}},
-		{"both", Options{Pipeline: partial, Resilience: res}, PipelineOptions{
-			RecordBudget: 3 * time.Second, CallTimeout: time.Second, AbortFailureRate: 0.5, MinAbortCalls: 30,
-		}},
 	}
 	for _, tc := range fixed {
 		t.Run(tc.name, func(t *testing.T) {
 			local := checkWorkerSpecRoundTrip(t, tc.opts)
 			if got := budgets(local.Pipeline); got != tc.want {
-				t.Errorf("resolved budgets %+v, want %+v", got, tc.want)
+				t.Errorf("stack budgets %+v, want %+v", got, tc.want)
 			}
 		})
 	}
@@ -362,10 +348,7 @@ func randomStackOptions(rng *rand.Rand) Options {
 		}
 	}
 	if coin() {
-		r := &ResilienceConfig{
-			Breaker: breaker(), RecordBudget: dur(), CallTimeout: dur(),
-			AbortFailureRate: rate(), MinAbortCalls: rng.Intn(100),
-		}
+		r := &ResilienceConfig{Breaker: breaker()}
 		if coin() {
 			r.Classify = resilience.Classify
 		}

@@ -121,9 +121,10 @@ type (
 	ServiceFaults = faultinject.ServiceFaults
 
 	// ResilienceConfig tunes the resilience layer (Options.Resilience):
-	// per-service circuit breakers plus the pipeline's per-record deadline
-	// budget, per-call timeout, and run-level failure-rate abort.
-	// &ResilienceConfig{} selects the documented defaults.
+	// per-service circuit breakers. The per-record deadline budget,
+	// per-call timeout and run-level failure-rate abort are
+	// PipelineOptions fields. &ResilienceConfig{} selects the documented
+	// defaults.
 	ResilienceConfig = resilience.Config
 	// BreakerConfig tunes one circuit breaker (failure threshold, open
 	// timeout, half-open probe budget).
@@ -220,11 +221,9 @@ type Options struct {
 	// "fault.<service>.*".
 	Faults *FaultConfig
 	// Resilience, when non-nil, adds per-service circuit breakers outside
-	// the cache (so serve-stale still sees upstream 5xx) and applies the
-	// config's record budget / call timeout / abort-threshold knobs to the
-	// pipeline. Breaker state lands in the collector under
-	// "breaker.<service>.*"; Study.Stats().Resilience reads the same numbers
-	// as a typed snapshot.
+	// the cache (so serve-stale still sees upstream 5xx). Breaker state
+	// lands in the collector under "breaker.<service>.*";
+	// Study.Stats().Resilience reads the same numbers as a typed snapshot.
 	Resilience *ResilienceConfig
 	// Service, when non-nil, configures Study.Serve — the long-running
 	// daemon mode that polls the forums incrementally, maintains the report
@@ -267,13 +266,6 @@ type ShardConfig struct {
 	// Replicas is the ring's virtual-node count per shard (0 selects the
 	// default of 128).
 	Replicas int
-	// WorkerURLs, when set, makes every shard remote: element i is the
-	// base URL of an already-running shard worker process (see
-	// RunShardWorker). Must have exactly Shards elements. Leave empty for
-	// in-process shards; Study.ConnectShardWorkers can switch a study to
-	// remote workers after construction (the order cmd/smishctl needs,
-	// since workers dial the study's own simulation).
-	WorkerURLs []string
 	// Failover turns on the shard lifecycle layer: a background prober
 	// tracks each shard's health ("shard.<i>.health" gauges), and when a
 	// shard's dispatch fails or its probe marks it down, its routed subset
@@ -290,7 +282,7 @@ type ShardConfig struct {
 	// Failover.
 	ProbeTimeout time.Duration
 	// WorkerTimeout bounds one remote /enrich request (0 selects 2m). Only
-	// meaningful with remote workers (WorkerURLs or ConnectShardWorkers).
+	// meaningful with remote workers (Study.ConnectShardWorkers).
 	WorkerTimeout time.Duration
 }
 
@@ -338,9 +330,6 @@ func (o Options) Validate() error {
 		}
 		if sh.Replicas < 0 {
 			return fmt.Errorf("smishkit: Shards.Replicas must not be negative (got %d; 0 selects the default)", sh.Replicas)
-		}
-		if len(sh.WorkerURLs) > 0 && len(sh.WorkerURLs) != sh.Shards {
-			return fmt.Errorf("smishkit: Shards.WorkerURLs has %d entries for %d shards — every shard is remote or none is", len(sh.WorkerURLs), sh.Shards)
 		}
 		if sh.ProbeInterval < 0 {
 			return fmt.Errorf("smishkit: Shards.ProbeInterval must not be negative (got %v; 0 selects the default)", sh.ProbeInterval)
@@ -491,10 +480,6 @@ func NewStudy(opts Options) (*Study, error) {
 	}
 	enrichers := make([]shard.Enricher, sh.Shards)
 	for i := range enrichers {
-		if len(sh.WorkerURLs) > 0 {
-			enrichers[i] = shard.NewRemoteEnricher(sh.WorkerURLs[i]).WithTimeout(sh.WorkerTimeout)
-			continue
-		}
 		stackReg := reg
 		if opts.Shards != nil {
 			stackReg = reg.Prefixed(fmt.Sprintf("shard.%d.", i))
@@ -508,11 +493,6 @@ func NewStudy(opts Options) (*Study, error) {
 	group, err := shard.NewGroup(pipe, enrichers, sh.Replicas, reg)
 	if err != nil {
 		return fail(fmt.Errorf("smishkit: build shard group: %w", err))
-	}
-	if len(sh.WorkerURLs) > 0 {
-		if err := group.SetEnrichers(enrichers, true); err != nil {
-			return fail(err)
-		}
 	}
 	st := &Study{World: w, Sim: sim, Pipe: pipe, group: group, stack: stack, rlog: rlog, opts: opts}
 	if sh.Failover {

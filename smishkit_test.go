@@ -227,9 +227,9 @@ func TestStudyResilienceOneServiceDown(t *testing.T) {
 			PerService: map[string]ServiceFaults{"whois": {ErrorRate: 1}},
 		},
 		Resilience: &ResilienceConfig{
-			Breaker:     BreakerConfig{FailureThreshold: 5, OpenTimeout: 50 * time.Millisecond},
-			CallTimeout: 2 * time.Second,
+			Breaker: BreakerConfig{FailureThreshold: 5, OpenTimeout: 50 * time.Millisecond},
 		},
+		Pipeline: PipelineOptions{CallTimeout: 2 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
