@@ -1,8 +1,10 @@
 // Benchmark for the key-sharded pipeline: the same seeded corpus is
-// enriched through 1, 2, and 4 shard instances — each owning its own
-// cache, batchmux windows, and breaker set — and the headline metrics are
-// enrichment throughput (records/sec through one batch round) and the
-// round-duration p95. Run with:
+// enriched through 1, 2, and 4 in-process shard instances — each owning
+// its own cache and breaker set, all sharing the process's batchmux
+// windows — and the headline metrics are enrichment throughput
+// (records/sec through one batch round), the round-duration p95, and the
+// upstream bill per 1k records: logical client calls ("client.<svc>.calls")
+// and bulk flushes ("batch.<svc>.flushes"). Run with:
 //
 //	go test -run=NONE -bench=ShardedPipeline -benchtime=5x .
 package smishkit
@@ -24,12 +26,19 @@ type shardBenchResult struct {
 	RoundP95Ms    float64
 }
 
+// shardRound is one benchmark round's outcome.
+type shardRound struct {
+	dur            time.Duration
+	records        int
+	calls, flushes int64 // upstream client calls and bulk flushes, all services
+}
+
 // runShardRound builds a fresh study at the given shard count (so no round
 // inherits a warm cache from the last — every round pays the same misses),
-// runs one collect+enrich batch, and returns the batch duration and record
-// count. The tier configs mirror the serve daemon's defaults: cache,
-// batching, and breakers all on.
-func runShardRound(tb testing.TB, shards int) (time.Duration, int) {
+// runs one collect+enrich batch, and returns its duration, record count
+// and upstream traffic. The tier configs mirror the serve daemon's
+// defaults: cache, batching, and breakers all on.
+func runShardRound(tb testing.TB, shards int) shardRound {
 	tb.Helper()
 	opts := Options{
 		Seed:       21,
@@ -50,12 +59,23 @@ func runShardRound(tb testing.TB, shards int) (time.Duration, int) {
 	if err != nil {
 		tb.Fatal(err)
 	}
+	upstream := func(t Telemetry) (calls, flushes int64) {
+		for _, svc := range enrichmentServices {
+			calls += t.CounterValue("client." + svc + ".calls")
+			flushes += t.CounterValue("batch." + svc + ".flushes")
+		}
+		return calls, flushes
+	}
+	calls0, flushes0 := upstream(study.Stats().Telemetry)
 	start := time.Now()
 	ds, err := study.group.Run(context.Background(), reports)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return time.Since(start), len(ds.Records)
+	r := shardRound{dur: time.Since(start), records: len(ds.Records)}
+	calls1, flushes1 := upstream(study.Stats().Telemetry)
+	r.calls, r.flushes = calls1-calls0, flushes1-flushes0
+	return r
 }
 
 // BenchmarkShardedPipeline measures 1/2/4-shard enrichment throughput on
@@ -72,15 +92,18 @@ func BenchmarkShardedPipeline(b *testing.B) {
 			durs := make([]time.Duration, 0, b.N)
 			records := 0
 			var total time.Duration
+			var calls, flushes int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				d, n := runShardRound(b, shards)
-				durs = append(durs, d)
-				records += n
-				total += d
+				r := runShardRound(b, shards)
+				durs = append(durs, r.dur)
+				records += r.records
+				total += r.dur
+				calls += r.calls
+				flushes += r.flushes
 			}
 			b.StopTimer()
-			if total <= 0 || len(durs) == 0 {
+			if total <= 0 || len(durs) == 0 || records == 0 {
 				return
 			}
 			recPerSec := float64(records) / total.Seconds()
@@ -88,6 +111,8 @@ func BenchmarkShardedPipeline(b *testing.B) {
 			p95 := durs[(len(durs)*95+99)/100-1]
 			b.ReportMetric(recPerSec, "rec/s")
 			b.ReportMetric(float64(p95.Milliseconds()), "round-p95-ms")
+			b.ReportMetric(float64(calls)/float64(records)*1000, "upstream-calls/1k")
+			b.ReportMetric(float64(flushes)/float64(records)*1000, "flushes/1k")
 			results[shards] = shardBenchResult{
 				Shards:        shards,
 				Rounds:        len(durs),

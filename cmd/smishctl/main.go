@@ -14,11 +14,12 @@
 //
 // -shards N partitions enrichment by stable key (registrable domain,
 // falling back to sender ID) across N shard instances, each owning its own
-// cache, batchmux windows, and circuit breakers; output is record-identical
-// for any N. -shard-procs additionally runs each shard as a separate OS
-// process fed over localhost (spawned from this same binary's hidden
-// -shard-worker mode), built from the same tier config an in-process
-// shard uses, -chaos faults included. -shard-failover turns on the
+// cache and circuit breakers over the process's one set of batchmux
+// windows; output is record-identical for any N. -shard-procs
+// additionally runs each shard as a separate OS process fed over
+// localhost (spawned from this same binary's hidden -shard-worker mode),
+// built from the same tier config an in-process shard uses, -chaos faults
+// included. -shard-failover turns on the
 // lifecycle layer: shard health is probed on -shard-probe-interval, a
 // failed shard's routed records are re-dispatched to survivors (output
 // stays record-identical), and with -shard-procs a dead worker process is
@@ -83,7 +84,7 @@ func run() error {
 	dataDir := flag.String("data-dir", "", "persist the full serving state under this directory: enriched records in a snapshot+compaction record log ('records/'), injected-wave journal, and collection cursors ('checkpoints/', unless -checkpoint-dir overrides) — a restarted daemon replays instead of re-enriching (with -serve)")
 	statusFile := flag.String("status-file", "", "write the daemon's status URL to this file once it is listening, for script orchestration (with -serve)")
 	liveWaves := flag.Int("live-waves", 3, "hold back this many fixture waves and release one per round, so the daemon sees reports arrive over time (with -serve)")
-	shards := flag.Int("shards", 0, "partition enrichment across N key-sharded instances, each owning its own cache/batch/breaker tiers (0 = unsharded; output is record-identical for any N)")
+	shards := flag.Int("shards", 0, "partition enrichment across N key-sharded instances, each owning its own cache and breakers over shared batch windows (0 = unsharded; output is record-identical for any N)")
 	shardProcs := flag.Bool("shard-procs", false, "run each shard as a separate OS process fed over localhost, built from the same tier config (cache, batch, breakers, -chaos faults) an in-process shard uses (requires -shards)")
 	shardFailover := flag.Bool("shard-failover", false, "probe shard health and re-dispatch a failed shard's records to survivors; with -shard-procs, also restart dead worker processes (requires -shards)")
 	shardProbeInterval := flag.Duration("shard-probe-interval", 2*time.Second, "health-probe cadence (with -shard-failover)")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -165,14 +166,14 @@ func (g *Group) NoteRestart(i int) {
 	g.restartsC[i].Inc()
 }
 
-// Run curates one batch, routes it, and returns the merged dataset.
-// Without an attached prober a shard failure fails the round: the
-// lowest-indexed error is returned with a nil dataset (the serve loop
-// treats the round as failed). With a prober attached the round survives partial
-// shard death instead: shards the probe reports down are skipped up
-// front, and a shard that fails mid-round has its routed subset
-// re-dispatched to the ring's next-alive shards — only when every shard
-// has failed does Run return an error.
+// Run curates one batch, routes it, and returns the merged dataset. A
+// shard that fails mid-round has its routed subset re-dispatched to the
+// ring's next-alive survivors, and shards the probe reports down are
+// skipped up front. When a failed subset has no survivor to go to, Run
+// returns a nil dataset (the serve loop treats the round as failed) and
+// an error wrapping the lowest-indexed shard's. The prober configures the
+// survivors: without one there are none, so any shard failure fails the
+// round; with one, Run fails only when every shard has.
 func (g *Group) Run(ctx context.Context, reports []forum.RawReport) (*core.Dataset, error) {
 	g.mu.RLock()
 	prober := g.prober
@@ -183,26 +184,19 @@ func (g *Group) Run(ctx context.Context, reports []forum.RawReport) (*core.Datas
 	ds := g.front.Curate(reports)
 	n := g.ring.Shards()
 
-	// The alive mask starts from the prober's current view (all-up without
-	// one). If the probe claims everything is down, route optimistically to
-	// the primaries anyway — a wholly-down mask is more likely a probe
-	// outage than N simultaneous worker deaths, and the dispatch errors
-	// will say so authoritatively.
+	// The alive mask holds the survivors: the prober's current view, or
+	// none without a prober, so every record goes to its primary and no
+	// failed subset has anywhere to slide. If the probe claims everything
+	// is down, route optimistically to the primaries anyway — a wholly-down
+	// mask is more likely a probe outage than N simultaneous worker deaths,
+	// and the dispatch errors will say so authoritatively.
 	alive := make([]bool, n)
 	if prober != nil {
 		copy(alive, prober.AliveMask())
-		any := false
-		for _, a := range alive {
-			any = any || a
-		}
-		if !any {
+		if !slices.Contains(alive, true) {
 			for i := range alive {
 				alive[i] = true
 			}
-		}
-	} else {
-		for i := range alive {
-			alive[i] = true
 		}
 	}
 
@@ -215,7 +209,7 @@ func (g *Group) Run(ctx context.Context, reports []forum.RawReport) (*core.Datas
 	for i := range ds.Records {
 		keys[i] = KeyOf(&ds.Records[i])
 		s := g.ring.Shard(keys[i])
-		if prober != nil && !alive[s] {
+		if !alive[s] {
 			if s2 := g.ring.ShardAlive(keys[i], alive); s2 >= 0 {
 				s = s2
 				preRouted++
@@ -280,9 +274,9 @@ func (g *Group) Run(ctx context.Context, reports []forum.RawReport) (*core.Datas
 		if len(failed) == 0 {
 			return ds, nil
 		}
-		if prober == nil || ctx.Err() != nil {
-			// No failover, or the whole round's context is gone (re-trying
-			// against a dead context would just re-fail every shard).
+		if ctx.Err() != nil {
+			// The whole round's context is gone: re-trying against a dead
+			// context would just re-fail every shard.
 			return nil, firstErr
 		}
 
@@ -290,7 +284,9 @@ func (g *Group) Run(ctx context.Context, reports []forum.RawReport) (*core.Datas
 		// tick both see it) and slide their subsets to the next-alive shards.
 		for _, f := range failed {
 			alive[f] = false
-			prober.MarkDown(f)
+			if prober != nil {
+				prober.MarkDown(f)
+			}
 			g.failures[f].Inc()
 		}
 		next := make([][]int, n)
@@ -299,7 +295,7 @@ func (g *Group) Run(ctx context.Context, reports []forum.RawReport) (*core.Datas
 			for _, idx := range assign[f] {
 				s2 := g.ring.ShardAlive(keys[idx], alive)
 				if s2 < 0 {
-					return nil, fmt.Errorf("shard: every shard failed, no survivor to re-dispatch to: %w", firstErr)
+					return nil, fmt.Errorf("shard: no survivor to re-dispatch to: %w", firstErr)
 				}
 				next[s2] = append(next[s2], idx)
 				moved++
@@ -325,7 +321,8 @@ type ShardInfo struct {
 	Healthy *bool `json:"healthy,omitempty"`
 	// Flaps counts the shard's up<->down transitions.
 	Flaps int64 `json:"flaps,omitempty"`
-	// Failures counts EnrichAnnotate failures that marked the shard down.
+	// Failures counts the shard's EnrichAnnotate failures; with a prober
+	// attached, each one marked the shard down.
 	Failures int64 `json:"failures,omitempty"`
 	// Restarts counts supervisor restarts of the shard's worker process.
 	Restarts int64 `json:"restarts,omitempty"`

@@ -1,15 +1,23 @@
 // Package shard partitions the measurement pipeline by stable enrichment
-// key across N shard instances, each owning its own cache, breaker set,
-// and batchmux windows.
+// key across N shard instances, each owning its own cache, breaker set
+// and pipeline.
+//
+// The enrichment tiers split in two (NewStacks composes both). The process
+// tiers — instrumented clients, fault injection and the batchmux windows —
+// are built once per process; the shard tiers — cache, breakers and the
+// enrichment pipeline — once per shard, above them. So N in-process shards
+// share one set of batch windows, which fill at the process's record rate
+// however the ring splits records, while a worker process owns the process
+// tiers of its one shard.
 //
 // The paper's workload is embarrassingly partitionable: every enrichment
 // service is keyed by the infrastructure a record points at (registrable
 // domain, sender phone number, shortener host), so routing records with
-// the same key to the same shard keeps each cache/batch window dense while
-// removing the cross-shard lock contention a single global tier pays for.
-// A consistent-hash ring makes the assignment stable: resizing from N to
-// N+1 shards remaps only the keys the new shard captures (~1/(N+1) of
-// them), not a full reshuffle.
+// the same key to the same shard keeps the shards' caches disjoint: a
+// per-shard cache holds what a shared one would. A consistent-hash ring
+// makes the assignment stable: resizing from N to N+1 shards remaps only
+// the keys the new shard captures (~1/(N+1) of them), not a full
+// reshuffle.
 //
 // Determinism is the package's contract: records are curated once by a
 // front pipeline, routed by key to per-shard enrichers that run

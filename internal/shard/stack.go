@@ -27,7 +27,9 @@ type StackStats struct {
 	Enriched int64 `json:"enriched"`
 	// Cache is the shard's enrichment-cache scoreboard.
 	Cache enrichcache.Stats `json:"cache,omitempty"`
-	// Batch is the shard's batching scoreboard.
+	// Batch is the batching scoreboard of the worker process serving the
+	// shard. It is nil on an in-process shard's row: the process's shards
+	// share one batching tier, which their caller reports once.
 	Batch batchmux.Stats `json:"batch,omitempty"`
 	// Resilience is the shard's circuit-breaker scoreboard.
 	Resilience resilience.Stats `json:"resilience,omitempty"`
@@ -39,14 +41,15 @@ type StatsProvider interface {
 	Stats() (StackStats, bool)
 }
 
-// StackConfig assembles one shard's tier stack. Tiers whose config is
-// nil are omitted; Pipeline tunes the shard's enrichment workers and
-// budgets (its Telemetry field is overwritten with the stack's registry).
-// It is the one config for a shard wherever it runs: a worker process
-// receives it whole as JSON and builds the stack an in-process shard
-// builds. Fields tagged json:"-" (the cache Clock, the breaker Classify
-// hook, the pipeline's Extractor, Telemetry and Streaming) are
-// process-local and do not cross; a worker runs their defaults.
+// StackConfig assembles one process's enrichment tiers (see NewStacks).
+// Tiers whose config is nil are omitted; Pipeline tunes each shard's
+// enrichment workers and budgets (its Telemetry field is overwritten with
+// the shard's registry). It is the one config for a shard wherever it
+// runs: a worker process receives it whole as JSON and builds the tiers an
+// in-process shard is built with. Fields tagged json:"-" (the cache Clock,
+// the breaker Classify hook, the pipeline's Extractor, Telemetry and
+// Streaming) are process-local and do not cross; a worker runs their
+// defaults.
 type StackConfig struct {
 	Faults     *faultinject.Config
 	Batch      *batchmux.Config
@@ -55,41 +58,66 @@ type StackConfig struct {
 	Pipeline   core.Options
 }
 
-// Stack is one shard's private tier set over the ops of a shared base:
-// its own enrichment cache, batchmux windows, breaker set, and pipeline,
-// all recording into the registry the stack was built with. A sharded
-// study hands each shard a Prefixed view, so instruments land under
-// "shard.<i>.*" in the one global registry; an unsharded study's single
-// stack records on the root registry itself.
+// Stack is one shard's private tiers over its process's shared ones: its
+// own enrichment cache, breaker set and pipeline, recording into the
+// registry the stack was built with. A sharded study hands each shard a
+// Prefixed view, so these instruments land under "shard.<i>.*" in the one
+// global registry; an unsharded study's single stack records on the root
+// registry itself.
 type Stack struct {
 	pipe     *core.Pipeline
 	ops      core.Ops    // the composed tiers the pipeline calls
 	cfg      StackConfig // what the stack was built from
 	cache    *enrichcache.Cache
-	batch    *batchmux.Mux
 	breakers *resilience.Breakers
 	enriched *telemetry.Counter
 }
 
-// NewStack builds one shard's tiers around base. Tier order, innermost
-// first: instrumented client <- faults <- batchmux <- cache <- breaker <-
-// pipeline. Faults sit inside the batching tier so a flapping window
-// degrades individual slots of a batch, not the tier itself; batchmux sits
-// inside the cache so only cache misses reach a window and every flushed
-// answer is cached on the way back out; breakers sit outside the cache so
-// hits cost them nothing and upstream 5xx reach the serve-stale path
-// before being counted. Only the fault tier passes an op's Bulk form
-// up; TestStackComposesTiersInOrder pins this order.
-func NewStack(base core.Services, cfg StackConfig, reg *telemetry.Registry) (*Stack, error) {
+// NewStacks composes one process's enrichment tiers around base: the
+// process tiers once, recording on reg, and then one shard stack per
+// registry in shardRegs, each recording on its own. It returns the stacks
+// in shardRegs order and the process's batching tier (nil without
+// cfg.Batch). Tier order, innermost first:
+//
+//	process: instrumented client <- faults <- batchmux
+//	shard:   cache <- breaker <- pipeline
+//
+// Faults sit inside the batching tier so a flapping window degrades
+// individual slots of a batch, not the tier itself; batchmux sits inside
+// the cache so only cache misses reach a window and every flushed answer
+// is cached on the way back out; breakers sit outside the cache so hits
+// cost them nothing and upstream 5xx reach the serve-stale path before
+// being counted. Only the fault tier passes an op's Bulk form up;
+// TestStackComposesTiersInOrder pins this order.
+//
+// Every stack's cache misses park in the one set of batch windows, so a
+// window fills at the process's record rate however many shards the ring
+// splits records across. The caches stay per shard: routing by key
+// already keeps their contents disjoint.
+func NewStacks(base core.Services, cfg StackConfig, reg *telemetry.Registry, shardRegs []*telemetry.Registry) ([]*Stack, *batchmux.Mux, error) {
 	ops := core.OpsOf(base)
 	if cfg.Faults != nil {
 		ops = faultinject.New(*cfg.Faults, reg).Wrap(ops)
 	}
-	st := &Stack{enriched: reg.Counter("enriched")}
+	var mux *batchmux.Mux
 	if cfg.Batch != nil {
-		st.batch = batchmux.New(*cfg.Batch, reg)
-		ops = st.batch.Wrap(ops)
+		mux = batchmux.New(*cfg.Batch, reg)
+		ops = mux.Wrap(ops)
 	}
+	stacks := make([]*Stack, len(shardRegs))
+	for i, sreg := range shardRegs {
+		st, err := newStack(ops, cfg, sreg)
+		if err != nil {
+			return nil, nil, fmt.Errorf("shard: build stack %d: %w", i, err)
+		}
+		stacks[i] = st
+	}
+	return stacks, mux, nil
+}
+
+// newStack composes one shard's tiers over the process's ops.
+func newStack(ops core.Ops, cfg StackConfig, reg *telemetry.Registry) (*Stack, error) {
+	st := &Stack{enriched: reg.Counter("enriched")}
 	if cfg.Cache != nil {
 		st.cache = enrichcache.New(*cfg.Cache, reg)
 		ops = st.cache.Wrap(ops)
@@ -103,7 +131,7 @@ func NewStack(base core.Services, cfg StackConfig, reg *telemetry.Registry) (*St
 	cfg.Pipeline.Telemetry = reg
 	pipe, err := core.NewPipelineOver(ops, cfg.Pipeline)
 	if err != nil {
-		return nil, fmt.Errorf("shard: build pipeline: %w", err)
+		return nil, fmt.Errorf("build pipeline: %w", err)
 	}
 	st.pipe, st.cfg, st.ops = pipe, cfg, ops
 	return st, nil
@@ -136,14 +164,11 @@ func (st *Stack) EnrichAnnotate(ctx context.Context, recs []core.Record) ([]core
 // local and remote shard stacks satisfy the same HealthChecker seam.
 func (st *Stack) Healthy(context.Context) error { return nil }
 
-// Stats reports the shard's tier scoreboards.
+// Stats reports the shard's own tier scoreboards; Batch stays nil.
 func (st *Stack) Stats() (StackStats, bool) {
 	out := StackStats{Enriched: st.enriched.Value()}
 	if st.cache != nil {
 		out.Cache = st.cache.Stats()
-	}
-	if st.batch != nil {
-		out.Batch = st.batch.Stats()
 	}
 	if st.breakers != nil {
 		out.Resilience = st.breakers.Stats()

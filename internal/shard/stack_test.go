@@ -158,13 +158,22 @@ func (f recShort) Expand(_ context.Context, service, code string) (string, error
 	return "https://target.example/" + code, nil
 }
 
-func newTestStack(t *testing.T, base core.Services, cfg StackConfig, reg *telemetry.Registry) *Stack {
+// newTestStacks builds a process's tiers over base with one stack per
+// registry in shardRegs, the process tiers recording on reg.
+func newTestStacks(t *testing.T, base core.Services, cfg StackConfig, reg *telemetry.Registry, shardRegs ...*telemetry.Registry) []*Stack {
 	t.Helper()
-	st, err := NewStack(base, cfg, reg)
+	stacks, _, err := NewStacks(base, cfg, reg, shardRegs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st
+	return stacks
+}
+
+// newTestStack builds a process with one stack, every tier recording on
+// reg: the unsharded layout.
+func newTestStack(t *testing.T, base core.Services, cfg StackConfig, reg *telemetry.Registry) *Stack {
+	t.Helper()
+	return newTestStacks(t, base, cfg, reg, reg)[0]
 }
 
 // lookupAll looks every key up concurrently through o, so keys share a
@@ -184,8 +193,10 @@ func lookupAll(o core.Ops, keys []string) ([]hlr.Result, []error) {
 	return vals, errs
 }
 
-// TestStackComposesTiersInOrder pins NewStack's tier order, faults <-
-// batchmux <- cache <- breaker <- pipeline, by where each call stops.
+// TestStackComposesTiersInOrder pins NewStacks' tier order, faults <-
+// batchmux <- cache <- breaker <- pipeline, by where each call stops, and
+// its split: stacks of one process share the batch windows below their
+// own caches.
 func TestStackComposesTiersInOrder(t *testing.T) {
 	rec := newRecorder()
 	reg := telemetry.NewRegistry()
@@ -245,6 +256,39 @@ func TestStackComposesTiersInOrder(t *testing.T) {
 	if count("cache.whois.misses") != 2 || count("cache.whois.hits") != 0 || count("fault.whois.injected") != 2 ||
 		len(rec.perKey("whois")) != 0 {
 		t.Errorf("a shed call reached a lower tier: %v", reg.Snapshot().Counters)
+	}
+
+	// Two stacks of one process share the batch windows but not the
+	// caches: keys looked up through both land in one bulk call, and a key
+	// stack 0 has cached is a miss in stack 1.
+	rec2, reg2 := newRecorder(), telemetry.NewRegistry()
+	pair := newTestStacks(t, rec2.services(), StackConfig{
+		Batch: &batchmux.Config{Window: 2, FlushInterval: 5 * time.Second},
+		Cache: &enrichcache.Config{},
+	}, reg2, reg2.Prefixed("shard.0."), reg2.Prefixed("shard.1."))
+	lookup := func(keys []string, via ...*Stack) { // keys[i] through via[i], all at once
+		var wg sync.WaitGroup
+		for i, k := range keys {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := via[i].ops.HLR.Call(ctx, k); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	lookup(keys[:2], pair[0], pair[1])
+	if b := rec2.bulkCalls("hlr"); len(b) != 1 || len(b[0]) != 2 {
+		t.Errorf("two stacks' keys reached upstream as bulk calls %v, want one 2-key call", b)
+	}
+	lookup(keys[:1], pair[0])
+	lookup(keys[:2], pair[1], pair[0])
+	count2 := func(name string) int64 { return reg2.Counter(name).Value() }
+	if count2("shard.0.cache.hlr.hits") != 1 || count2("shard.1.cache.hlr.hits") != 0 ||
+		count2("shard.1.cache.hlr.misses") != 2 || count2("batch.hlr.flushes") != 2 || len(rec2.bulkCalls("hlr")) != 2 {
+		t.Errorf("a key cached by stack 0 was not a miss in stack 1: %v", reg2.Snapshot().Counters)
 	}
 
 	// Only the fault tier keeps the Bulk form.

@@ -12,17 +12,18 @@ import (
 	"strconv"
 	"time"
 
+	"github.com/smishkit/smishkit/internal/batchmux"
 	"github.com/smishkit/smishkit/internal/core"
 	"github.com/smishkit/smishkit/internal/telemetry"
 )
 
 // Multi-process mode: each shard runs as a separate OS process hosting a
-// Worker — its own Stack (cache, batchmux, breakers, pipeline) over HTTP
-// clients dialed at the parent's simulated services — and the parent's
-// Group routes record slices to it over localhost as JSON. core.Record
-// round-trips JSON losslessly (the record log depends on the same
-// property), so a remote shard's merged output is byte-identical to a
-// local one's.
+// Worker — its own process tiers (faults, batchmux) and one Stack (cache,
+// breakers, pipeline) over HTTP clients dialed at the parent's simulated
+// services — and the parent's Group routes record slices to it over
+// localhost as JSON. core.Record round-trips JSON losslessly (the record
+// log depends on the same property), so a remote shard's merged output is
+// byte-identical to a local one's.
 
 // WorkerSpec is everything a shard worker process needs to build its
 // stack: where the upstream services are, and the same StackConfig an
@@ -61,6 +62,7 @@ type enrichEnvelope struct {
 //	GET  /debug/telemetry the worker's registry snapshot
 type Worker struct {
 	stack   workerBackend
+	batch   *batchmux.Mux // the worker process's batching tier; nil without one
 	reg     *telemetry.Registry
 	maxBody int64
 	drain   time.Duration
@@ -75,7 +77,11 @@ type workerBackend interface {
 }
 
 // NewWorker builds a worker from its spec: clients dialed at the spec's
-// upstreams, under the stack the spec's StackConfig describes.
+// upstreams, under the tiers the spec's StackConfig describes. The worker
+// is a process with one shard stack, so NewStacks builds it as it builds
+// an in-process study's: the process tiers record on the worker's root
+// registry ("fault.*", "batch.*") and the shard tiers under
+// "shard.<Index>.*".
 func NewWorker(spec WorkerSpec) (*Worker, error) {
 	if spec.Index < 0 {
 		return nil, fmt.Errorf("shard: worker index must not be negative (got %d)", spec.Index)
@@ -84,11 +90,12 @@ func NewWorker(spec WorkerSpec) (*Worker, error) {
 		return nil, fmt.Errorf("shard: worker spec: %w", err)
 	}
 	reg := telemetry.NewRegistry()
-	stack, err := NewStack(spec.Upstreams.Services(reg), spec.Stack, reg.Prefixed("shard."+strconv.Itoa(spec.Index)+"."))
+	stacks, batch, err := NewStacks(spec.Upstreams.Services(reg), spec.Stack, reg,
+		[]*telemetry.Registry{reg.Prefixed("shard." + strconv.Itoa(spec.Index) + ".")})
 	if err != nil {
 		return nil, err
 	}
-	return &Worker{stack: stack, reg: reg, maxBody: DefaultMaxEnrichBytes, drain: defaultDrainTimeout}, nil
+	return &Worker{stack: stacks[0], batch: batch, reg: reg, maxBody: DefaultMaxEnrichBytes, drain: defaultDrainTimeout}, nil
 }
 
 // Stack returns the shard stack the worker serves (nil for a worker over
@@ -164,6 +171,9 @@ func (wk *Worker) Handler() http.Handler {
 	})
 	mux.HandleFunc("GET /stats", func(w http.ResponseWriter, r *http.Request) {
 		st, _ := wk.stack.Stats()
+		if wk.batch != nil {
+			st.Batch = wk.batch.Stats()
+		}
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(st)
 	})

@@ -88,9 +88,13 @@ func TestShardMergeDeterminism(t *testing.T) {
 
 // TestShardStatsSurface checks the scoreboard plumbing: Stats().Shards
 // appears exactly when the study is sharded, every record is accounted
-// for, and the shards section renders.
+// for, and the shards section renders. The shards share the process's
+// fault and batching tiers: their instruments record on the root
+// collector, Stats().Batch reports the one batching tier, and no
+// per-shard row shows it again.
 func TestShardStatsSurface(t *testing.T) {
-	study, err := NewStudy(Options{Seed: 3, Messages: 400, Shards: &ShardConfig{Shards: 3}})
+	study, err := NewStudy(Options{Seed: 3, Messages: 400, Shards: &ShardConfig{Shards: 3},
+		Batch: &BatchConfig{}, Faults: &FaultConfig{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +108,32 @@ func TestShardStatsSurface(t *testing.T) {
 	if st.Shards == nil {
 		t.Fatal("Stats().Shards nil on a sharded study")
 	}
-	if st.Cache != nil || st.Batch != nil || st.Resilience != nil {
-		t.Error("sharded study leaked global tier stats (documented as per-shard only)")
+	if st.Cache != nil || st.Resilience != nil {
+		t.Error("sharded study leaked per-shard tier stats into the global scoreboard")
+	}
+	if st.Batch == nil {
+		t.Fatal("Stats().Batch nil on a sharded study with Options.Batch")
+	}
+	var flushes int64
+	for _, bs := range st.Batch {
+		flushes += bs.Flushes
+	}
+	if flushes == 0 || flushes != st.Telemetry.Counters["batch.hlr.flushes"]+
+		st.Telemetry.Counters["batch.dnsdb.flushes"]+st.Telemetry.Counters["batch.avscan.flushes"] {
+		t.Errorf("Stats().Batch counts %d flushes, root batch.<svc>.flushes disagree: %v", flushes, st.Telemetry.Counters)
+	}
+	for _, sh := range st.Shards.PerShard {
+		if sh.Stack == nil || sh.Stack.Batch != nil {
+			t.Errorf("shard %d row: stack %+v, want stack stats without a batch scoreboard", sh.Index, sh.Stack)
+		}
+	}
+	for name := range st.Telemetry.Counters {
+		if strings.HasPrefix(name, "shard.") && (strings.Contains(name, ".batch.") || strings.Contains(name, ".fault.")) {
+			t.Errorf("process tier recorded per shard: %s", name)
+		}
+	}
+	if _, ok := st.Telemetry.Counters["fault.hlr.injected"]; !ok {
+		t.Error("fault.hlr.injected missing from the root collector")
 	}
 	if st.Shards.Shards != 3 || st.Shards.Batches != 1 {
 		t.Errorf("shard scoreboard: shards=%d batches=%d, want 3/1", st.Shards.Shards, st.Shards.Batches)
@@ -233,13 +261,14 @@ func checkWorkerSpecRoundTrip(t *testing.T, o Options) shard.StackConfig {
 		t.Fatal(err)
 	}
 	defer study.Close()
-	local, err := shard.NewStack(study.Sim.Services(), shard.StackConfig{
+	reg := NewCollector()
+	local, _, err := shard.NewStacks(study.Sim.Services(), shard.StackConfig{
 		Faults: o.Faults, Batch: o.Batch, Cache: o.Cache, Resilience: o.Resilience, Pipeline: o.Pipeline,
-	}, NewCollector())
+	}, reg, []*Collector{reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := local.Config()
+	want := local[0].Config()
 	stripLocal(reflect.ValueOf(&want))
 	for i := 0; i < 2; i++ {
 		raw, err := json.Marshal(study.ShardWorkerSpec(i))

@@ -246,15 +246,18 @@ type Options struct {
 	// shard instances: records are curated once, routed by a
 	// consistent-hash ring over their registrable domain (falling back to
 	// sender ID, then record ID), enriched by per-shard tier stacks — each
-	// shard owns its own cache, batchmux windows, and breaker set,
-	// recording under "shard.<i>.*" — and scattered back into curation
-	// order, so shards=1 and shards=N produce record-identical output.
-	// With sharding on, the Cache/Batch/Faults/Resilience configs build
-	// each shard's private tiers, and Study.Stats().Cache/Batch/Resilience
-	// are nil — Stats().Shards carries the per-shard scoreboards. Without
-	// it the study runs the same path as a one-shard ring whose stack
-	// records on the root collector, with no prober; Stats().Shards is nil
-	// and Stats().Cache/Batch/Resilience report that one stack.
+	// shard owns its own cache and breaker set, recording under
+	// "shard.<i>.*" — and scattered back into curation order, so shards=1
+	// and shards=N produce record-identical output. The Faults and Batch
+	// tiers are the process's, not a shard's: every in-process shard's
+	// cache misses share one set of batch windows, recording under
+	// "fault.*" and "batch.*", so a window fills at the process's record
+	// rate. With sharding on, Study.Stats().Cache/Resilience are nil —
+	// Stats().Shards carries the per-shard scoreboards — and
+	// Stats().Batch reports the one shared batching tier. Without it the
+	// study runs the same path as a one-shard ring whose stack records on
+	// the root collector, with no prober; Stats().Shards is nil and
+	// Stats().Cache/Batch/Resilience report that one stack's tiers.
 	Shards *ShardConfig
 }
 
@@ -373,7 +376,8 @@ type Study struct {
 
 	rlog  *recordlog.Log    // nil when Options.Durability was nil
 	group *shard.Group      // one shard when Options.Shards was nil
-	stack shard.StackConfig // every shard's stack, local or in a worker
+	stack shard.StackConfig // every shard's tiers, local or in a worker
+	batch *batchmux.Mux     // the local shards' one batching tier (nil without Options.Batch)
 
 	proberStop context.CancelFunc // stops the health-probe loop (nil without Shards.Failover)
 
@@ -446,13 +450,16 @@ func NewStudy(opts Options) (*Study, error) {
 	// Every study processes a round through a shard Group: the front
 	// pipeline curates the batch (it never enriches), the group routes the
 	// records across the shard stacks, and their output is scattered back
-	// into curation order. Each stack composes its own tiers around the
-	// shared instrumented base clients (see shard.NewStack), so the global
-	// "client.<svc>.*" counters still measure real upstream traffic. An
-	// unsharded study is a group of one stack recording on the root
-	// registry, which keeps its cache.*, batch.*, breaker.*, fault.* and
+	// into curation order. shard.NewStacks composes the tiers: the process
+	// tiers (faults, batchmux) once around the instrumented base clients,
+	// recording on the root registry, and each stack's own cache, breakers
+	// and pipeline above them. So every local shard's misses share one set
+	// of batch windows, and the global "client.<svc>.*", "fault.<svc>.*"
+	// and "batch.<svc>.*" counters measure the process's upstream traffic
+	// in every layout. An unsharded study is a group of one stack recording
+	// on the root registry, which keeps its cache.*, breaker.* and
 	// pipeline.* instruments under their own names; a sharded study's
-	// stacks record under "shard.<i>.*".
+	// stacks record those under "shard.<i>.*".
 	fail := func(err error) (*Study, error) {
 		return nil, errors.Join(err, sim.Close(), closeLog(rlog))
 	}
@@ -469,7 +476,7 @@ func NewStudy(opts Options) (*Study, error) {
 	}
 	// The one StackConfig: local stacks are built from it here, and
 	// ShardWorkerSpec ships it whole to worker processes. Faults included —
-	// every stack, in or out of process, seeds its own injector from the
+	// every process, this one or a worker, seeds its one injector from the
 	// same Seed.
 	stack := shard.StackConfig{
 		Faults:     opts.Faults,
@@ -478,23 +485,26 @@ func NewStudy(opts Options) (*Study, error) {
 		Resilience: opts.Resilience,
 		Pipeline:   opts.Pipeline,
 	}
-	enrichers := make([]shard.Enricher, sh.Shards)
-	for i := range enrichers {
-		stackReg := reg
-		if opts.Shards != nil {
-			stackReg = reg.Prefixed(fmt.Sprintf("shard.%d.", i))
+	stackRegs := []*telemetry.Registry{reg}
+	if opts.Shards != nil {
+		stackRegs = make([]*telemetry.Registry, sh.Shards)
+		for i := range stackRegs {
+			stackRegs[i] = reg.Prefixed(fmt.Sprintf("shard.%d.", i))
 		}
-		st, err := shard.NewStack(base, stack, stackReg)
-		if err != nil {
-			return fail(fmt.Errorf("smishkit: build shard %d: %w", i, err))
-		}
+	}
+	stacks, batch, err := shard.NewStacks(base, stack, reg, stackRegs)
+	if err != nil {
+		return fail(fmt.Errorf("smishkit: build shards: %w", err))
+	}
+	enrichers := make([]shard.Enricher, len(stacks))
+	for i, st := range stacks {
 		enrichers[i] = st
 	}
 	group, err := shard.NewGroup(pipe, enrichers, sh.Replicas, reg)
 	if err != nil {
 		return fail(fmt.Errorf("smishkit: build shard group: %w", err))
 	}
-	st := &Study{World: w, Sim: sim, Pipe: pipe, group: group, stack: stack, rlog: rlog, opts: opts}
+	st := &Study{World: w, Sim: sim, Pipe: pipe, group: group, stack: stack, batch: batch, rlog: rlog, opts: opts}
 	if sh.Failover {
 		prober := shard.NewProber(sh.Shards, shard.ProbeConfig{
 			Interval: sh.ProbeInterval,

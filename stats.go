@@ -22,7 +22,9 @@ type Stats struct {
 	Telemetry Telemetry
 	// Cache is the enrichment cache scoreboard (nil without Options.Cache).
 	Cache CacheStats
-	// Batch is the batching-tier scoreboard (nil without Options.Batch).
+	// Batch is the batching-tier scoreboard (nil without Options.Batch):
+	// the one set of batch windows every local shard shares, sharded or
+	// not.
 	Batch BatchStats
 	// Resilience is the circuit-breaker scoreboard (nil without
 	// Options.Resilience).
@@ -35,9 +37,9 @@ type Stats struct {
 	// Options.Durability).
 	Durability *DurabilityStats
 	// Shards is the sharding scoreboard: routed totals and per-shard
-	// cache/batch/breaker stats (nil without Options.Shards). When present,
-	// Cache/Batch/Resilience above are nil — the tiers live inside the
-	// shards.
+	// cache/breaker stats (nil without Options.Shards), plus each remote
+	// worker's own batch stats. When present, Cache/Resilience above are
+	// nil — those tiers live inside the shards.
 	Shards *ShardStats
 }
 
@@ -45,12 +47,15 @@ type Stats struct {
 // Run or Serve, and after Close.
 func (s *Study) Stats() Stats {
 	st := Stats{Telemetry: s.Pipe.Telemetry().Snapshot()}
+	if s.batch != nil {
+		st.Batch = s.batch.Stats()
+	}
 	gs := s.group.Stats()
 	if s.opts.Shards != nil {
 		st.Shards = &gs
 	} else if sk := gs.PerShard[0].Stack; sk != nil {
 		// Unsharded: the one stack's tiers are the study's tiers.
-		st.Cache, st.Batch, st.Resilience = sk.Cache, sk.Batch, sk.Resilience
+		st.Cache, st.Resilience = sk.Cache, sk.Resilience
 	}
 	if svc := s.svc; svc != nil {
 		sv := svc.stats()
