@@ -54,7 +54,7 @@ func main() {
 	// clients: 3000 messages collapse onto a few hundred distinct domains
 	// and numbers, so most lookups are answered locally.
 	cache := enrichcache.New(enrichcache.Config{ServeStale: true}, sim.Telemetry)
-	pipe, err := core.NewPipeline(cache.WrapServices(sim.Services()), core.Options{
+	pipe, err := core.NewPipelineOver(cache.Wrap(core.OpsOf(sim.Services())), core.Options{
 		Extractor:     smishkit.ExtractorStructuredVision,
 		EnrichWorkers: 12,
 		Telemetry:     sim.Telemetry,

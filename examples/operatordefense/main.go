@@ -94,7 +94,7 @@ func main() {
 	cache := enrichcache.New(enrichcache.Config{ServeStale: true}, collector)
 	full := xdrfilter.New(xdrfilter.Config{
 		Blocklist:       blocklist,
-		Expander:        cache.WrapServices(core.Services{Shortener: shortener.NewClient(sim.Endpoints.Shortener.URL)}).Shortener,
+		Expander:        expandOp(cache.Wrap(core.OpsOf(core.Services{Shortener: shortener.NewClient(sim.Endpoints.Shortener.URL)})).Expand),
 		Classifier:      model,
 		BlockBadSenders: true,
 	})
@@ -119,4 +119,11 @@ func main() {
 	if err := smishkit.WriteStats(os.Stdout, stats, smishkit.SectionTelemetry, smishkit.SectionCache); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// expandOp adapts a shortener Expand op to the filter's Expander.
+type expandOp core.Op[core.ShortLink, string]
+
+func (op expandOp) Expand(ctx context.Context, service, code string) (string, error) {
+	return op.Call(ctx, core.ShortLink{Service: service, Code: code})
 }

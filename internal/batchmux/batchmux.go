@@ -51,24 +51,17 @@ type Config struct {
 	// key arrived, so stragglers never wait on a window that no one else
 	// will fill (default 5ms).
 	FlushInterval time.Duration
-	// BatchTimeout bounds each bulk call. The call runs under a detached
-	// context because its waiters span many records — one record's
-	// cancellation must not void everyone else's answers (default 30s).
-	BatchTimeout time.Duration
-	// MaxInFlight caps concurrent bulk calls across all services, keeping
-	// a burst of flushes from stampeding the backends (default 4).
-	MaxInFlight int
-	// PerService overrides Window/FlushInterval for one service, keyed by
-	// the service names used in telemetry: hlr, dnsdb, avscan.
-	PerService map[string]ServiceConfig
 }
 
-// ServiceConfig overrides batching bounds for a single service. Zero
-// fields inherit the Config-level value.
-type ServiceConfig struct {
-	Window        int
-	FlushInterval time.Duration
-}
+const (
+	// batchTimeout bounds each bulk call. The call runs under a detached
+	// context because its waiters span many records — one record's
+	// cancellation must not void everyone else's answers.
+	batchTimeout = 30 * time.Second
+	// maxInFlight caps concurrent bulk calls across all services, keeping
+	// a burst of flushes from stampeding the backends.
+	maxInFlight = 4
+)
 
 func (c Config) withDefaults() Config {
 	if c.Window == 0 {
@@ -77,25 +70,7 @@ func (c Config) withDefaults() Config {
 	if c.FlushInterval == 0 {
 		c.FlushInterval = 5 * time.Millisecond
 	}
-	if c.BatchTimeout == 0 {
-		c.BatchTimeout = 30 * time.Second
-	}
-	if c.MaxInFlight == 0 {
-		c.MaxInFlight = 4
-	}
 	return c
-}
-
-// forService resolves the effective bounds for one named service.
-func (c Config) forService(name string) ServiceConfig {
-	sc := c.PerService[name]
-	if sc.Window == 0 {
-		sc.Window = c.Window
-	}
-	if sc.FlushInterval == 0 {
-		sc.FlushInterval = c.FlushInterval
-	}
-	return sc
 }
 
 // metrics is the per-service instrument bundle. All batchers of one
@@ -134,21 +109,19 @@ type batcher[V any] struct {
 	bulk     func(ctx context.Context, keys []string) ([]V, []error)
 	window   int
 	interval time.Duration
-	timeout  time.Duration
-	sem      chan struct{} // shared MaxInFlight cap; nil disables
+	sem      chan struct{} // the mux's shared maxInFlight cap
 	met      *metrics
 
 	mu  sync.Mutex
 	cur *window[V]
 }
 
-func newBatcher[V any](sc ServiceConfig, timeout time.Duration, sem chan struct{}, met *metrics,
+func newBatcher[V any](cfg Config, sem chan struct{}, met *metrics,
 	bulk func(ctx context.Context, keys []string) ([]V, []error)) *batcher[V] {
 	return &batcher[V]{
 		bulk:     bulk,
-		window:   sc.Window,
-		interval: sc.FlushInterval,
-		timeout:  timeout,
+		window:   cfg.Window,
+		interval: cfg.FlushInterval,
 		sem:      sem,
 		met:      met,
 	}
@@ -211,16 +184,10 @@ func (b *batcher[V]) flushIfCurrent(w *window[V]) {
 }
 
 func (b *batcher[V]) flush(w *window[V]) {
-	if b.sem != nil {
-		b.sem <- struct{}{}
-		defer func() { <-b.sem }()
-	}
-	ctx := context.Background()
-	if b.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, b.timeout)
-		defer cancel()
-	}
+	b.sem <- struct{}{}
+	defer func() { <-b.sem }()
+	ctx, cancel := context.WithTimeout(context.Background(), batchTimeout)
+	defer cancel()
 	vals, errs := b.bulk(ctx, w.keys)
 	w.vals = make([]V, len(w.keys))
 	w.errs = make([]error, len(w.keys))
@@ -255,6 +222,23 @@ func (s ServiceStats) AvgBatch() float64 {
 
 // Stats maps service name (hlr, dnsdb, avscan) to its scoreboard.
 type Stats map[string]ServiceStats
+
+// Add returns s with o's counts added per service, allocating s when it is
+// nil and o is not.
+func (s Stats) Add(o Stats) Stats {
+	if s == nil && o != nil {
+		s = make(Stats, len(o))
+	}
+	for name, v := range o {
+		t := s[name]
+		t.Flushes += v.Flushes
+		t.BatchedKeys += v.BatchedKeys
+		t.Coalesced += v.Coalesced
+		t.Fallthrough += v.Fallthrough
+		s[name] = t
+	}
+	return s
+}
 
 // Write renders stats as an aligned text table, services sorted by name.
 func Write(w io.Writer, stats Stats) error {

@@ -52,9 +52,9 @@ func (r *recordingBulk) batchCount() int {
 	return len(r.batches)
 }
 
-func testBatcher(t *testing.T, sc ServiceConfig, reg *telemetry.Registry, bulk *recordingBulk) *batcher[string] {
+func testBatcher(t *testing.T, cfg Config, reg *telemetry.Registry, bulk *recordingBulk) *batcher[string] {
 	t.Helper()
-	return newBatcher(sc, time.Second, nil, newMetrics(reg, "test"), bulk.call)
+	return newBatcher(cfg, make(chan struct{}, maxInFlight), newMetrics(reg, "test"), bulk.call)
 }
 
 // concurrentGets issues one get per key from its own goroutine and returns
@@ -80,7 +80,7 @@ func TestWindowFlushesOnSize(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	// The interval is effectively infinite: only the size trigger can
 	// flush within the test's lifetime.
-	b := testBatcher(t, ServiceConfig{Window: 3, FlushInterval: time.Hour}, reg, bulk)
+	b := testBatcher(t, Config{Window: 3, FlushInterval: time.Hour}, reg, bulk)
 
 	vals, errs := concurrentGets(context.Background(), b, []string{"a", "b", "c"})
 	for i, err := range errs {
@@ -113,7 +113,7 @@ func TestPartialWindowFlushesOnTimer(t *testing.T) {
 	bulk := &recordingBulk{}
 	reg := telemetry.NewRegistry()
 	// The window can never fill: only the timer can flush.
-	b := testBatcher(t, ServiceConfig{Window: 100, FlushInterval: 10 * time.Millisecond}, reg, bulk)
+	b := testBatcher(t, Config{Window: 100, FlushInterval: 10 * time.Millisecond}, reg, bulk)
 
 	start := time.Now()
 	vals, errs := concurrentGets(context.Background(), b, []string{"a", "b"})
@@ -135,7 +135,7 @@ func TestDuplicateKeysCoalesceInWindow(t *testing.T) {
 	t.Parallel()
 	bulk := &recordingBulk{}
 	reg := telemetry.NewRegistry()
-	b := testBatcher(t, ServiceConfig{Window: 100, FlushInterval: 10 * time.Millisecond}, reg, bulk)
+	b := testBatcher(t, Config{Window: 100, FlushInterval: 10 * time.Millisecond}, reg, bulk)
 
 	vals, errs := concurrentGets(context.Background(), b, []string{"a", "a", "a", "b"})
 	for i, err := range errs {
@@ -166,7 +166,7 @@ func TestPerKeyErrorDegradesOneSlot(t *testing.T) {
 	t.Parallel()
 	boom := errors.New("bad key")
 	bulk := &recordingBulk{errFor: map[string]error{"b": boom}}
-	b := testBatcher(t, ServiceConfig{Window: 3, FlushInterval: time.Hour}, nil, bulk)
+	b := testBatcher(t, Config{Window: 3, FlushInterval: time.Hour}, nil, bulk)
 
 	vals, errs := concurrentGets(context.Background(), b, []string{"a", "b", "c"})
 	if errs[0] != nil || errs[2] != nil {
@@ -183,7 +183,7 @@ func TestPerKeyErrorDegradesOneSlot(t *testing.T) {
 func TestShortBulkResultDegradesMissingSlot(t *testing.T) {
 	t.Parallel()
 	bulk := &recordingBulk{short: true}
-	b := testBatcher(t, ServiceConfig{Window: 2, FlushInterval: time.Hour}, nil, bulk)
+	b := testBatcher(t, Config{Window: 2, FlushInterval: time.Hour}, nil, bulk)
 
 	_, errs := concurrentGets(context.Background(), b, []string{"a", "b"})
 	var missing, healthy int
@@ -205,7 +205,7 @@ func TestShortBulkResultDegradesMissingSlot(t *testing.T) {
 func TestGetHonorsContextWhileWaiting(t *testing.T) {
 	t.Parallel()
 	bulk := &recordingBulk{}
-	b := testBatcher(t, ServiceConfig{Window: 100, FlushInterval: time.Hour}, nil, bulk)
+	b := testBatcher(t, Config{Window: 100, FlushInterval: time.Hour}, nil, bulk)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -360,17 +360,10 @@ func TestWriteRendersAllServices(t *testing.T) {
 	}
 }
 
-func TestConfigDefaultsAndOverrides(t *testing.T) {
+func TestConfigDefaults(t *testing.T) {
 	t.Parallel()
-	c := Config{PerService: map[string]ServiceConfig{"hlr": {Window: 8}}}.withDefaults()
-	if c.Window != 32 || c.FlushInterval != 5*time.Millisecond || c.MaxInFlight != 4 {
+	c := Config{}.withDefaults()
+	if c.Window != 32 || c.FlushInterval != 5*time.Millisecond {
 		t.Errorf("withDefaults = %+v, want documented defaults", c)
-	}
-	sc := c.forService("hlr")
-	if sc.Window != 8 || sc.FlushInterval != 5*time.Millisecond {
-		t.Errorf("forService(hlr) = %+v, want window override with inherited interval", sc)
-	}
-	if sc := c.forService("dnsdb"); sc.Window != 32 {
-		t.Errorf("forService(dnsdb).Window = %d, want inherited 32", sc.Window)
 	}
 }

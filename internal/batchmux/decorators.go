@@ -24,7 +24,7 @@ func New(cfg Config, reg *telemetry.Registry) *Mux {
 	cfg = cfg.withDefaults()
 	m := &Mux{
 		cfg:        cfg,
-		sem:        make(chan struct{}, cfg.MaxInFlight),
+		sem:        make(chan struct{}, maxInFlight),
 		perService: make(map[string]*metrics, 3),
 	}
 	for _, name := range []string{"hlr", "dnsdb", "avscan"} {
@@ -68,7 +68,7 @@ func batched[V any](op core.Op[string, V], m *Mux) core.Op[string, V] {
 		}
 		return op
 	}
-	b := newBatcher(m.cfg.forService(op.Service), m.cfg.BatchTimeout, m.sem, met, op.Bulk)
+	b := newBatcher(m.cfg, m.sem, met, op.Bulk)
 	op.Call = func(ctx context.Context, k string) (V, error) { return b.get(ctx, key(k)) }
 	op.Bulk = nil
 	return op

@@ -251,11 +251,8 @@ func TestAnnotateStopsOnDeadContext(t *testing.T) {
 	}
 }
 
-func TestNewPipelineRejectsNegativeStepAndStageWorkers(t *testing.T) {
+func TestNewPipelineRejectsNegativeStepWorkers(t *testing.T) {
 	if _, err := NewPipeline(Services{}, Options{StepWorkers: -1}); err == nil {
 		t.Error("negative StepWorkers accepted")
-	}
-	if _, err := NewPipeline(Services{}, Options{StageWorkers: -2}); err == nil {
-		t.Error("negative StageWorkers accepted")
 	}
 }

@@ -53,10 +53,6 @@ type Options struct {
 	// the default (4); 1 reproduces the historical fully sequential order;
 	// negative is a construction error.
 	StepWorkers int
-	// StageWorkers bounds the worker pools of the CPU stages (screenshot
-	// extraction in Curate, annotation in Annotate). 0 selects GOMAXPROCS;
-	// negative is a construction error.
-	StageWorkers int
 	// Streaming does nothing: Run always runs its stages in turn, so record
 	// order is curation order.
 	//
@@ -79,10 +75,11 @@ type Options struct {
 	// a world where every service is down. 0 selects the default (0.9);
 	// negative disables the abort.
 	AbortFailureRate float64
-	// MinAbortCalls is the minimum call sample before the failure-rate
-	// abort can trigger (default 50).
-	MinAbortCalls int
 }
+
+// minAbortCalls is the call sample below which the failure-rate abort
+// never triggers.
+const minAbortCalls = 50
 
 func (o Options) withDefaults() Options {
 	if o.Extractor == nil {
@@ -94,17 +91,11 @@ func (o Options) withDefaults() Options {
 	if o.StepWorkers == 0 {
 		o.StepWorkers = 4
 	}
-	if o.StageWorkers == 0 {
-		o.StageWorkers = runtime.GOMAXPROCS(0)
-	}
 	if o.Telemetry == nil {
 		o.Telemetry = telemetry.NewRegistry()
 	}
 	if o.AbortFailureRate == 0 {
 		o.AbortFailureRate = 0.9
-	}
-	if o.MinAbortCalls == 0 {
-		o.MinAbortCalls = 50
 	}
 	return o
 }
@@ -163,9 +154,6 @@ func NewPipelineOver(ops Ops, opts Options) (*Pipeline, error) {
 	if opts.StepWorkers < 0 {
 		return nil, errors.New("core: StepWorkers must not be negative")
 	}
-	if opts.StageWorkers < 0 {
-		return nil, errors.New("core: StageWorkers must not be negative")
-	}
 	opts = opts.withDefaults()
 	tel := opts.Telemetry
 	famLat := make(map[string]*telemetry.Histogram, len(familyNames))
@@ -207,7 +195,7 @@ func (p *Pipeline) Options() Options { return p.opts }
 // as EmptyDropped — the pytesseract failure mode.
 //
 // Extraction (screenshot decode + OCR) dominates curation and is pure per
-// report, so it fans out over Options.StageWorkers into an index-addressed
+// report, so it fans out over GOMAXPROCS workers into an index-addressed
 // scratch slice; the reduce below stays sequential, which keeps record
 // order and counter totals bit-identical to a serial sweep.
 func (p *Pipeline) Curate(reports []forum.RawReport) *Dataset {
@@ -221,7 +209,7 @@ func (p *Pipeline) Curate(reports []forum.RawReport) *Dataset {
 		ImagesByForum: make(map[corpus.Forum]int, len(corpus.Forums)),
 	}
 	results := make([]curateResult, len(reports))
-	parallelFor(context.Background(), len(reports), p.opts.StageWorkers, func(i int) {
+	parallelFor(context.Background(), len(reports), runtime.GOMAXPROCS(0), func(i int) {
 		results[i].rec, results[i].status = p.curateOne(reports[i])
 	})
 	for i := range reports {
@@ -391,7 +379,7 @@ func (p *Pipeline) abortErr(st *enrichState) error {
 		return nil
 	}
 	calls := st.calls.Load()
-	if calls < int64(p.opts.MinAbortCalls) {
+	if calls < minAbortCalls {
 		return nil
 	}
 	if fails := st.fails.Load(); float64(fails)/float64(calls) > rate {
@@ -734,13 +722,13 @@ func splitShort(u string) (service, code string) {
 }
 
 // Annotate labels every record (§3.3.6). Annotation is pure CPU over the
-// whole dataset, so it fans out over Options.StageWorkers; each worker
+// whole dataset, so it fans out over GOMAXPROCS workers; each worker
 // checks ctx between records, so a dead run stops burning CPU on records
 // it will discard and the first context error is returned.
 func (p *Pipeline) Annotate(ctx context.Context, ds *Dataset) error {
 	sp := p.tel.StartSpan("annotate")
 	defer sp.End()
-	parallelFor(ctx, len(ds.Records), p.opts.StageWorkers, func(i int) {
+	parallelFor(ctx, len(ds.Records), runtime.GOMAXPROCS(0), func(i int) {
 		rec := &ds.Records[i]
 		rec.Annotation = annotate.Annotate(rec.Text, rec.ShownURL)
 		p.met.annotated.Inc()

@@ -99,8 +99,9 @@ func (s *shortCircuitHLR) Lookup(context.Context, string) (hlr.Result, error) {
 // TestEnrichShortCircuitsDoNotAbort pins the abort-accounting contract:
 // a guard shedding 100% of calls degrades every record's field but must
 // stay out of the AbortFailureRate ratio — an open breaker protecting
-// the sweep must not be what aborts it. (64 records is above the default
-// MinAbortCalls, so counting shed calls as failures would abort here.)
+// the sweep must not be what aborts it. (64 records is above the
+// 50-call minimum sample, so counting shed calls as failures would abort
+// here.)
 func TestEnrichShortCircuitsDoNotAbort(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	svc := &shortCircuitHLR{}

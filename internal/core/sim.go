@@ -84,14 +84,11 @@ type World = corpus.World
 
 // SimConfig tunes how the simulation publishes its fixtures.
 type SimConfig struct {
-	// HoldbackWaves > 0 seeds the forums with only an initial share of the
-	// fixtures and keeps the rest as that many chronological waves, released
-	// one at a time via ReleaseWave — a live world for the service daemon.
-	// 0 (the default) publishes everything up front.
+	// HoldbackWaves > 0 seeds the forums with half of the fixtures and
+	// keeps the rest as that many chronological waves, released one at a
+	// time via ReleaseWave — a live world for the service daemon. 0 (the
+	// default) publishes everything up front.
 	HoldbackWaves int
-	// InitialShare is the fraction of fixtures seeded up front when waves
-	// are held back. 0 means the default of 0.5.
-	InitialShare float64
 }
 
 // StartSimulation generates (or accepts) a world and boots every server
@@ -128,11 +125,7 @@ func StartSimulationCfg(w *corpus.World, reg *telemetry.Registry, cfg SimConfig)
 	fixtures := forum.BuildFixtures(w)
 	sim.injectAt = forum.MaxCreatedAt(fixtures).Add(time.Second)
 	if cfg.HoldbackWaves > 0 {
-		share := cfg.InitialShare
-		if share == 0 {
-			share = 0.5
-		}
-		fixtures, sim.waves = forum.SplitFixtures(fixtures, share, cfg.HoldbackWaves)
+		fixtures, sim.waves = forum.SplitFixtures(fixtures, 0.5, cfg.HoldbackWaves)
 	}
 
 	// Intelligence stores seeded from ground truth.

@@ -74,7 +74,7 @@ func newTable[V any](c *Cache, service string, cfg Config, reg *telemetry.Regist
 		st = &serviceState{met: newMetrics(reg, service)}
 		c.perService[service] = st
 	}
-	t := newLookupCache[V](cfg.forService(service), cfg.ServeStale, cfg.Clock, st.met)
+	t := newLookupCache[V](cfg, st.met)
 	st.lens = append(st.lens, t.len)
 	return t
 }

@@ -49,21 +49,9 @@ type Config struct {
 	// after the client's own retries — degraded but populated records
 	// instead of an aborted run.
 	ServeStale bool
-	// PerService overrides the defaults for one service, keyed by the
-	// service names used in telemetry: hlr, whois, ctlog, dnsdb, avscan,
-	// shortener.
-	PerService map[string]ServiceConfig
 	// Clock overrides the time source (tests). It is process-local: it
 	// does not cross to a shard worker process, which runs on time.Now.
 	Clock func() time.Time `json:"-"`
-}
-
-// ServiceConfig overrides cache bounds for a single service. Zero fields
-// inherit the Config-level value.
-type ServiceConfig struct {
-	TTL         time.Duration
-	NegativeTTL time.Duration
-	MaxEntries  int
 }
 
 func (c Config) withDefaults() Config {
@@ -80,21 +68,6 @@ func (c Config) withDefaults() Config {
 		c.Clock = time.Now
 	}
 	return c
-}
-
-// forService resolves the effective bounds for one named service.
-func (c Config) forService(name string) ServiceConfig {
-	sc := c.PerService[name]
-	if sc.TTL == 0 {
-		sc.TTL = c.TTL
-	}
-	if sc.NegativeTTL == 0 {
-		sc.NegativeTTL = c.NegativeTTL
-	}
-	if sc.MaxEntries == 0 {
-		sc.MaxEntries = c.MaxEntries
-	}
-	return sc
 }
 
 // metrics is the per-service instrument bundle. All sub-caches of one
@@ -160,16 +133,16 @@ type lookupCache[V any] struct {
 	met *metrics
 }
 
-func newLookupCache[V any](sc ServiceConfig, serveStale bool, now func() time.Time, met *metrics) *lookupCache[V] {
+func newLookupCache[V any](cfg Config, met *metrics) *lookupCache[V] {
 	return &lookupCache[V]{
 		lru:        list.New(),
 		entries:    make(map[string]*list.Element),
 		inflight:   make(map[string]*call[V]),
-		ttl:        sc.TTL,
-		negTTL:     sc.NegativeTTL,
-		max:        sc.MaxEntries,
-		serveStale: serveStale,
-		now:        now,
+		ttl:        cfg.TTL,
+		negTTL:     cfg.NegativeTTL,
+		max:        cfg.MaxEntries,
+		serveStale: cfg.ServeStale,
+		now:        cfg.Clock,
 		met:        met,
 	}
 }

@@ -37,29 +37,29 @@ func (f *fakeClock) Advance(d time.Duration) {
 	f.now = f.now.Add(d)
 }
 
-func testCache(t *testing.T, sc ServiceConfig, serveStale bool, now func() time.Time) (*lookupCache[int], *telemetry.Registry) {
+func testCache(t *testing.T, cfg Config) (*lookupCache[int], *telemetry.Registry) {
 	t.Helper()
-	if sc.TTL == 0 {
-		sc.TTL = time.Minute
+	if cfg.TTL == 0 {
+		cfg.TTL = time.Minute
 	}
-	if sc.NegativeTTL == 0 {
-		sc.NegativeTTL = 10 * time.Second
+	if cfg.NegativeTTL == 0 {
+		cfg.NegativeTTL = 10 * time.Second
 	}
-	if sc.MaxEntries == 0 {
-		sc.MaxEntries = 128
+	if cfg.MaxEntries == 0 {
+		cfg.MaxEntries = 128
 	}
-	if now == nil {
-		now = time.Now
+	if cfg.Clock == nil {
+		cfg.Clock = time.Now
 	}
 	reg := telemetry.NewRegistry()
-	return newLookupCache[int](sc, serveStale, now, newMetrics(reg, "test")), reg
+	return newLookupCache[int](cfg, newMetrics(reg, "test")), reg
 }
 
 // TestSingleflightCoalesces floods one key with concurrent workers while
 // the upstream call is held open: exactly one upstream call happens, and
 // every waiter gets its result. Run under -race in CI.
 func TestSingleflightCoalesces(t *testing.T) {
-	c, reg := testCache(t, ServiceConfig{}, false, nil)
+	c, reg := testCache(t, Config{})
 	var calls atomic.Int32
 	release := make(chan struct{})
 	fn := func(ctx context.Context) (int, error) {
@@ -111,7 +111,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 // TestCoalescedWaiterHonorsContext: a follower whose context dies while
 // waiting gets the context error, not a hang.
 func TestCoalescedWaiterHonorsContext(t *testing.T) {
-	c, _ := testCache(t, ServiceConfig{}, false, nil)
+	c, _ := testCache(t, Config{})
 	release := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
@@ -143,7 +143,7 @@ func TestCoalescedWaiterHonorsContext(t *testing.T) {
 
 func TestTTLExpiry(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1700000000, 0)}
-	c, reg := testCache(t, ServiceConfig{TTL: time.Minute}, false, clk.Now)
+	c, reg := testCache(t, Config{TTL: time.Minute, Clock: clk.Now})
 	var calls int
 	fn := func(ctx context.Context) (int, error) { calls++; return calls, nil }
 
@@ -166,7 +166,7 @@ func TestTTLExpiry(t *testing.T) {
 // TestLRUEvictionOrder: with room for two entries, touching the older one
 // makes the other the eviction victim.
 func TestLRUEvictionOrder(t *testing.T) {
-	c, reg := testCache(t, ServiceConfig{MaxEntries: 2}, false, nil)
+	c, reg := testCache(t, Config{MaxEntries: 2})
 	calls := map[string]int{}
 	fnFor := func(key string) func(context.Context) (int, error) {
 		return func(ctx context.Context) (int, error) {
@@ -198,7 +198,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 
 func TestNegativeErrorCaching(t *testing.T) {
 	notFound := errors.New("not found")
-	c, reg := testCache(t, ServiceConfig{}, false, nil)
+	c, reg := testCache(t, Config{})
 	c.isNegErr = func(err error) bool { return errors.Is(err, notFound) }
 	var calls int
 	fn := func(ctx context.Context) (int, error) { calls++; return 0, notFound }
@@ -218,7 +218,7 @@ func TestNegativeErrorCaching(t *testing.T) {
 
 func TestUncachedErrorsPassThrough(t *testing.T) {
 	boom := errors.New("transport down")
-	c, _ := testCache(t, ServiceConfig{}, false, nil)
+	c, _ := testCache(t, Config{})
 	var calls int
 	fn := func(ctx context.Context) (int, error) { calls++; return 0, boom }
 	for i := 0; i < 2; i++ {
@@ -233,7 +233,7 @@ func TestUncachedErrorsPassThrough(t *testing.T) {
 
 func TestServeStaleOn5xx(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1700000000, 0)}
-	c, reg := testCache(t, ServiceConfig{TTL: time.Minute}, true, clk.Now)
+	c, reg := testCache(t, Config{TTL: time.Minute, ServeStale: true, Clock: clk.Now})
 	healthy := true
 	var calls int
 	fn := func(ctx context.Context) (int, error) {
@@ -268,7 +268,7 @@ func TestServeStaleOn5xx(t *testing.T) {
 
 func TestServeStaleDisabledPropagates5xx(t *testing.T) {
 	clk := &fakeClock{now: time.Unix(1700000000, 0)}
-	c, _ := testCache(t, ServiceConfig{TTL: time.Minute}, false, clk.Now)
+	c, _ := testCache(t, Config{TTL: time.Minute, Clock: clk.Now})
 	healthy := true
 	fn := func(ctx context.Context) (int, error) {
 		if healthy {
@@ -386,28 +386,6 @@ func (f fakeDNS) Resolutions(ctx context.Context, domain string) ([]dnsdb.Observ
 func (f fakeDNS) ASOf(ctx context.Context, ip string) (dnsdb.ASInfo, error) {
 	f.calls.Add(1)
 	return dnsdb.ASInfo{}, dnsdb.ErrNoRoute
-}
-
-func TestPerServiceConfigOverride(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(1700000000, 0)}
-	cache := New(Config{
-		TTL:        time.Hour,
-		Clock:      clk.Now,
-		PerService: map[string]ServiceConfig{"hlr": {TTL: time.Second}},
-	}, telemetry.NewRegistry())
-	upstream := &countingHLR{}
-	lk := cache.WrapServices(core.Services{HLR: upstream}).HLR
-	ctx := context.Background()
-	if _, err := lk.Lookup(ctx, "+1"); err != nil {
-		t.Fatal(err)
-	}
-	clk.Advance(2 * time.Second)
-	if _, err := lk.Lookup(ctx, "+1"); err != nil {
-		t.Fatal(err)
-	}
-	if n := upstream.calls.Load(); n != 2 {
-		t.Errorf("upstream calls = %d, want 2 (per-service 1s TTL overrides 1h default)", n)
-	}
 }
 
 func TestWriteRendersEveryService(t *testing.T) {

@@ -86,7 +86,7 @@ const (
 	OutcomeIgnore
 )
 
-// Classify is the default failure classifier. Authoritative negative
+// Classify is the breakers' failure classifier. Authoritative negative
 // answers and non-429 4xx responses are successes (the service is up and
 // answering); caller cancellation is ignored; everything else — transport
 // errors, deadline expiry, 429 storms, 5xx — is a failure.
@@ -148,10 +148,9 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 
 // Breaker is one service's circuit breaker. Safe for concurrent use.
 type Breaker struct {
-	name     string
-	cfg      BreakerConfig
-	classify func(error) Outcome
-	now      func() time.Time
+	name string
+	cfg  BreakerConfig
+	now  func() time.Time
 
 	mu          sync.Mutex
 	state       State
@@ -164,22 +163,21 @@ type Breaker struct {
 	opens, shorts, probesC, fails, succs *telemetry.Counter
 }
 
-// NewBreaker builds a breaker recording into reg (nil allowed) with the
-// default classifier and clock.
+// NewBreaker builds a breaker recording into reg (nil allowed) on the
+// wall clock. Record sorts call outcomes with Classify.
 func NewBreaker(name string, cfg BreakerConfig, reg *telemetry.Registry) *Breaker {
 	cfg = cfg.withDefaults()
 	prefix := "breaker." + name + "."
 	b := &Breaker{
-		name:     name,
-		cfg:      cfg,
-		classify: Classify,
-		now:      time.Now,
-		stateG:   reg.Gauge(prefix + "state"),
-		opens:    reg.Counter(prefix + "opens"),
-		shorts:   reg.Counter(prefix + "short_circuits"),
-		probesC:  reg.Counter(prefix + "probes"),
-		fails:    reg.Counter(prefix + "failures"),
-		succs:    reg.Counter(prefix + "successes"),
+		name:    name,
+		cfg:     cfg,
+		now:     time.Now,
+		stateG:  reg.Gauge(prefix + "state"),
+		opens:   reg.Counter(prefix + "opens"),
+		shorts:  reg.Counter(prefix + "short_circuits"),
+		probesC: reg.Counter(prefix + "probes"),
+		fails:   reg.Counter(prefix + "failures"),
+		succs:   reg.Counter(prefix + "successes"),
 	}
 	b.stateG.Set(int64(StateClosed))
 	return b
@@ -190,16 +188,6 @@ func (b *Breaker) SetClock(now func() time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.now = now
-}
-
-// SetClassifier overrides the failure classifier (nil restores Classify).
-func (b *Breaker) SetClassifier(f func(error) Outcome) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if f == nil {
-		f = Classify
-	}
-	b.classify = f
 }
 
 // State reports the current state, transitioning open -> half-open if the
@@ -244,11 +232,7 @@ func (b *Breaker) Allow() error {
 
 // Record reports the outcome of a call admitted by Allow.
 func (b *Breaker) Record(err error) {
-	b.mu.Lock()
-	classify := b.classify
-	b.mu.Unlock()
-	out := classify(err)
-
+	out := Classify(err)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == StateHalfOpen && b.probes > 0 {

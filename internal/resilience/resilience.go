@@ -19,10 +19,6 @@ type Config struct {
 	// PerService overrides Breaker for one service (keyed hlr, whois,
 	// ctlog, dnsdb, avscan, shortener; full replacement).
 	PerService map[string]BreakerConfig
-	// Classify overrides the failure classifier (default Classify). It is
-	// process-local: it does not cross to a shard worker process, which
-	// runs the default.
-	Classify func(error) Outcome `json:"-"`
 }
 
 func (c Config) forService(name string) BreakerConfig {
@@ -42,11 +38,7 @@ type Breakers struct {
 func New(cfg Config, reg *telemetry.Registry) *Breakers {
 	bs := &Breakers{perService: make(map[string]*Breaker, 6)}
 	for _, name := range []string{"hlr", "whois", "ctlog", "dnsdb", "avscan", "shortener"} {
-		b := NewBreaker(name, cfg.forService(name), reg)
-		if cfg.Classify != nil {
-			b.SetClassifier(cfg.Classify)
-		}
-		bs.perService[name] = b
+		bs.perService[name] = NewBreaker(name, cfg.forService(name), reg)
 	}
 	return bs
 }

@@ -43,8 +43,7 @@ type Group struct {
 	prober       *Prober
 	routed       []*telemetry.Counter
 	failures     []*telemetry.Counter
-	restartsC    []*telemetry.Counter
-	restartsN    []int64
+	restarts     []*telemetry.Counter
 	batches      *telemetry.Counter
 	redispatched *telemetry.Counter
 	failoverWav  *telemetry.Counter
@@ -71,8 +70,7 @@ func NewGroup(front *core.Pipeline, enrichers []Enricher, replicas int, reg *tel
 		enrichers:    enrichers,
 		routed:       make([]*telemetry.Counter, len(enrichers)),
 		failures:     make([]*telemetry.Counter, len(enrichers)),
-		restartsC:    make([]*telemetry.Counter, len(enrichers)),
-		restartsN:    make([]int64, len(enrichers)),
+		restarts:     make([]*telemetry.Counter, len(enrichers)),
 		batches:      reg.Counter("shard.batches"),
 		redispatched: reg.Counter("shard.failover.redispatched"),
 		failoverWav:  reg.Counter("shard.failover.waves"),
@@ -80,7 +78,7 @@ func NewGroup(front *core.Pipeline, enrichers []Enricher, replicas int, reg *tel
 	for i := range g.routed {
 		g.routed[i] = reg.Counter("shard." + strconv.Itoa(i) + ".routed")
 		g.failures[i] = reg.Counter("shard." + strconv.Itoa(i) + ".failures")
-		g.restartsC[i] = reg.Counter("shard." + strconv.Itoa(i) + ".restarts")
+		g.restarts[i] = reg.Counter("shard." + strconv.Itoa(i) + ".restarts")
 	}
 	return g, nil
 }
@@ -157,13 +155,10 @@ func (g *Group) SetEnricher(i int, e Enricher, remote bool) error {
 // NoteRestart records one supervisor restart of shard i's worker, counted
 // in "shard.<i>.restarts" and surfaced as ShardInfo.Restarts.
 func (g *Group) NoteRestart(i int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if i < 0 || i >= len(g.restartsN) {
+	if i < 0 || i >= len(g.restarts) {
 		return
 	}
-	g.restartsN[i]++
-	g.restartsC[i].Inc()
+	g.restarts[i].Inc()
 }
 
 // Run curates one batch, routes it, and returns the merged dataset. A
@@ -354,8 +349,6 @@ func (g *Group) Stats() GroupStats {
 	enrichers := g.enrichers
 	remote := g.remote
 	prober := g.prober
-	restarts := make([]int64, len(g.restartsN))
-	copy(restarts, g.restartsN)
 	g.mu.RUnlock()
 	out := GroupStats{
 		Shards:       g.ring.Shards(),
@@ -370,7 +363,7 @@ func (g *Group) Stats() GroupStats {
 			Routed:   g.routed[i].Value(),
 			Remote:   remote,
 			Failures: g.failures[i].Value(),
-			Restarts: restarts[i],
+			Restarts: g.restarts[i].Value(),
 		}
 		if prober != nil {
 			up := prober.Up(i)

@@ -28,22 +28,14 @@ type HealthChecker interface {
 type ProbeConfig struct {
 	// Interval is the probe cadence (default 2s).
 	Interval time.Duration
-	// Timeout bounds one probe request (default 1s).
-	Timeout time.Duration
-	// DownAfter is how many consecutive probe failures mark a shard down
-	// (default 1). A single success always marks it back up.
-	DownAfter int
 }
+
+// probeTimeout bounds one probe request.
+const probeTimeout = time.Second
 
 func (c ProbeConfig) withDefaults() ProbeConfig {
 	if c.Interval <= 0 {
 		c.Interval = 2 * time.Second
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = time.Second
-	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = 1
 	}
 	return c
 }
@@ -51,7 +43,8 @@ func (c ProbeConfig) withDefaults() ProbeConfig {
 // Prober tracks per-shard up/down state: a background Run loop probes
 // every target each Interval, and the Group feeds it dispatch outcomes
 // (MarkDown on an enrich failure, MarkUp when the supervisor swaps in a
-// fresh worker). State lands in telemetry as "shard.<i>.health" gauges
+// fresh worker). One failed probe marks a shard down and one success
+// marks it back up. State lands in telemetry as "shard.<i>.health" gauges
 // (1 up, 0 down) and "shard.<i>.flaps" transition counters.
 type Prober struct {
 	cfg    ProbeConfig
@@ -62,8 +55,6 @@ type Prober struct {
 	mu     sync.Mutex
 	source func() []Enricher
 	up     []bool
-	streak []int // consecutive probe failures while up
-	flapsN []int64
 }
 
 // NewProber builds a prober for n shards, all initially up. Wire its
@@ -75,8 +66,6 @@ func NewProber(n int, cfg ProbeConfig, reg *telemetry.Registry) *Prober {
 		health: make([]*telemetry.Gauge, n),
 		flaps:  make([]*telemetry.Counter, n),
 		up:     make([]bool, n),
-		streak: make([]int, n),
-		flapsN: make([]int64, n),
 	}
 	for i := 0; i < n; i++ {
 		p.health[i] = reg.Gauge("shard." + strconv.Itoa(i) + ".health")
@@ -110,8 +99,8 @@ func (p *Prober) Run(ctx context.Context) {
 	}
 }
 
-// ProbeOnce probes every target concurrently, each bounded by Timeout,
-// and folds the results into the up/down state.
+// ProbeOnce probes every target concurrently, each bounded by
+// probeTimeout, and folds the results into the up/down state.
 func (p *Prober) ProbeOnce(ctx context.Context) {
 	p.mu.Lock()
 	source := p.source
@@ -130,43 +119,29 @@ func (p *Prober) ProbeOnce(ctx context.Context) {
 		if !ok {
 			// Not probeable (an in-process Stack without the interface):
 			// always up.
-			p.setState(i, true)
+			p.set(i, true)
 			continue
 		}
 		wg.Add(1)
 		go func(i int, hc HealthChecker) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, p.cfg.Timeout)
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
-			p.setState(i, hc.Healthy(pctx) == nil)
+			p.set(i, hc.Healthy(pctx) == nil)
 		}(i, hc)
 	}
 	wg.Wait()
 }
 
-// setState folds one probe outcome into shard i's state.
-func (p *Prober) setState(i int, ok bool) {
+// set transitions shard i to the given state, counting the flap. Out of
+// range indexes are ignored.
+func (p *Prober) set(i int, up bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if ok {
-		p.streak[i] = 0
-		p.markLocked(i, true)
-		return
-	}
-	p.streak[i]++
-	if p.up[i] && p.streak[i] >= p.cfg.DownAfter {
-		p.markLocked(i, false)
-	}
-}
-
-// markLocked transitions shard i to the given state, counting the flap.
-// Callers hold p.mu.
-func (p *Prober) markLocked(i int, up bool) {
-	if p.up[i] == up {
+	if i < 0 || i >= len(p.up) || p.up[i] == up {
 		return
 	}
 	p.up[i] = up
-	p.flapsN[i]++
 	p.flaps[i].Inc()
 	if up {
 		p.health[i].Set(1)
@@ -178,27 +153,11 @@ func (p *Prober) markLocked(i int, up bool) {
 // MarkDown forces shard i down immediately — the Group calls it when a
 // dispatch fails, so routing steers around the shard without waiting for
 // the next probe tick.
-func (p *Prober) MarkDown(i int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if i < 0 || i >= len(p.up) {
-		return
-	}
-	p.streak[i] = p.cfg.DownAfter
-	p.markLocked(i, false)
-}
+func (p *Prober) MarkDown(i int) { p.set(i, false) }
 
 // MarkUp forces shard i up immediately — the supervisor calls it after a
 // restarted worker passes its connect-time health check.
-func (p *Prober) MarkUp(i int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if i < 0 || i >= len(p.up) {
-		return
-	}
-	p.streak[i] = 0
-	p.markLocked(i, true)
-}
+func (p *Prober) MarkUp(i int) { p.set(i, true) }
 
 // Up reports shard i's current state.
 func (p *Prober) Up(i int) bool {
@@ -216,12 +175,11 @@ func (p *Prober) AliveMask() []bool {
 	return out
 }
 
-// Flaps returns how many up<->down transitions shard i has made.
+// Flaps returns how many up<->down transitions shard i has made: the
+// "shard.<i>.flaps" counter's value.
 func (p *Prober) Flaps(i int) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if i < 0 || i >= len(p.flapsN) {
+	if i < 0 || i >= len(p.flaps) {
 		return 0
 	}
-	return p.flapsN[i]
+	return p.flaps[i].Value()
 }

@@ -32,7 +32,7 @@ func (p *probeTarget) setHealth(err error) {
 func TestProberStateMachine(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	targets := []*probeTarget{{}, {}}
-	p := NewProber(2, ProbeConfig{DownAfter: 2}, reg)
+	p := NewProber(2, ProbeConfig{}, reg)
 	p.SetSource(func() []Enricher { return []Enricher{targets[0], targets[1]} })
 
 	for i := 0; i < 2; i++ {
@@ -42,16 +42,11 @@ func TestProberStateMachine(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	// One failure is below DownAfter=2: still up.
+	// One failed probe marks the shard down.
 	targets[1].setHealth(errors.New("unreachable"))
 	p.ProbeOnce(ctx)
-	if !p.Up(1) {
-		t.Fatal("shard 1 went down after 1 failure with DownAfter=2")
-	}
-	// Second consecutive failure crosses the threshold.
-	p.ProbeOnce(ctx)
 	if p.Up(1) {
-		t.Fatal("shard 1 still up after DownAfter consecutive failures")
+		t.Fatal("shard 1 still up after a failed probe")
 	}
 	if p.Up(0) != true {
 		t.Fatal("healthy shard 0 was marked down")

@@ -47,9 +47,8 @@ type StatsProvider interface {
 // the shard's registry). It is the one config for a shard wherever it
 // runs: a worker process receives it whole as JSON and builds the tiers an
 // in-process shard is built with. Fields tagged json:"-" (the cache Clock,
-// the breaker Classify hook, the pipeline's Extractor, Telemetry and
-// Streaming) are process-local and do not cross; a worker runs their
-// defaults.
+// the pipeline's Extractor, Telemetry and Streaming) are process-local and
+// do not cross; a worker runs their defaults.
 type StackConfig struct {
 	Faults     *faultinject.Config
 	Batch      *batchmux.Config

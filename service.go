@@ -56,20 +56,11 @@ type ServiceConfig struct {
 	// MaxRounds stops the daemon after that many rounds (0 = run until ctx
 	// is cancelled).
 	MaxRounds int
-	// LiveWaves > 0 holds back that many chronological fixture waves at
-	// simulation boot and releases one before each round after the first,
-	// so the daemon observes reports arriving over time. 0 publishes all
-	// fixtures up front.
+	// LiveWaves > 0 seeds half of the fixtures at simulation boot, holds
+	// the rest back as that many chronological waves, and releases one
+	// before each round after the first, so the daemon observes reports
+	// arriving over time. 0 publishes all fixtures up front.
 	LiveWaves int
-	// InitialShare is the fraction of fixtures seeded up front when
-	// LiveWaves is set (0 selects the default of 0.5).
-	InitialShare float64
-	// DrainTimeout bounds how long a cancelled Serve keeps processing the
-	// in-flight round before giving up on it (default 30s).
-	DrainTimeout time.Duration
-	// ProjectionQueue bounds how many processed batches may wait for the
-	// projection worker (0 selects the default of 16).
-	ProjectionQueue int
 	// OnRound, when non-nil, is called after every round with that round's
 	// outcome — the seam tests use to cancel or inspect mid-flight.
 	OnRound func(RoundInfo)
@@ -88,11 +79,12 @@ func (c ServiceConfig) withDefaults() ServiceConfig {
 	if c.Checkpoints == nil {
 		c.Checkpoints = checkpoint.NewMemStore()
 	}
-	if c.DrainTimeout == 0 {
-		c.DrainTimeout = 30 * time.Second
-	}
 	return c
 }
+
+// drainTimeout bounds how long a cancelled Serve keeps processing the
+// in-flight round, and then waits for the projection, before giving up.
+const drainTimeout = 30 * time.Second
 
 // RoundInfo is one Serve round's outcome.
 type RoundInfo struct {
@@ -308,7 +300,7 @@ func (s *Study) StatusURL() string {
 // it never committed (no duplicates, no holes).
 //
 // Cancelling ctx is the clean shutdown: the in-flight round is drained
-// (bounded by DrainTimeout), the projection is flushed, and the merged
+// (for at most 30s), the projection is flushed, and the merged
 // dataset so far is returned with a nil error.
 func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 	var cfg ServiceConfig
@@ -322,9 +314,9 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 	// With a record log the projection indexes the log's own records, so
 	// the daemon holds one in-memory copy of each committed record.
 	if s.rlog != nil {
-		st.proj = report.NewProjectionOver(reg, cfg.ProjectionQueue, s.rlog)
+		st.proj = report.NewProjectionOver(reg, 0, s.rlog)
 	} else {
-		st.proj = report.NewProjection(reg, cfg.ProjectionQueue)
+		st.proj = report.NewProjection(reg, 0)
 	}
 	st.roundHist = reg.Histogram("serve.round_duration")
 	st.injected = s.Sim.InjectedPosts
@@ -409,7 +401,7 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 	}
 
 	// drainCtx survives ctx cancellation so a cancelled round finishes
-	// processing and commits instead of tearing mid-batch; DrainTimeout per
+	// processing and commits instead of tearing mid-batch; drainTimeout per
 	// round bounds the overstay.
 	drainBase := context.WithoutCancel(ctx)
 	lagGauges := make(map[string]*telemetry.Gauge, len(forum.Sources))
@@ -503,7 +495,7 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 		collectedAt := time.Now()
 		committed := true
 		if len(batch) > 0 {
-			procCtx, cancel := context.WithTimeout(drainBase, cfg.DrainTimeout)
+			procCtx, cancel := context.WithTimeout(drainBase, drainTimeout)
 			// The shard group scatters results back into curation order
 			// before the commit, for any shard count.
 			ds, err := s.group.Run(procCtx, batch)
@@ -591,7 +583,7 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 	}
 
 	// Graceful drain: flush every submitted batch into the projection.
-	drainCtx, cancel := context.WithTimeout(drainBase, cfg.DrainTimeout)
+	drainCtx, cancel := context.WithTimeout(drainBase, drainTimeout)
 	defer cancel()
 	if err := st.proj.Wait(drainCtx); err != nil {
 		return st.proj.Dataset(), fmt.Errorf("smishkit: drain projection: %w", err)

@@ -363,9 +363,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"negative poll interval", Options{
 			Service: &ServiceConfig{PollInterval: -time.Second},
 		}, "PollInterval"},
-		{"bad initial share", Options{
-			Service: &ServiceConfig{InitialShare: 1.5},
-		}, "InitialShare"},
 		{"valid service", Options{
 			Service: &ServiceConfig{LiveWaves: 2},
 		}, ""},

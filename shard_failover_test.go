@@ -59,9 +59,8 @@ func TestShardFailoverDeterminism(t *testing.T) {
 
 	const shards = 3
 	study, err := NewStudy(Options{Seed: 7, Messages: 600, Shards: &ShardConfig{
-		Shards:        shards,
-		Failover:      true,
-		WorkerTimeout: 10 * time.Second,
+		Shards:   shards,
+		Failover: true,
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -227,21 +226,14 @@ func TestShardSupervisorRestart(t *testing.T) {
 func TestShardFailoverConfigValidation(t *testing.T) {
 	bad := []Options{
 		{Shards: &ShardConfig{Shards: 2, ProbeInterval: time.Second}}, // probe knob without Failover
-		{Shards: &ShardConfig{Shards: 2, ProbeTimeout: time.Second}},  // probe knob without Failover
 		{Shards: &ShardConfig{Shards: 2, Failover: true, ProbeInterval: -time.Second}},
-		{Shards: &ShardConfig{Shards: 2, Failover: true, ProbeTimeout: -time.Second}},
-		{Shards: &ShardConfig{Shards: 2, WorkerTimeout: -time.Second}},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted %+v", i, o.Shards)
 		}
 	}
-	ok := Options{Shards: &ShardConfig{
-		Shards: 2, Failover: true,
-		ProbeInterval: 500 * time.Millisecond, ProbeTimeout: 100 * time.Millisecond,
-		WorkerTimeout: time.Minute,
-	}}
+	ok := Options{Shards: &ShardConfig{Shards: 2, Failover: true, ProbeInterval: 500 * time.Millisecond}}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("Validate rejected a sane failover config: %v", err)
 	}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/smishkit/smishkit/internal/report"
-	"github.com/smishkit/smishkit/internal/resilience"
 	"github.com/smishkit/smishkit/internal/shard"
 )
 
@@ -188,14 +187,13 @@ func TestShardConfigValidation(t *testing.T) {
 	bad := []Options{
 		{Shards: &ShardConfig{Shards: 0}},
 		{Shards: &ShardConfig{Shards: -2}},
-		{Shards: &ShardConfig{Shards: 2, Replicas: -1}},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted %+v", i, o.Shards)
 		}
 	}
-	ok := Options{Shards: &ShardConfig{Shards: 2, Replicas: 64}}
+	ok := Options{Shards: &ShardConfig{Shards: 2}}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("Validate rejected a sane shard config: %v", err)
 	}
@@ -205,7 +203,7 @@ func TestShardConfigValidation(t *testing.T) {
 // Options, a worker built from the JSON of ShardWorkerSpec runs exactly the
 // stack an in-process shard of the same study runs — every tier config,
 // faults included, and the pipeline budgets. Only the process-local
-// json:"-" fields (clocks, classifiers, extractors, registries) are
+// json:"-" fields (clocks, extractors, registries) are
 // exempt. One fixed input pins that the budgets reach the stack; the rest
 // are random.
 func TestShardWorkerSpecRoundTrip(t *testing.T) {
@@ -215,13 +213,12 @@ func TestShardWorkerSpecRoundTrip(t *testing.T) {
 		RecordBudget:     3 * time.Second,
 		CallTimeout:      500 * time.Millisecond,
 		AbortFailureRate: 0.5,
-		MinAbortCalls:    20,
 	}
 	budgets := func(o PipelineOptions) PipelineOptions {
 		return PipelineOptions{
 			EnrichWorkers: o.EnrichWorkers, StepWorkers: o.StepWorkers,
 			RecordBudget: o.RecordBudget, CallTimeout: o.CallTimeout,
-			AbortFailureRate: o.AbortFailureRate, MinAbortCalls: o.MinAbortCalls,
+			AbortFailureRate: o.AbortFailureRate,
 		}
 	}
 	fixed := []struct {
@@ -343,8 +340,8 @@ func randomStackOptions(rng *rand.Rand) Options {
 	}
 	var o Options
 	o.Pipeline = PipelineOptions{
-		EnrichWorkers: rng.Intn(17), StepWorkers: rng.Intn(9), StageWorkers: rng.Intn(5),
-		RecordBudget: dur(), CallTimeout: dur(), AbortFailureRate: rate(), MinAbortCalls: rng.Intn(100),
+		EnrichWorkers: rng.Intn(17), StepWorkers: rng.Intn(9),
+		RecordBudget: dur(), CallTimeout: dur(), AbortFailureRate: rate(),
 	}
 	if coin() {
 		o.Pipeline.Extractor = ExtractorNaiveOCR
@@ -354,21 +351,10 @@ func randomStackOptions(rng *rand.Rand) Options {
 		if coin() {
 			c.Clock = time.Now
 		}
-		if coin() {
-			c.PerService = map[string]CacheServiceConfig{}
-			perService(func(n string) {
-				c.PerService[n] = CacheServiceConfig{TTL: dur(), NegativeTTL: dur(), MaxEntries: rng.Intn(500)}
-			})
-		}
 		o.Cache = c
 	}
 	if coin() {
-		b := &BatchConfig{Window: rng.Intn(64), FlushInterval: dur(), BatchTimeout: dur(), MaxInFlight: rng.Intn(8)}
-		if coin() {
-			b.PerService = map[string]BatchServiceConfig{}
-			perService(func(n string) { b.PerService[n] = BatchServiceConfig{Window: rng.Intn(64), FlushInterval: dur()} })
-		}
-		o.Batch = b
+		o.Batch = &BatchConfig{Window: rng.Intn(64), FlushInterval: dur()}
 	}
 	breaker := func() BreakerConfig {
 		return BreakerConfig{
@@ -378,9 +364,6 @@ func randomStackOptions(rng *rand.Rand) Options {
 	}
 	if coin() {
 		r := &ResilienceConfig{Breaker: breaker()}
-		if coin() {
-			r.Classify = resilience.Classify
-		}
 		if coin() {
 			r.PerService = map[string]BreakerConfig{}
 			perService(func(n string) { r.PerService[n] = breaker() })
@@ -486,6 +469,27 @@ func TestShardWorkersInProcess(t *testing.T) {
 							t.Errorf("shard %d %s: %d cache entries, cap is %d", sh.Index, svc, cs.Entries, limit)
 						}
 					}
+				}
+			}
+			// The study's batching scoreboard is the workers' sum: the
+			// parent's own windows sit idle once the workers serve.
+			if o.Batch != nil {
+				var rows BatchStats
+				for _, sh := range st.PerShard {
+					if sh.Stack != nil {
+						rows = rows.Add(sh.Stack.Batch)
+					}
+				}
+				got := study.Stats().Batch
+				var flushes int64
+				for _, bs := range got {
+					flushes += bs.Flushes
+				}
+				if flushes == 0 {
+					t.Errorf("Stats().Batch = %+v, want the workers' flushes", got)
+				}
+				if !reflect.DeepEqual(got, rows) {
+					t.Errorf("Stats().Batch = %+v, want the per-row sum %+v", got, rows)
 				}
 			}
 

@@ -85,13 +85,10 @@ type (
 	ClientMetrics = telemetry.ClientMetrics
 
 	// CacheConfig tunes the shared enrichment cache (Options.Cache):
-	// positive/negative TTLs, the per-service LRU bound, the
-	// serve-stale-on-5xx degraded mode, and per-service overrides.
-	// &CacheConfig{} selects the documented defaults.
+	// positive/negative TTLs, the per-service LRU bound, and the
+	// serve-stale-on-5xx degraded mode. &CacheConfig{} selects the
+	// documented defaults.
 	CacheConfig = enrichcache.Config
-	// CacheServiceConfig overrides the cache bounds of one service
-	// (keyed "hlr", "whois", "ctlog", "dnsdb", "avscan", "shortener").
-	CacheServiceConfig = enrichcache.ServiceConfig
 	// CacheStats maps each enrichment service to its cache scoreboard.
 	CacheStats = enrichcache.Stats
 	// CacheServiceStats is one service's hit/miss/coalesced/negative/
@@ -99,13 +96,9 @@ type (
 	CacheServiceStats = enrichcache.ServiceStats
 
 	// BatchConfig tunes the windowed batching tier (Options.Batch): window
-	// size, partial-window flush interval, the detached bulk-call timeout,
-	// the cross-service in-flight cap, and per-service overrides.
-	// &BatchConfig{} selects the documented defaults.
+	// size and partial-window flush interval. &BatchConfig{} selects the
+	// documented defaults.
 	BatchConfig = batchmux.Config
-	// BatchServiceConfig overrides the batching bounds of one service
-	// (keyed "hlr", "dnsdb", "avscan").
-	BatchServiceConfig = batchmux.ServiceConfig
 	// BatchStats maps each batchable service to its batching scoreboard.
 	BatchStats = batchmux.Stats
 	// BatchServiceStats is one service's flush/batched-keys/coalesced/
@@ -254,7 +247,8 @@ type Options struct {
 	// "fault.*" and "batch.*", so a window fills at the process's record
 	// rate. With sharding on, Study.Stats().Cache/Resilience are nil —
 	// Stats().Shards carries the per-shard scoreboards — and
-	// Stats().Batch reports the one shared batching tier. Without it the
+	// Stats().Batch reports the one shared batching tier (the sum of the
+	// workers' tiers once ConnectShardWorkers swaps them in). Without it the
 	// study runs the same path as a one-shard ring whose stack records on
 	// the root collector, with no prober; Stats().Shards is nil and
 	// Stats().Cache/Batch/Resilience report that one stack's tiers.
@@ -264,11 +258,9 @@ type Options struct {
 // ShardConfig tunes Options.Shards.
 type ShardConfig struct {
 	// Shards is the shard count (>= 1; 1 is a valid single-shard ring,
-	// useful for like-for-like comparisons against N > 1).
+	// useful for like-for-like comparisons against N > 1). The ring places
+	// 128 virtual nodes per shard.
 	Shards int
-	// Replicas is the ring's virtual-node count per shard (0 selects the
-	// default of 128).
-	Replicas int
 	// Failover turns on the shard lifecycle layer: a background prober
 	// tracks each shard's health ("shard.<i>.health" gauges), and when a
 	// shard's dispatch fails or its probe marks it down, its routed subset
@@ -278,15 +270,9 @@ type ShardConfig struct {
 	// Failover off (the default), any shard failure fails the round, the
 	// original contract.
 	Failover bool
-	// ProbeInterval is the health-probe cadence (0 selects 2s). Requires
-	// Failover.
+	// ProbeInterval is the health-probe cadence (0 selects 2s); each probe
+	// is bounded by 1s. Requires Failover.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe (0 selects 1s). Requires
-	// Failover.
-	ProbeTimeout time.Duration
-	// WorkerTimeout bounds one remote /enrich request (0 selects 2m). Only
-	// meaningful with remote workers (Study.ConnectShardWorkers).
-	WorkerTimeout time.Duration
 }
 
 // Validate checks the options for combinations that cannot work, returning
@@ -304,15 +290,9 @@ func (o Options) Validate() error {
 	if p.StepWorkers < 0 {
 		return fmt.Errorf("smishkit: Pipeline.StepWorkers must not be negative (got %d)", p.StepWorkers)
 	}
-	if p.StageWorkers < 0 {
-		return fmt.Errorf("smishkit: Pipeline.StageWorkers must not be negative (got %d)", p.StageWorkers)
-	}
 	if s := o.Service; s != nil {
 		if s.PollInterval < 0 {
 			return fmt.Errorf("smishkit: Service.PollInterval must not be negative (got %v)", s.PollInterval)
-		}
-		if s.DrainTimeout < 0 {
-			return fmt.Errorf("smishkit: Service.DrainTimeout must not be negative (got %v)", s.DrainTimeout)
 		}
 		if s.MaxRounds < 0 {
 			return fmt.Errorf("smishkit: Service.MaxRounds must not be negative (got %d)", s.MaxRounds)
@@ -320,31 +300,16 @@ func (o Options) Validate() error {
 		if s.LiveWaves < 0 {
 			return fmt.Errorf("smishkit: Service.LiveWaves must not be negative (got %d)", s.LiveWaves)
 		}
-		if s.ProjectionQueue < 0 {
-			return fmt.Errorf("smishkit: Service.ProjectionQueue must not be negative (got %d)", s.ProjectionQueue)
-		}
-		if s.InitialShare < 0 || s.InitialShare > 1 {
-			return fmt.Errorf("smishkit: Service.InitialShare must be in [0,1] (got %v; 0 selects the default of 0.5)", s.InitialShare)
-		}
 	}
 	if sh := o.Shards; sh != nil {
 		if sh.Shards < 1 {
 			return fmt.Errorf("smishkit: Shards.Shards must be at least 1 (got %d)", sh.Shards)
 		}
-		if sh.Replicas < 0 {
-			return fmt.Errorf("smishkit: Shards.Replicas must not be negative (got %d; 0 selects the default)", sh.Replicas)
-		}
 		if sh.ProbeInterval < 0 {
 			return fmt.Errorf("smishkit: Shards.ProbeInterval must not be negative (got %v; 0 selects the default)", sh.ProbeInterval)
 		}
-		if sh.ProbeTimeout < 0 {
-			return fmt.Errorf("smishkit: Shards.ProbeTimeout must not be negative (got %v; 0 selects the default)", sh.ProbeTimeout)
-		}
-		if sh.WorkerTimeout < 0 {
-			return fmt.Errorf("smishkit: Shards.WorkerTimeout must not be negative (got %v; 0 selects the default)", sh.WorkerTimeout)
-		}
-		if !sh.Failover && (sh.ProbeInterval > 0 || sh.ProbeTimeout > 0) {
-			return fmt.Errorf("smishkit: Shards.ProbeInterval/ProbeTimeout are set but Shards.Failover is off — the prober only runs in failover mode")
+		if !sh.Failover && sh.ProbeInterval > 0 {
+			return fmt.Errorf("smishkit: Shards.ProbeInterval is set but Shards.Failover is off — the prober only runs in failover mode")
 		}
 	}
 	if d := o.Durability; d != nil {
@@ -411,7 +376,6 @@ func NewStudy(opts Options) (*Study, error) {
 	var simCfg core.SimConfig
 	if opts.Service != nil {
 		simCfg.HoldbackWaves = opts.Service.LiveWaves
-		simCfg.InitialShare = opts.Service.InitialShare
 		// A daemon resuming from committed cursors restarts into a world
 		// whose held-back posts were already published before it went down;
 		// re-staging them as future waves would make the forums appear to
@@ -500,16 +464,13 @@ func NewStudy(opts Options) (*Study, error) {
 	for i, st := range stacks {
 		enrichers[i] = st
 	}
-	group, err := shard.NewGroup(pipe, enrichers, sh.Replicas, reg)
+	group, err := shard.NewGroup(pipe, enrichers, 0, reg)
 	if err != nil {
 		return fail(fmt.Errorf("smishkit: build shard group: %w", err))
 	}
 	st := &Study{World: w, Sim: sim, Pipe: pipe, group: group, stack: stack, batch: batch, rlog: rlog, opts: opts}
 	if sh.Failover {
-		prober := shard.NewProber(sh.Shards, shard.ProbeConfig{
-			Interval: sh.ProbeInterval,
-			Timeout:  sh.ProbeTimeout,
-		}, reg)
+		prober := shard.NewProber(sh.Shards, shard.ProbeConfig{Interval: sh.ProbeInterval}, reg)
 		group.AttachProber(prober)
 		pctx, cancel := context.WithCancel(context.Background())
 		st.proberStop = cancel
@@ -592,22 +553,13 @@ func (s *Study) ConnectShardWorkers(ctx context.Context, urls []string) error {
 	}
 	enrichers := make([]shard.Enricher, len(urls))
 	for i, u := range urls {
-		re := shard.NewRemoteEnricher(u).WithTimeout(s.workerTimeout())
+		re := shard.NewRemoteEnricher(u)
 		if err := re.Healthy(ctx); err != nil {
 			return fmt.Errorf("smishkit: shard worker %d: %w", i, err)
 		}
 		enrichers[i] = re
 	}
 	return s.group.SetEnrichers(enrichers, true)
-}
-
-// workerTimeout returns the configured per-request worker timeout (0 when
-// the study is unsharded — NewRemoteEnricher's default applies).
-func (s *Study) workerTimeout() time.Duration {
-	if sh := s.opts.Shards; sh != nil {
-		return sh.WorkerTimeout
-	}
-	return 0
 }
 
 // RunShardWorker runs one shard worker process end to end: decode a
@@ -649,7 +601,7 @@ func (s *Study) StartShardSupervisor(ctx context.Context, start ShardStarter, cf
 	}
 	chain := cfg.OnRestart
 	cfg.OnRestart = func(index int, url string) error {
-		re := shard.NewRemoteEnricher(url).WithTimeout(s.workerTimeout())
+		re := shard.NewRemoteEnricher(url)
 		hctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		err := re.Healthy(hctx)
 		cancel()

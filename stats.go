@@ -24,7 +24,8 @@ type Stats struct {
 	Cache CacheStats
 	// Batch is the batching-tier scoreboard (nil without Options.Batch):
 	// the one set of batch windows every local shard shares, sharded or
-	// not.
+	// not. Once remote shard workers serve the study, it is the sum of the
+	// workers' own batching tiers.
 	Batch BatchStats
 	// Resilience is the circuit-breaker scoreboard (nil without
 	// Options.Resilience).
@@ -47,10 +48,19 @@ type Stats struct {
 // Run or Serve, and after Close.
 func (s *Study) Stats() Stats {
 	st := Stats{Telemetry: s.Pipe.Telemetry().Snapshot()}
-	if s.batch != nil {
+	gs := s.group.Stats()
+	switch {
+	case gs.PerShard[0].Remote:
+		// Each worker process batches through its own windows, and this
+		// process's sit idle.
+		for _, row := range gs.PerShard {
+			if row.Stack != nil {
+				st.Batch = st.Batch.Add(row.Stack.Batch)
+			}
+		}
+	case s.batch != nil:
 		st.Batch = s.batch.Stats()
 	}
-	gs := s.group.Stats()
 	if s.opts.Shards != nil {
 		st.Shards = &gs
 	} else if sk := gs.PerShard[0].Stack; sk != nil {
