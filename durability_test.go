@@ -32,35 +32,29 @@ func summaryJSON(t *testing.T, ds *Dataset) string {
 	return string(data)
 }
 
-// fetchSummaryWhenComplete polls GET /query/summary until the view has
-// absorbed wantRecords records (the projection merges asynchronously) and
-// returns that stable body, marshalled canonically.
-func fetchSummaryWhenComplete(t *testing.T, statusURL string, wantRecords int) string {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(statusURL + "/query/summary")
-		if err != nil {
-			t.Fatalf("GET /query/summary: %v", err)
-		}
-		var s report.Summary
-		decErr := json.NewDecoder(resp.Body).Decode(&s)
-		resp.Body.Close()
-		if decErr != nil {
-			t.Fatalf("decode summary: %v", decErr)
-		}
-		if s.Records == wantRecords {
-			data, err := json.Marshal(s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return string(data)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("summary never reached %d records (at %d)", wantRecords, s.Records)
-		}
-		time.Sleep(10 * time.Millisecond)
+// getJSON decodes one GET of url into into.
+func getJSON(url string, into any) error {
+	resp, err := http.Get(url)
+	if err != nil {
+		return err
 	}
+	defer resp.Body.Close()
+	return json.NewDecoder(resp.Body).Decode(into)
+}
+
+// fetchSummary reads GET /query/summary once and returns the body,
+// marshalled canonically.
+func fetchSummary(t *testing.T, statusURL string) string {
+	t.Helper()
+	var s report.Summary
+	if err := getJSON(statusURL+"/query/summary", &s); err != nil {
+		t.Fatalf("GET /query/summary: %v", err)
+	}
+	data, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }
 
 // TestServeDurableRestart is the acceptance test for the record log: a
@@ -74,7 +68,8 @@ func fetchSummaryWhenComplete(t *testing.T, statusURL string, wantRecords int) s
 //   - replay the injected wave's journal so the cursors pointing at
 //     inj1-… post IDs still resolve against the fresh simulation,
 //   - serve a /query/summary identical to the canonical summary of the
-//     uninterrupted run, and
+//     uninterrupted run as soon as its status endpoint is up, before its
+//     first round, and
 //   - return a Serve dataset record-identical to the uninterrupted run.
 func TestServeDurableRestart(t *testing.T) {
 	seed, msgs := int64(41), 300
@@ -85,7 +80,7 @@ func TestServeDurableRestart(t *testing.T) {
 	// after an injection rebase onto the injection timeline, so a restarted
 	// simulation (which replays all injects after seeding all fixtures)
 	// would publish them in a different order than the cursors consumed.
-	mkOpts := func(reg *Collector, store CheckpointStore, durable bool, rounds int, onRound func(RoundInfo)) Options {
+	mkOpts := func(reg *Collector, store CheckpointStore, durable bool, rounds int, onReady func(string), onRound func(RoundInfo)) Options {
 		o := Options{
 			Seed:      seed,
 			Messages:  msgs,
@@ -94,6 +89,7 @@ func TestServeDurableRestart(t *testing.T) {
 				PollInterval: 10 * time.Millisecond,
 				MaxRounds:    rounds,
 				Checkpoints:  store,
+				OnReady:      onReady,
 				OnRound:      onRound,
 			},
 		}
@@ -105,7 +101,7 @@ func TestServeDurableRestart(t *testing.T) {
 
 	// Uninterrupted reference: collect everything plus one injected wave.
 	var ref *Study
-	refOpts := mkOpts(nil, NewMemCheckpoints(), false, 3, func(info RoundInfo) {
+	refOpts := mkOpts(nil, NewMemCheckpoints(), false, 3, nil, func(info RoundInfo) {
 		if info.Round == 1 {
 			if _, err := ref.InjectWave(inject); err != nil {
 				t.Errorf("reference inject: %v", err)
@@ -137,7 +133,7 @@ func TestServeDurableRestart(t *testing.T) {
 	defer kill()
 	var study1 *Study
 	var killed atomic.Bool
-	study1, err = NewStudy(mkOpts(nil, store1, true, 0, func(info RoundInfo) {
+	study1, err = NewStudy(mkOpts(nil, store1, true, 0, nil, func(info RoundInfo) {
 		if info.Err != nil {
 			t.Errorf("round %d: %v", info.Round, info.Err)
 		}
@@ -168,18 +164,18 @@ func TestServeDurableRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var study2 *Study
 	var recollected atomic.Int64
 	var gotSummary atomic.Pointer[string]
-	study2, err = NewStudy(mkOpts(reg2, store2, true, 2, func(info RoundInfo) {
+	// The replayed log seeds the projection before the status endpoint
+	// binds, so one read before round 1 must already see everything.
+	study2, err := NewStudy(mkOpts(reg2, store2, true, 2, func(url string) {
+		s := fetchSummary(t, url)
+		gotSummary.Store(&s)
+	}, func(info RoundInfo) {
 		if info.Err != nil {
 			t.Errorf("restart round %d: %v", info.Round, info.Err)
 		}
 		recollected.Add(int64(info.NewReports))
-		if info.Round == 1 {
-			s := fetchSummaryWhenComplete(t, study2.StatusURL(), len(want.Records))
-			gotSummary.Store(&s)
-		}
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -247,57 +243,36 @@ func TestServeDurableQueryEndpoints(t *testing.T) {
 					return
 				}
 				base := study.StatusURL()
-				// Wait until the projection has fully merged round 1.
-				deadline := time.Now().Add(10 * time.Second)
-				for {
-					resp, err := http.Get(base + "/query/reports?limit=5")
-					if err != nil {
-						t.Errorf("GET /query/reports: %v", err)
-						return
-					}
-					var res report.ReportsResult
-					decErr := json.NewDecoder(resp.Body).Decode(&res)
-					resp.Body.Close()
-					if decErr != nil {
-						t.Errorf("decode reports: %v", decErr)
-						return
-					}
-					if res.TotalMatched > 0 || time.Now().After(deadline) {
-						ps := roundSummary{total: res.TotalMatched}
-						if len(res.Reports) > 5 {
-							t.Errorf("limit=5 returned %d reports", len(res.Reports))
-						}
-						for _, r := range res.Reports {
-							if r.Domain != "" {
-								ps.domain = r.Domain
-								break
-							}
-						}
-						if ps.domain != "" {
-							resp2, err := http.Get(base + "/query/reports?domain=" + ps.domain)
-							if err != nil {
-								t.Errorf("GET by domain: %v", err)
-								return
-							}
-							var res2 report.ReportsResult
-							decErr := json.NewDecoder(resp2.Body).Decode(&res2)
-							resp2.Body.Close()
-							if decErr != nil {
-								t.Errorf("decode by-domain: %v", decErr)
-								return
-							}
-							ps.matched = res2.TotalMatched
-							for _, r := range res2.Reports {
-								if r.Domain != ps.domain {
-									t.Errorf("domain filter leaked %q (want %q)", r.Domain, ps.domain)
-								}
-							}
-						}
-						probe.Store(&ps)
-						return
-					}
-					time.Sleep(10 * time.Millisecond)
+				// Rounds 1 and 2 are already applied: one read must match.
+				var res report.ReportsResult
+				if err := getJSON(base+"/query/reports?limit=5", &res); err != nil {
+					t.Errorf("GET /query/reports: %v", err)
+					return
 				}
+				ps := roundSummary{total: res.TotalMatched}
+				if len(res.Reports) > 5 {
+					t.Errorf("limit=5 returned %d reports", len(res.Reports))
+				}
+				for _, r := range res.Reports {
+					if r.Domain != "" {
+						ps.domain = r.Domain
+						break
+					}
+				}
+				if ps.domain != "" {
+					var res2 report.ReportsResult
+					if err := getJSON(base+"/query/reports?domain="+ps.domain, &res2); err != nil {
+						t.Errorf("GET by domain: %v", err)
+						return
+					}
+					ps.matched = res2.TotalMatched
+					for _, r := range res2.Reports {
+						if r.Domain != ps.domain {
+							t.Errorf("domain filter leaked %q (want %q)", r.Domain, ps.domain)
+						}
+					}
+				}
+				probe.Store(&ps)
 			},
 		},
 		Durability: &DurabilityConfig{Dir: filepath.Join(dataDir, "records")},

@@ -15,6 +15,7 @@ import (
 	"github.com/smishkit/smishkit"
 	"github.com/smishkit/smishkit/internal/annotate"
 	"github.com/smishkit/smishkit/internal/core"
+	"github.com/smishkit/smishkit/internal/corpus"
 	"github.com/smishkit/smishkit/internal/enrichcache"
 	"github.com/smishkit/smishkit/internal/forum"
 	"github.com/smishkit/smishkit/internal/report"
@@ -45,8 +46,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("collected %d raw reports in %v:\n", len(reports), time.Since(start).Round(time.Millisecond))
-	for f, n := range counts {
-		fmt.Printf("  %-12s %d\n", f, n)
+	for _, f := range corpus.Forums {
+		fmt.Printf("  %-12s %d\n", f, counts[f])
 	}
 
 	// Stage 3: extract + curate (§3.2), with the structured-vision rung.

@@ -62,7 +62,7 @@ func main() {
 			},
 			// OnReady fires once the status endpoint is listening, with its
 			// URL — no need to poll StatusURL. Sample it once mid-run to
-			// show the live gauges.
+			// show the live counts.
 			OnReady: func(statusURL string) {
 				log.Printf("status endpoint: %s/status", statusURL)
 				go func() {
@@ -73,15 +73,14 @@ func main() {
 					}
 					defer resp.Body.Close()
 					var probe struct {
-						Rounds         int     `json:"rounds"`
-						Records        int     `json:"records"`
-						BacklogSeconds float64 `json:"backlog_seconds"`
+						Rounds  int `json:"rounds"`
+						Records int `json:"records"`
 					}
 					if err := json.NewDecoder(resp.Body).Decode(&probe); err != nil {
 						return
 					}
-					log.Printf("mid-run status: rounds=%d records=%d backlog=%.1fs",
-						probe.Rounds, probe.Records, probe.BacklogSeconds)
+					log.Printf("mid-run status: rounds=%d records=%d",
+						probe.Rounds, probe.Records)
 				}()
 			},
 		},
@@ -91,8 +90,7 @@ func main() {
 	}
 	defer study.Close()
 
-	// Ctrl-C drains the in-flight round and flushes the projection before
-	// the final report prints.
+	// Ctrl-C drains the in-flight round before the final report prints.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -153,8 +154,8 @@ func TestServeStatusSchema(t *testing.T) {
 				}
 				for _, field := range []string{
 					"schema_version", "rounds", "reports", "records",
-					"pending_batches", "backlog_seconds", "reports_1m",
-					"reports_1m_total", "injected_posts", "round_ms", "cursors",
+					"reports_1m", "reports_1m_total", "injected_posts",
+					"round_ms", "cursors",
 				} {
 					if _, ok := raw[field]; !ok {
 						t.Errorf("/status missing field %q", field)
@@ -212,7 +213,7 @@ func TestServeStatusSchema(t *testing.T) {
 	if err := WriteStats(&out, st, SectionService); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"schema v1", "reports_1m=", "injected="} {
+	for _, want := range []string{fmt.Sprintf("schema v%d", ServiceStatsSchemaVersion), "reports_1m=", "injected="} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("WriteStats service section missing %q:\n%s", want, out.String())
 		}

@@ -94,18 +94,13 @@ type SimConfig struct {
 // StartSimulation generates (or accepts) a world and boots every server
 // with a private telemetry registry.
 func StartSimulation(w *corpus.World) (*Simulation, error) {
-	return StartSimulationWithTelemetry(w, nil)
+	return StartSimulationCfg(w, nil, SimConfig{})
 }
 
-// StartSimulationWithTelemetry boots every server recording into reg (a
-// fresh registry when nil), so a facade can share one collector between
-// the simulation's debug endpoint and the pipeline.
-func StartSimulationWithTelemetry(w *corpus.World, reg *telemetry.Registry) (*Simulation, error) {
-	return StartSimulationCfg(w, reg, SimConfig{})
-}
-
-// StartSimulationCfg boots every server with full control over fixture
-// publication (see SimConfig).
+// StartSimulationCfg boots every server recording into reg (a fresh
+// registry when nil, so a facade can share one collector between the
+// simulation's debug endpoint and the pipeline), with full control over
+// fixture publication (see SimConfig).
 func StartSimulationCfg(w *corpus.World, reg *telemetry.Registry, cfg SimConfig) (*Simulation, error) {
 	if reg == nil {
 		reg = telemetry.NewRegistry()

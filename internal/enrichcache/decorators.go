@@ -125,13 +125,17 @@ type ServiceStats struct {
 	Entries     int   `json:"entries"`
 }
 
-// HitRate is hits over total lookups (0 when the service was never asked).
+// HitRate is the share of lookups served without a call of their own:
+// hits plus coalesced followers, over hits, misses and coalesced (0 when
+// the service was never asked). Whether a repeat lookup finds its answer
+// cached or still in flight depends on scheduling; how many lookups
+// missed does not, so neither does the rate.
 func (s ServiceStats) HitRate() float64 {
-	total := s.Hits + s.Misses
+	total := s.Hits + s.Misses + s.Coalesced
 	if total == 0 {
 		return 0
 	}
-	return float64(s.Hits) / float64(total)
+	return float64(s.Hits+s.Coalesced) / float64(total)
 }
 
 // Stats maps service name (hlr, whois, ctlog, dnsdb, avscan, shortener)

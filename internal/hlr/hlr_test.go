@@ -104,14 +104,15 @@ func TestBulkLookup(t *testing.T) {
 	defer srv.Close()
 
 	c := NewClient(srv.URL, "")
-	results, err := c.BulkLookup(context.Background(), nums)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 1200 {
-		t.Fatalf("results = %d", len(results))
+	// 1200 numbers span three MaxBulk chunks.
+	results, errs := c.LookupBatch(context.Background(), nums)
+	if len(results) != 1200 || len(errs) != 1200 {
+		t.Fatalf("results = %d, errs = %d", len(results), len(errs))
 	}
 	for i, r := range results {
+		if errs[i] != nil {
+			t.Fatalf("slot %d: %v", i, errs[i])
+		}
 		if r.MSISDN != nums[i] {
 			t.Fatalf("order broken at %d: %q != %q", i, r.MSISDN, nums[i])
 		}

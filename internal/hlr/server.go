@@ -130,19 +130,6 @@ func (c *Client) Lookup(ctx context.Context, msisdn string) (Result, error) {
 	return out, err
 }
 
-// BulkLookup resolves msisdns in MaxBulk-sized batches, preserving order.
-// The first failed slot (or transport error) fails the whole call; use
-// LookupBatch for per-key error demultiplexing.
-func (c *Client) BulkLookup(ctx context.Context, msisdns []string) ([]Result, error) {
-	results, errs := c.LookupBatch(ctx, msisdns)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
 // LookupBatch resolves msisdns in MaxBulk-sized batches with partial-result
 // semantics: results[i] and errs[i] answer msisdns[i], and a transport-level
 // failure fans out to every slot of its chunk without touching the others.

@@ -15,33 +15,30 @@ import (
 // Projection incrementally maintains the report tables' input dataset from
 // per-round batches, so a long-running daemon can keep every table current
 // without re-collecting history. It indexes an append-only Source rather
-// than copying records: each merge indexes the records the source
-// committed past the last merge, by list position, and takes the source's
+// than copying records: each Submit indexes the records the source
+// committed past the last apply, by list position, and takes the source's
 // totals. A batch handed to Submit therefore only says "the source has
-// grown"; a batch whose Submit failed is covered by the next merge.
-// Batches are merged by a single background worker; the
-// projection.backlog_seconds gauge exports the age of the oldest batch
-// still waiting to be folded in (0 when the projection is caught up),
-// projection.batches counts the batches applied, and the projection.apply
-// histogram times each merge, query-view indexing included.
+// grown"; a batch whose Submit failed is covered by the next apply.
+// Submit applies in the caller's goroutine, so once it returns the batch
+// is queryable; projection.batches counts the batches applied, and the
+// projection.apply histogram times each apply, query-view indexing
+// included.
 type Projection struct {
-	queue chan projBatch
-	done  chan struct{}
-	wg    sync.WaitGroup
+	src  Source
+	own  *memSource // the private list of a NewProjection, else nil
+	view *QueryView
 
-	src Source
-	own *memSource // the private list of a NewProjection, else nil
-
-	mu sync.Mutex
-	// ds is the source's committed dataset as of the last merge; its
-	// Records is the source's view, shared, never modified.
-	ds      *core.Dataset
-	view    *QueryView
-	pending []time.Time // collectedAt of submitted-but-unmerged batches
-	batches int
+	// applyMu serializes Submit and Close; it alone guards closed, and
+	// only its holder replaces ds.
+	applyMu sync.Mutex
 	closed  bool
 
-	backlog *telemetry.Gauge
+	mu sync.Mutex
+	// ds is the source's committed dataset as of the last apply; its
+	// Records is the source's view, shared, never modified.
+	ds      *core.Dataset
+	batches int
+
 	applied *telemetry.Counter
 	apply   *telemetry.Histogram
 }
@@ -56,161 +53,82 @@ type Source interface {
 	Committed() *core.Dataset
 }
 
-type projBatch struct {
-	ds          *core.Dataset
-	collectedAt time.Time
-}
-
-// NewProjection starts a projection that owns its record list: each
-// submitted batch is appended to the list before the merge indexes it.
-// reg may be nil (metrics go to a private registry); queue <= 0 selects a
-// default depth of 16.
-func NewProjection(reg *telemetry.Registry, queue int) *Projection {
+// NewProjection returns a projection that owns its record list: each
+// submitted batch is appended to the list before Submit indexes it. reg
+// may be nil (metrics go to a private registry). The int argument is
+// ignored; it stays so existing callers compile.
+func NewProjection(reg *telemetry.Registry, _ int) *Projection {
 	own := &memSource{ds: emptyDataset()}
-	p := NewProjectionOver(reg, queue, own)
+	p := NewProjectionOver(reg, own)
 	p.own = own
 	return p
 }
 
-// NewProjectionOver starts a projection over records src owns: submitted
-// batches are not copied, each merge catches up with src instead. reg and
-// queue are as for NewProjection.
-func NewProjectionOver(reg *telemetry.Registry, queue int, src Source) *Projection {
+// NewProjectionOver returns a projection over records src owns: submitted
+// batches are not copied, each Submit catches up with src instead. reg is
+// as for NewProjection.
+func NewProjectionOver(reg *telemetry.Registry, src Source) *Projection {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	if queue <= 0 {
-		queue = 16
-	}
-	p := &Projection{
-		queue:   make(chan projBatch, queue),
-		done:    make(chan struct{}),
+	return &Projection{
 		src:     src,
 		ds:      emptyDataset(),
 		view:    NewQueryView(),
-		backlog: reg.Gauge("projection.backlog_seconds"),
 		applied: reg.Counter("projection.batches"),
 		apply:   reg.Histogram("projection.apply"),
 	}
-	p.wg.Add(1)
-	go p.run()
-	return p
 }
 
-func (p *Projection) run() {
-	defer p.wg.Done()
-	for batch := range p.queue {
-		p.merge(batch.ds)
+// Submit applies one round's processed batch before it returns (a
+// projection over a Source only counts it: the apply reads the source).
+// The time argument, when the batch's reports were collected, is not
+// read. Submit fails on a dead ctx or after Close.
+func (p *Projection) Submit(ctx context.Context, batch *core.Dataset, _ time.Time) error {
+	if batch == nil {
+		return nil
 	}
-	close(p.done)
-}
-
-func (p *Projection) merge(batch *core.Dataset) {
+	p.applyMu.Lock()
+	defer p.applyMu.Unlock()
+	if p.closed {
+		return errors.New("report: projection closed")
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	start := time.Now()
 	if p.own != nil {
 		p.own.add(batch)
 	}
 	cur := p.src.Committed()
-	// Only this worker replaces p.ds, so it reads p.ds without the lock.
-	// The query view has its own lock; feeding it outside p.mu keeps the
-	// two independent (Query readers never contend with Dataset readers).
+	// Only the applyMu holder replaces p.ds, so it reads p.ds without
+	// p.mu. The query view has its own lock; feeding it outside p.mu keeps
+	// Dataset and Stats readers from waiting on the indexing.
 	p.view.Add(cur.Records[len(p.ds.Records):])
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.ds = cur
 	p.batches++
+	p.mu.Unlock()
 	p.applied.Inc()
-	// The worker merges in submit order, so the oldest pending batch is
-	// always the head of the list.
-	if len(p.pending) > 0 {
-		p.pending = p.pending[1:]
-	}
-	p.setBacklogLocked()
 	p.apply.Observe(time.Since(start))
+	return nil
 }
 
-// setBacklogLocked refreshes the backlog gauge from the pending list.
-func (p *Projection) setBacklogLocked() {
-	if len(p.pending) == 0 {
-		p.backlog.Set(0)
-		return
-	}
-	age := time.Since(p.pending[0])
-	if age < 0 {
-		age = 0
-	}
-	p.backlog.Set(int64(age / time.Second))
-}
+// Wait returns nil at once: Submit applies before it returns, so nothing
+// is ever left to wait for.
+func (p *Projection) Wait(context.Context) error { return nil }
 
-// Submit queues one round's processed batch for merging (a projection over
-// a Source only counts it: the merge reads the source). collectedAt is
-// when the batch's reports were collected — the timestamp the backlog
-// gauge ages against. Submit blocks while the queue is full and fails on
-// ctx death or after Close.
-func (p *Projection) Submit(ctx context.Context, batch *core.Dataset, collectedAt time.Time) error {
-	if batch == nil {
-		return nil
-	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return errors.New("report: projection closed")
-	}
-	p.pending = append(p.pending, collectedAt)
-	p.setBacklogLocked()
-	p.mu.Unlock()
-	select {
-	case p.queue <- projBatch{ds: batch, collectedAt: collectedAt}:
-		return nil
-	case <-ctx.Done():
-		// The batch never entered the queue; drop its pending entry (it is
-		// the newest, so it sits at the tail).
-		p.mu.Lock()
-		if n := len(p.pending); n > 0 {
-			p.pending = p.pending[:n-1]
-		}
-		p.setBacklogLocked()
-		p.mu.Unlock()
-		return ctx.Err()
-	}
-}
-
-// Wait blocks until every submitted batch has been merged (or ctx dies).
-func (p *Projection) Wait(ctx context.Context) error {
-	tick := time.NewTicker(time.Millisecond)
-	defer tick.Stop()
-	for {
-		p.mu.Lock()
-		idle := len(p.pending) == 0
-		p.mu.Unlock()
-		if idle {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
-		}
-	}
-}
-
-// Close drains the queue, stops the worker, and waits for it. Idempotent.
+// Close makes every later Submit fail; it waits for an apply in progress.
+// Idempotent.
 func (p *Projection) Close() {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.wg.Wait()
-		return
-	}
+	p.applyMu.Lock()
+	defer p.applyMu.Unlock()
 	p.closed = true
-	p.mu.Unlock()
-	close(p.queue)
-	p.wg.Wait()
 }
 
-// Dataset returns a snapshot of the merged dataset: the record slice and
-// count maps are copied, so the caller can render or modify it while the
-// worker keeps merging.
+// Dataset returns a snapshot of the applied dataset: the record slice and
+// count maps are copied, so the caller can render or modify it while
+// later batches apply.
 func (p *Projection) Dataset() *core.Dataset {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -221,29 +139,22 @@ func (p *Projection) Dataset() *core.Dataset {
 
 // ProjectionStats is a point-in-time reading of the projection.
 type ProjectionStats struct {
-	Batches        int     `json:"batches"`         // batches merged so far
-	Pending        int     `json:"pending"`         // batches submitted but not yet merged
-	Records        int     `json:"records"`         // records in the merged dataset
-	BacklogSeconds float64 `json:"backlog_seconds"` // age of the oldest pending batch
+	Batches int `json:"batches"` // batches applied so far
+	Records int `json:"records"` // records in the applied dataset
+	// BacklogSeconds is always 0: Submit applies before it returns. It
+	// stays for callers that sample it.
+	BacklogSeconds float64 `json:"backlog_seconds"`
 }
 
 // Stats returns current projection counters.
 func (p *Projection) Stats() ProjectionStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := ProjectionStats{
-		Batches: p.batches,
-		Pending: len(p.pending),
-		Records: len(p.ds.Records),
-	}
-	if len(p.pending) > 0 {
-		st.BacklogSeconds = time.Since(p.pending[0]).Seconds()
-	}
-	return st
+	return ProjectionStats{Batches: p.batches, Records: len(p.ds.Records)}
 }
 
-// Query returns the serving-side index the merge worker keeps current —
-// what the /query/* endpoints answer from.
+// Query returns the serving-side index Submit keeps current — what the
+// /query/* endpoints answer from.
 func (p *Projection) Query() *QueryView { return p.view }
 
 // Render writes every table and figure from the current snapshot.
@@ -251,15 +162,13 @@ func (p *Projection) Render(w io.Writer) error {
 	return RenderAll(w, p.Dataset())
 }
 
-// memSource is the record list a NewProjection owns.
+// memSource is the record list a NewProjection owns. Only Submit, under
+// the projection's applyMu, touches it.
 type memSource struct {
-	mu sync.Mutex
 	ds *core.Dataset
 }
 
 func (m *memSource) add(batch *core.Dataset) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.ds.Records = append(m.ds.Records, batch.Records...)
 	for f, n := range batch.PostsByForum {
 		m.ds.PostsByForum[f] += n
@@ -272,8 +181,6 @@ func (m *memSource) add(batch *core.Dataset) {
 }
 
 func (m *memSource) Committed() *core.Dataset {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	return cloneDataset(m.ds)
 }
 

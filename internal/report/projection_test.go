@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,9 +38,6 @@ func TestProjectionMergesBatches(t *testing.T) {
 	if err := p.Submit(ctx, batch("c"), time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
 
 	ds := p.Dataset()
 	if len(ds.Records) != 3 {
@@ -51,20 +47,14 @@ func TestProjectionMergesBatches(t *testing.T) {
 		t.Fatalf("count maps not merged: %+v empty=%d", ds.PostsByForum, ds.EmptyDropped)
 	}
 	st := p.Stats()
-	if st.Batches != 2 || st.Pending != 0 || st.Records != 3 {
+	if st.Batches != 2 || st.Records != 3 || st.BacklogSeconds != 0 {
 		t.Fatalf("stats = %+v", st)
-	}
-	if st.BacklogSeconds != 0 {
-		t.Fatalf("idle backlog = %v, want 0", st.BacklogSeconds)
-	}
-	if g := reg.Gauge("projection.backlog_seconds").Value(); g != 0 {
-		t.Fatalf("backlog gauge = %d, want 0", g)
 	}
 	if c := reg.Counter("projection.batches").Value(); c != 2 {
 		t.Fatalf("batches counter = %d, want 2", c)
 	}
 	if n := reg.Histogram("projection.apply").Stats().Count; n != 2 {
-		t.Fatalf("projection.apply observations = %d, want one per merged batch (2)", n)
+		t.Fatalf("projection.apply observations = %d, want one per applied batch (2)", n)
 	}
 
 	// Snapshots are isolated from the live dataset.
@@ -101,9 +91,9 @@ func allocBytes(f func()) uint64 {
 }
 
 // TestProjectionMergeCopiesNoRecords pins the single in-memory copy: a
-// projection over a list it does not own indexes a merged batch in place,
-// so the merge allocates what QueryView.Add of the batch allocates and
-// little else. Copying the batch's records would add ~920 KB.
+// projection over a list it does not own indexes a submitted batch in
+// place, so the apply allocates what QueryView.Add of the batch allocates
+// and little else. Copying the batch's records would add ~920 KB.
 func TestProjectionMergeCopiesNoRecords(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -121,35 +111,45 @@ func TestProjectionMergeCopiesNoRecords(t *testing.T) {
 
 	shared := &memSource{ds: emptyDataset()}
 	shared.add(b)
-	p := NewProjectionOver(nil, 1, shared)
+	p := NewProjectionOver(nil, shared)
 	defer p.Close()
-	// The worker is idle (nothing submitted), so the test may merge on
-	// its own goroutine.
-	merged := allocBytes(func() { p.merge(b) })
+	merged := allocBytes(func() {
+		if err := p.Submit(context.Background(), b, time.Now()); err != nil {
+			t.Fatal(err)
+		}
+	})
 	indexed := allocBytes(func() { NewQueryView().Add(b.Records) })
 	if merged > indexed+64<<10 {
-		t.Fatalf("merging %d records allocated %d B, QueryView.Add alone %d B: the merge copies records", n, merged, indexed)
+		t.Fatalf("applying %d records allocated %d B, QueryView.Add alone %d B: the apply copies records", n, merged, indexed)
 	}
 	if st := p.Stats(); st.Records != n {
 		t.Fatalf("projection holds %d records, want %d", st.Records, n)
 	}
 }
 
-// gatedLog is a record log whose Committed blocks while the gate is
-// armed, so a test can stall the merge worker and fill the queue.
-type gatedLog struct {
-	*recordlog.Log
-	armed   atomic.Bool
-	entered chan struct{}
-	release chan struct{}
-}
-
-func (g *gatedLog) Committed() *core.Dataset {
-	if g.armed.Load() {
-		g.entered <- struct{}{}
-		<-g.release
+// TestProjectionSubmitAppliesBeforeReturn pins the inline apply: the
+// moment Submit returns, the projection's stats and its query view hold
+// the whole batch, with no wait in between.
+func TestProjectionSubmitAppliesBeforeReturn(t *testing.T) {
+	const n = 2000
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("r%05d", i)
 	}
-	return g.Log.Committed()
+	src := &memSource{ds: emptyDataset()}
+	b := batch(ids...)
+	src.add(b)
+	p := NewProjectionOver(nil, src)
+	defer p.Close()
+	if err := p.Submit(context.Background(), b, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Stats().Records; got != n {
+		t.Fatalf("Stats().Records = %d right after Submit, want %d", got, n)
+	}
+	if got := p.Query().Summarize(0).Records; got != n {
+		t.Fatalf("summary total = %d right after Submit, want %d", got, n)
+	}
 }
 
 // TestProjectionConvergesAfterFailedSubmit is the regression test for a
@@ -164,8 +164,7 @@ func TestProjectionConvergesAfterFailedSubmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	g := &gatedLog{Log: l, entered: make(chan struct{}), release: make(chan struct{})}
-	p := NewProjectionOver(nil, 1, g)
+	p := NewProjectionOver(nil, l)
 	defer p.Close()
 	ctx := context.Background()
 	at := time.Now()
@@ -180,31 +179,20 @@ func TestProjectionConvergesAfterFailedSubmit(t *testing.T) {
 	if err := round(ctx, "a", "b"); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Wait(ctx); err != nil {
+	if err := round(ctx, "c", "d"); err != nil {
 		t.Fatal(err)
 	}
-	// Stall the worker inside one merge, then fill the one-slot queue.
-	g.armed.Store(true)
-	if err := round(ctx, "c"); err != nil {
-		t.Fatal(err)
-	}
-	<-g.entered
-	g.armed.Store(false)
-	if err := round(ctx, "d"); err != nil {
-		t.Fatal(err)
-	}
-	// The queue is full: this round's Submit fails after its Append.
+	// The round's context died: its Submit fails after its Append.
 	dead, cancel := context.WithCancel(ctx)
 	cancel()
 	if err := round(dead, "e", "f"); err == nil {
-		t.Fatal("Submit into a full queue with a dead context succeeded")
+		t.Fatal("Submit with a dead context succeeded")
 	}
-	close(g.release)
+	if got := p.Stats().Records; got != 4 {
+		t.Fatalf("projection holds %d records after the failed Submit, want 4", got)
+	}
 	// The next round re-collects e and f (the log drops them) plus g.
 	if err := round(ctx, "e", "f", "g"); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
 

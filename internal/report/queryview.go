@@ -16,7 +16,7 @@ import (
 )
 
 // QueryView is the serving-side index over the projected dataset: the
-// projection's merge worker feeds it every batch it folds in, so the
+// projection's Submit feeds it every batch it applies, so the
 // /query/* endpoints answer from an always-current in-memory view without
 // copying the full dataset per request. It keeps a compact per-record
 // projection (id, forum, time, domain, sender, annotation labels) plus
@@ -68,8 +68,8 @@ func NewQueryView() *QueryView {
 	}
 }
 
-// Add indexes a merged batch. Called by the projection worker with every
-// batch it folds into the dataset, under no external lock.
+// Add indexes an applied batch. Called by the projection's Submit with
+// every batch it applies, under no external lock.
 func (v *QueryView) Add(records []core.Record) {
 	v.mu.Lock()
 	defer v.mu.Unlock()

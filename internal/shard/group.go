@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"github.com/smishkit/smishkit/internal/core"
+	"github.com/smishkit/smishkit/internal/enrichcache"
 	"github.com/smishkit/smishkit/internal/forum"
 	"github.com/smishkit/smishkit/internal/telemetry"
 )
@@ -326,7 +327,7 @@ type ShardInfo struct {
 	Stack *StackStats `json:"stack,omitempty"`
 }
 
-// GroupStats is the sharding scoreboard Study.ShardStats surfaces.
+// GroupStats is the sharding scoreboard Study.Stats surfaces as Shards.
 type GroupStats struct {
 	// Shards is the configured shard count.
 	Shards int `json:"shards"`
@@ -404,13 +405,14 @@ func Write(w io.Writer, st GroupStats) error {
 		}
 		if sh.Stack != nil {
 			line += fmt.Sprintf(" enriched=%-8d", sh.Stack.Enriched)
-			var hits, misses int64
+			var sum enrichcache.ServiceStats
 			for _, cs := range sh.Stack.Cache {
-				hits += cs.Hits
-				misses += cs.Misses
+				sum.Hits += cs.Hits
+				sum.Misses += cs.Misses
+				sum.Coalesced += cs.Coalesced
 			}
-			if hits+misses > 0 {
-				line += fmt.Sprintf(" cache=%.0f%%", 100*float64(hits)/float64(hits+misses))
+			if sum.Hits+sum.Misses+sum.Coalesced > 0 {
+				line += fmt.Sprintf(" cache=%.0f%%", 100*sum.HitRate())
 			}
 		}
 		if _, err := fmt.Fprintln(w, line); err != nil {

@@ -11,6 +11,7 @@ import (
 
 	"github.com/smishkit/smishkit/internal/core"
 	"github.com/smishkit/smishkit/internal/corpus"
+	"github.com/smishkit/smishkit/internal/enrichcache"
 	"github.com/smishkit/smishkit/internal/forum"
 	"github.com/smishkit/smishkit/internal/telemetry"
 )
@@ -192,5 +193,37 @@ func TestGroupConstructionAndSwap(t *testing.T) {
 	}
 	if st := g.Stats(); len(st.PerShard) != 2 || !st.PerShard[0].Remote {
 		t.Errorf("Stats after remote swap: %+v", st)
+	}
+}
+
+// TestWriteCacheRatioIgnoresCoalescing pins the shard row's cache= column
+// to what scheduling cannot move: two shards with the same misses and the
+// same lookup total render the same line however their repeat lookups
+// split between cache hits and coalesced followers.
+func TestWriteCacheRatioIgnoresCoalescing(t *testing.T) {
+	row := func(index int, hits, coalesced int64) ShardInfo {
+		return ShardInfo{Index: index, Routed: 100, Stack: &StackStats{
+			Enriched: 100,
+			Cache: enrichcache.Stats{
+				"hlr":   {Hits: hits, Misses: 30, Coalesced: coalesced},
+				"whois": {Hits: 20, Misses: 10},
+			},
+		}}
+	}
+	var out strings.Builder
+	st := GroupStats{Shards: 2, PerShard: []ShardInfo{row(0, 55, 5), row(0, 41, 19)}}
+	if err := Write(&out, st); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("Write rendered %d lines, want a header and two rows:\n%s", len(lines), out.String())
+	}
+	if lines[1] != lines[2] {
+		t.Fatalf("rows with equal misses and lookups differ:\n%s\n%s", lines[1], lines[2])
+	}
+	// 120 lookups, 40 misses: 80 served without a call of their own.
+	if !strings.Contains(lines[1], " cache=67%") {
+		t.Fatalf("row %q, want cache=67%%", lines[1])
 	}
 }

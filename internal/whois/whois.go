@@ -1,16 +1,11 @@
 // Package whois simulates the registrar-data service the paper accessed via
-// WhoisXMLAPI (§3.3.3). It serves domain registration records two ways: a
-// classic RFC 3912 text protocol over TCP (one query line, text response,
-// connection close) and a JSON HTTP API with an API key — the form the
-// enrichment pipeline automates, since real WHOIS restricts programmatic
-// querying.
+// WhoisXMLAPI (§3.3.3). It serves domain registration records over a JSON
+// HTTP API with an API key — the form the enrichment pipeline automates,
+// since real WHOIS restricts programmatic querying.
 package whois
 
 import (
-	"bufio"
 	"context"
-	"fmt"
-	"net"
 	"net/http"
 	"net/url"
 	"strings"
@@ -60,117 +55,6 @@ func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.records)
-}
-
-// --- RFC 3912 text protocol ---
-
-// TCPServer answers WHOIS queries on a TCP listener.
-type TCPServer struct {
-	store *Store
-	ln    net.Listener
-	wg    sync.WaitGroup
-}
-
-// ServeTCP starts answering on ln until the listener closes.
-func ServeTCP(store *Store, ln net.Listener) *TCPServer {
-	s := &TCPServer{store: store, ln: ln}
-	s.wg.Add(1)
-	go s.loop()
-	return s
-}
-
-// Close stops the listener and waits for in-flight connections.
-func (s *TCPServer) Close() error {
-	err := s.ln.Close()
-	s.wg.Wait()
-	return err
-}
-
-func (s *TCPServer) loop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.handle(conn)
-		}()
-	}
-}
-
-func (s *TCPServer) handle(conn net.Conn) {
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil && line == "" {
-		return
-	}
-	domain := strings.TrimSpace(line)
-	rec, ok := s.store.Lookup(domain)
-	if !ok {
-		fmt.Fprintf(conn, "No match for %q.\r\n", domain)
-		return
-	}
-	fmt.Fprintf(conn, "Domain Name: %s\r\n", strings.ToUpper(rec.Domain))
-	fmt.Fprintf(conn, "Registrar: %s\r\n", rec.Registrar)
-	fmt.Fprintf(conn, "Creation Date: %s\r\n", rec.Registered.UTC().Format(time.RFC3339))
-	fmt.Fprintf(conn, "Registry Expiry Date: %s\r\n", rec.Expires.UTC().Format(time.RFC3339))
-	fmt.Fprintf(conn, "Name Server: %s\r\n", rec.NameServer)
-	fmt.Fprintf(conn, "Domain Status: %s\r\n", rec.Status)
-}
-
-// QueryTCP performs one RFC 3912 query against addr and parses the response.
-func QueryTCP(ctx context.Context, addr, domain string) (Record, bool, error) {
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return Record{}, false, fmt.Errorf("whois: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if dl, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(dl)
-	} else {
-		_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-	}
-	if _, err := fmt.Fprintf(conn, "%s\r\n", domain); err != nil {
-		return Record{}, false, fmt.Errorf("whois: send query: %w", err)
-	}
-	rec := Record{}
-	found := false
-	sc := bufio.NewScanner(conn)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if strings.HasPrefix(line, "No match for") {
-			return Record{}, false, nil
-		}
-		key, value, ok := strings.Cut(line, ":")
-		if !ok {
-			continue
-		}
-		value = strings.TrimSpace(value)
-		switch key {
-		case "Domain Name":
-			rec.Domain = strings.ToLower(value)
-			found = true
-		case "Registrar":
-			rec.Registrar = value
-		case "Creation Date":
-			rec.Registered, _ = time.Parse(time.RFC3339, value)
-		case "Registry Expiry Date":
-			rec.Expires, _ = time.Parse(time.RFC3339, value)
-		case "Name Server":
-			rec.NameServer = value
-		case "Domain Status":
-			rec.Status = value
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return Record{}, false, fmt.Errorf("whois: read response: %w", err)
-	}
-	return rec, found, nil
 }
 
 // --- JSON HTTP API (WhoisXMLAPI-style) ---

@@ -2,7 +2,6 @@ package whois
 
 import (
 	"context"
-	"net"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -30,84 +29,6 @@ func TestStoreLookupCaseInsensitive(t *testing.T) {
 	}
 	if _, ok := s.Lookup("other.com"); ok {
 		t.Error("phantom record")
-	}
-}
-
-func TestTCPServerRoundTrip(t *testing.T) {
-	store := NewStore()
-	store.Add(sample())
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := ServeTCP(store, ln)
-	defer srv.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	rec, found, err := QueryTCP(ctx, ln.Addr().String(), "sbi-kyc.top")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !found {
-		t.Fatal("record not found over TCP")
-	}
-	if rec.Registrar != "GoDaddy" {
-		t.Errorf("registrar = %q", rec.Registrar)
-	}
-	if !rec.Registered.Equal(sample().Registered) {
-		t.Errorf("registered = %v", rec.Registered)
-	}
-	if rec.Domain != "sbi-kyc.top" {
-		t.Errorf("domain = %q", rec.Domain)
-	}
-}
-
-func TestTCPServerNoMatch(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := ServeTCP(NewStore(), ln)
-	defer srv.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_, found, err := QueryTCP(ctx, ln.Addr().String(), "missing.example")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if found {
-		t.Error("phantom match")
-	}
-}
-
-func TestTCPServerConcurrentQueries(t *testing.T) {
-	store := NewStore()
-	store.Add(sample())
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := ServeTCP(store, ln)
-	defer srv.Close()
-
-	errs := make(chan error, 20)
-	for i := 0; i < 20; i++ {
-		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			_, found, err := QueryTCP(ctx, ln.Addr().String(), "sbi-kyc.top")
-			if err == nil && !found {
-				err = context.DeadlineExceeded
-			}
-			errs <- err
-		}()
-	}
-	for i := 0; i < 20; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

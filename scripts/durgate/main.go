@@ -8,7 +8,7 @@
 //  1. boot `smishctl -serve -data-dir` on a fresh data directory,
 //  2. inject a synthetic wave through POST /inject,
 //  3. wait until the daemon is quiescent (the /query/summary record count
-//     is stable across several polls and the projection backlog is empty),
+//     is stable across several polls),
 //  4. snapshot GET /query/summary, then SIGKILL the daemon — no drain, no
 //     final snapshot, exactly the crash the record log exists for,
 //  5. restart from the same data directory and wait for it to serve,
@@ -217,15 +217,9 @@ type summary struct {
 	Records int `json:"records"`
 }
 
-type status struct {
-	Records        int     `json:"records"`
-	PendingBatches int     `json:"pending_batches"`
-	BacklogSeconds float64 `json:"backlog_seconds"`
-}
-
 // settle waits until the daemon is quiescent: the summary record count is
-// non-decreasing, stable for stablePolls consecutive polls, and the
-// projection reports no pending batches. Returns the settled count. A
+// stable for stablePolls consecutive polls (a round's records are
+// queryable by the time the round ends). Returns the settled count. A
 // SIGKILL landing after this point interrupts nothing mid-enrichment, so
 // every committed record must survive.
 func settle(base string) (int, error) {
@@ -236,11 +230,7 @@ func settle(base string) (int, error) {
 		if err := getJSON(base+"/query/summary", &s); err != nil {
 			return 0, err
 		}
-		var st status
-		if err := getJSON(base+"/status", &st); err != nil {
-			return 0, err
-		}
-		if s.Records == last && s.Records > 0 && st.PendingBatches == 0 && st.BacklogSeconds == 0 {
+		if s.Records == last && s.Records > 0 {
 			stable++
 			if stable >= stablePolls {
 				return s.Records, nil

@@ -83,7 +83,7 @@ func (c ServiceConfig) withDefaults() ServiceConfig {
 }
 
 // drainTimeout bounds how long a cancelled Serve keeps processing the
-// in-flight round, and then waits for the projection, before giving up.
+// in-flight round before giving up.
 const drainTimeout = 30 * time.Second
 
 // RoundInfo is one Serve round's outcome.
@@ -93,8 +93,7 @@ type RoundInfo struct {
 	// NewReports is how many raw reports this round's collectors returned.
 	NewReports int
 	// Records is the cumulative record count in the projection after this
-	// round's batch was submitted (the projection merges asynchronously, so
-	// a just-submitted batch may not be folded in yet).
+	// round; a committed round's records are already queryable.
 	Records int
 	// Err is the round's first collection or processing error (nil on a
 	// clean round). A failed round commits nothing; its reports are
@@ -105,8 +104,10 @@ type RoundInfo struct {
 // ServiceStatsSchemaVersion is the current GET /status JSON layout
 // version. External pollers should check it and refuse layouts they don't
 // understand; fields are only ever added within a version, never renamed
-// or repurposed.
-const ServiceStatsSchemaVersion = 1
+// or repurposed. Version 2 dropped v1's two projection backlog fields:
+// the projection applies each round's batch inside the round, so neither
+// could read anything but 0.
+const ServiceStatsSchemaVersion = 2
 
 // RoundQuantiles summarizes serve-round wall time in milliseconds, from
 // the daemon's round-duration histogram (estimates bounded by the bucket
@@ -133,13 +134,8 @@ type ServiceStats struct {
 	Rounds int `json:"rounds"`
 	// Reports collected and committed across all rounds.
 	Reports int `json:"reports"`
-	// Records in the merged projection dataset.
+	// Records in the projection dataset.
 	Records int `json:"records"`
-	// PendingBatches counts processed batches not yet merged.
-	PendingBatches int `json:"pending_batches"`
-	// BacklogSeconds is the age of the oldest batch still waiting to be
-	// merged into the projection (0 when caught up).
-	BacklogSeconds float64 `json:"backlog_seconds"`
 	// Reports1m maps every forum source to the reports it committed in the
 	// trailing 60 seconds; all five sources are always present.
 	Reports1m map[string]int `json:"reports_1m"`
@@ -236,10 +232,7 @@ func (st *serveState) stats() ServiceStats {
 		out.InjectedPosts = injected()
 	}
 	if proj != nil {
-		ps := proj.Stats()
-		out.Records = ps.Records
-		out.PendingBatches = ps.Pending
-		out.BacklogSeconds = ps.BacklogSeconds
+		out.Records = proj.Stats().Records
 	}
 	if store != nil {
 		if all, err := store.All(); err == nil {
@@ -292,7 +285,7 @@ func (s *Study) StatusURL() string {
 // Serve runs the study as a long-running daemon: every PollInterval it
 // asks all forum collectors, concurrently, for reports newer than their
 // durable cursors, pushes the new batch through the study's shard group,
-// folds the result into the incrementally-maintained report projection,
+// applies the result to the incrementally-maintained report projection,
 // and commits the cursors that moved in one atomic Save. Rounds are
 // atomic — a collector or pipeline failure discards the round's partial
 // progress and leaves every cursor where it was, so an interrupted daemon
@@ -300,8 +293,8 @@ func (s *Study) StatusURL() string {
 // it never committed (no duplicates, no holes).
 //
 // Cancelling ctx is the clean shutdown: the in-flight round is drained
-// (for at most 30s), the projection is flushed, and the merged
-// dataset so far is returned with a nil error.
+// (for at most 30s) and the projected dataset so far is returned with a
+// nil error.
 func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 	var cfg ServiceConfig
 	if s.opts.Service != nil {
@@ -314,7 +307,7 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 	// With a record log the projection indexes the log's own records, so
 	// the daemon holds one in-memory copy of each committed record.
 	if s.rlog != nil {
-		st.proj = report.NewProjectionOver(reg, 0, s.rlog)
+		st.proj = report.NewProjectionOver(reg, s.rlog)
 	} else {
 		st.proj = report.NewProjection(reg, 0)
 	}
@@ -323,16 +316,22 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 	defer st.proj.Close()
 	s.svc = st
 
+	// drainBase survives ctx cancellation, so the seed below applies even
+	// when Serve starts on a cancelled ctx, and a cancelled round finishes
+	// processing and commits instead of tearing mid-batch; drainTimeout
+	// per round bounds the overstay.
+	drainBase := context.WithoutCancel(ctx)
+
 	// Seed the projection with the record log's replayed dataset before the
 	// status endpoint binds, so /query/* and /status never report an empty
 	// dataset that durable history contradicts. The seed needs no
 	// enrichment: these records were enriched before the previous process
 	// died — that is the whole point of the log. Nor does it copy them: the
-	// merge indexes the log's records in place.
+	// apply indexes the log's records in place.
 	if s.rlog != nil {
 		seed := s.rlog.Committed()
 		if len(seed.Records) > 0 || seed.DecoysRejected != 0 || seed.EmptyDropped != 0 {
-			if err := st.proj.Submit(ctx, seed, time.Now()); err != nil {
+			if err := st.proj.Submit(drainBase, seed, time.Now()); err != nil {
 				return nil, fmt.Errorf("smishkit: seed projection from record log: %w", err)
 			}
 		}
@@ -349,7 +348,7 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 	})
 	mux.Handle("GET /debug/telemetry", telemetry.Handler(reg))
 	// Read-only query layer over the projected dataset, served from the
-	// index the projection worker keeps current (replayed history included
+	// index each round's apply keeps current (replayed history included
 	// when the study has a record log).
 	mux.Handle("GET /query/reports", st.proj.Query().ReportsHandler())
 	mux.Handle("GET /query/summary", st.proj.Query().SummaryHandler())
@@ -400,10 +399,6 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 		}
 	}
 
-	// drainCtx survives ctx cancellation so a cancelled round finishes
-	// processing and commits instead of tearing mid-batch; drainTimeout per
-	// round bounds the overstay.
-	drainBase := context.WithoutCancel(ctx)
 	lagGauges := make(map[string]*telemetry.Gauge, len(forum.Sources))
 	for _, src := range forum.Sources {
 		lagGauges[src] = reg.Gauge("collect.cursor_lag." + src)
@@ -510,7 +505,7 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 					// dedups the re-appended records by ID. The projection
 					// indexes the log's records by position, so it never
 					// double-counts them, and a round whose Submit failed
-					// after its Append is covered by the next merge.
+					// after its Append is covered by the next apply.
 					ds, err = s.rlog.Append(ds, collectedAt)
 				}
 				if err == nil {
@@ -582,12 +577,6 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 		}
 	}
 
-	// Graceful drain: flush every submitted batch into the projection.
-	drainCtx, cancel := context.WithTimeout(drainBase, drainTimeout)
-	defer cancel()
-	if err := st.proj.Wait(drainCtx); err != nil {
-		return st.proj.Dataset(), fmt.Errorf("smishkit: drain projection: %w", err)
-	}
 	// A clean shutdown leaves a fresh snapshot, so the next open replays an
 	// empty tail instead of the whole log.
 	if s.rlog != nil {

@@ -94,15 +94,15 @@ func TestShardFailoverDeterminism(t *testing.T) {
 		t.Errorf("/query/summary diverges after failover:\n%s\n----\n%s", s0, s1)
 	}
 
-	st := study.ShardStats()
+	st := study.Stats().Shards
 	if st == nil {
-		t.Fatal("ShardStats nil")
+		t.Fatal("Stats().Shards nil")
 	}
 	if !st.Failover {
-		t.Error("ShardStats.Failover = false with Shards.Failover on")
+		t.Error("Stats().Shards.Failover = false with Shards.Failover on")
 	}
 	if st.Redispatched == 0 {
-		t.Error("ShardStats.Redispatched = 0 after a worker died mid-round")
+		t.Error("Stats().Shards.Redispatched = 0 after a worker died mid-round")
 	}
 	if st.PerShard[1].Failures == 0 {
 		t.Error("dead shard 1 shows zero failures")
@@ -117,7 +117,7 @@ func TestShardFailoverDeterminism(t *testing.T) {
 
 // TestShardSupervisorRestart pins the supervisor loop end to end: a killed
 // worker is restarted with a fresh URL, re-registered with the routing
-// group (ShardStats counts the restart), and the next round runs through
+// group (Stats().Shards counts the restart), and the next round runs through
 // the new worker, byte-identical to the unsharded baseline.
 func TestShardSupervisorRestart(t *testing.T) {
 	baseline := runStudy(t, nil)
@@ -187,11 +187,11 @@ func TestShardSupervisorRestart(t *testing.T) {
 	mu.Unlock()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if st := study.ShardStats(); st != nil && st.PerShard[0].Restarts == 1 {
+		if st := study.Stats().Shards; st != nil && st.PerShard[0].Restarts == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("worker 0 never restarted; stats: %+v", study.ShardStats())
+			t.Fatalf("worker 0 never restarted; stats: %+v", study.Stats().Shards)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -214,7 +214,7 @@ func TestShardSupervisorRestart(t *testing.T) {
 	if !bytes.Equal(baseline, raw) {
 		t.Error("post-restart dataset differs from unsharded baseline")
 	}
-	st := study.ShardStats()
+	st := study.Stats().Shards
 	if st.PerShard[0].Restarts != 1 {
 		t.Errorf("shard 0 restarts = %d, want 1", st.PerShard[0].Restarts)
 	}

@@ -178,7 +178,7 @@ func TestShardStatsSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer plain.Close()
-	if plain.Stats().Shards != nil || plain.ShardStats() != nil {
+	if plain.Stats().Shards != nil {
 		t.Error("unsharded study reports shard stats")
 	}
 }
@@ -440,9 +440,9 @@ func TestShardWorkersInProcess(t *testing.T) {
 				t.Error("remote-worker dataset differs from unsharded baseline")
 			}
 
-			st := study.ShardStats()
+			st := study.Stats().Shards
 			if st == nil {
-				t.Fatal("ShardStats nil after remote run")
+				t.Fatal("Stats().Shards nil after remote run")
 			}
 			for _, sh := range st.PerShard {
 				if !sh.Remote {

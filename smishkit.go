@@ -139,8 +139,8 @@ type (
 	// records, dedup hits, snapshots, compactions, and damage counters.
 	DurabilityStats = recordlog.Stats
 
-	// ShardStats is the sharding scoreboard (Study.ShardStats,
-	// Stats().Shards): routed-record totals and per-shard tier stats.
+	// ShardStats is the sharding scoreboard (Stats().Shards):
+	// routed-record totals and per-shard tier stats.
 	ShardStats = shard.GroupStats
 	// ShardWorkerSpec is the JSON document a shard worker process builds
 	// its stack from (Study.ShardWorkerSpec emits it, RunShardWorker
@@ -517,18 +517,6 @@ func (s *Study) Run(ctx context.Context) (*Dataset, error) {
 	return s.group.Run(ctx, reports)
 }
 
-// ShardStats reports the sharding scoreboard: per-shard routed-record
-// totals plus each shard's cache/batch/breaker stats. Returns nil when the
-// study was built without Options.Shards. Safe to call concurrently with
-// Run or Serve.
-func (s *Study) ShardStats() *ShardStats {
-	if s.opts.Shards == nil {
-		return nil
-	}
-	st := s.group.Stats()
-	return &st
-}
-
 // ShardWorkerSpec builds the spec a shard worker process for this study
 // needs: the study's own simulated service endpoints plus the StackConfig
 // its in-process shards are built from, faults included. Write its JSON
@@ -590,7 +578,7 @@ type (
 // StartShardSupervisor brings up one worker per shard through start,
 // connects the study to them, and returns a supervisor wired so that every
 // restarted worker is health-checked and swapped back into the routing
-// group (with ShardStats().PerShard[i].Restarts counting the swap). The
+// group (with Stats().Shards.PerShard[i].Restarts counting the swap). The
 // caller owns the supervisor's lifecycle: run `go sup.Run(ctx)` to enable
 // restarts, then on teardown cancel that ctx and call sup.Stop(). Requires
 // a sharded study; any OnRestart already set in cfg runs after the study's

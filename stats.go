@@ -31,7 +31,7 @@ type Stats struct {
 	// Options.Resilience).
 	Resilience ResilienceStats
 	// Service is the daemon scoreboard: rounds, committed reports,
-	// projection backlog, and per-forum cursors (nil until Serve runs).
+	// projected records, and per-forum cursors (nil until Serve runs).
 	Service *ServiceStats
 	// Durability is the record log scoreboard: appends, replayed records,
 	// dedup hits, snapshots, compactions, and damage counters (nil without
@@ -182,8 +182,8 @@ func WriteStats(w io.Writer, stats Stats, sections ...StatsSection) error {
 
 // writeServiceStats renders the daemon scoreboard as aligned text.
 func writeServiceStats(w io.Writer, st ServiceStats) error {
-	if _, err := fmt.Fprintf(w, "service (schema v%d)\n  rounds=%d reports=%d records=%d pending=%d backlog=%.1fs\n",
-		st.SchemaVersion, st.Rounds, st.Reports, st.Records, st.PendingBatches, st.BacklogSeconds); err != nil {
+	if _, err := fmt.Fprintf(w, "service (schema v%d)\n  rounds=%d reports=%d records=%d\n",
+		st.SchemaVersion, st.Rounds, st.Reports, st.Records); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "  throughput: reports_1m=%d injected=%d round p50=%.1fms p95=%.1fms p99=%.1fms (n=%d)\n",
