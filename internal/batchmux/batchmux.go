@@ -127,11 +127,13 @@ func newBatcher[V any](cfg Config, sem chan struct{}, met *metrics,
 	}
 }
 
-// get parks the key in the current window and waits for its flush. The
-// caller that completes the window runs the flush inline (it was going to
-// wait anyway); partial windows are flushed by the interval timer armed
-// when their first key arrives — essential, because a window's waiters
-// may be fewer than its size, and nobody else would ever flush it.
+// get parks the key in the current window and waits for its flush, or
+// for ctx to end. The flush always runs on its own goroutine, so no
+// caller sits in a bulk call past its own deadline: the caller that
+// completes the window starts it, and partial windows are flushed by the
+// interval timer armed when their first key arrives — essential, because
+// a window's waiters may be fewer than its size, and nobody else would
+// ever flush it.
 func (b *batcher[V]) get(ctx context.Context, key string) (V, error) {
 	b.mu.Lock()
 	w := b.cur
@@ -151,7 +153,7 @@ func (b *batcher[V]) get(ctx context.Context, key string) (V, error) {
 	if len(w.keys) >= b.window {
 		b.cur = nil
 		b.mu.Unlock()
-		b.flush(w)
+		go b.flush(w)
 	} else {
 		b.mu.Unlock()
 	}

@@ -225,6 +225,36 @@ func TestGetHonorsContextWhileWaiting(t *testing.T) {
 	}
 }
 
+// TestWindowCompleterKeepsItsDeadline: the caller whose key completes a
+// window does not run the flush itself, so a bulk call that blocks does
+// not hold that caller past its own deadline.
+func TestWindowCompleterKeepsItsDeadline(t *testing.T) {
+	t.Parallel()
+	release := make(chan struct{})
+	defer close(release)
+	b := newBatcher(Config{Window: 1, FlushInterval: time.Hour}, make(chan struct{}, maxInFlight),
+		newMetrics(nil, "test"), func(_ context.Context, keys []string) ([]string, []error) {
+			<-release
+			return make([]string, len(keys)), make([]error, len(keys))
+		})
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := b.get(ctx, "a")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("get returned %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("the window-completing caller sat in a blocked bulk call past its 50ms deadline")
+	}
+}
+
 // bulkCapableHLR implements both the per-key and the bulk seam.
 type bulkCapableHLR struct{ calls atomic.Int64 }
 

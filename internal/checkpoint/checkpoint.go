@@ -269,8 +269,8 @@ func (s *FileStore) Save(curs ...Cursor) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode %s: %w", manifestName, err)
 	}
-	if err := writeDurable(s.dir, manifestName, data); err != nil {
-		return err
+	if err := WriteDurable(s.dir, manifestName, data); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
 	}
 	s.cursors = next
 	kept := s.legacy[:0]
@@ -283,37 +283,39 @@ func (s *FileStore) Save(curs ...Cursor) error {
 	return nil
 }
 
-// writeDurable replaces dir/name with data: write + fsync a temp file in
+// WriteDurable replaces dir/name with data: write + fsync a temp file in
 // the same directory, atomically rename it over the committed path, then
 // fsync the directory. The rename alone makes the swap atomic against
 // readers, but not durable: after a crash the directory entry may still
 // point at the old file (fine — the previous commit) or, without the
-// temp-file fsync, at a zero-length new one (cursors lost). Both syncs
-// together guarantee a write that returned nil survives power loss.
-func writeDurable(dir, name string, data []byte) error {
+// temp-file fsync, at a zero-length new one (the commit lost). Both syncs
+// together guarantee a write that returned nil survives power loss. The
+// error names the failed step and the file; callers add their package's
+// prefix.
+func WriteDurable(dir, name string, data []byte) error {
 	tmp, err := os.CreateTemp(dir, "."+name+".tmp-*")
 	if err != nil {
-		return fmt.Errorf("checkpoint: temp file: %w", err)
+		return fmt.Errorf("%s temp file: %w", name, err)
 	}
 	_, werr := tmp.Write(data)
 	serr := tmp.Sync()
 	cerr := tmp.Close()
 	if werr != nil || serr != nil || cerr != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("checkpoint: write %s: %w", name, errors.Join(werr, serr, cerr))
+		return fmt.Errorf("write %s: %w", name, errors.Join(werr, serr, cerr))
 	}
 	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
 		os.Remove(tmp.Name())
-		return fmt.Errorf("checkpoint: commit %s: %w", name, err)
+		return fmt.Errorf("commit %s: %w", name, err)
 	}
 	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("checkpoint: sync store dir: %w", err)
+		return fmt.Errorf("sync %s dir: %w", name, err)
 	}
 	return nil
 }
 
-// syncDir fsyncs the store directory so a just-renamed manifest's
-// directory entry is durable, not merely atomic.
+// syncDir fsyncs a directory so a just-renamed file's directory entry is
+// durable, not merely atomic.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {

@@ -6,7 +6,9 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"testing"
 	"time"
 
@@ -18,15 +20,35 @@ import (
 	"github.com/smishkit/smishkit/internal/telemetry"
 )
 
-// chaosSeed fixes both the synthetic world and the injected fault
-// sequence; a failing CI run reproduces locally from this one number.
+// chaosSeed fixes both the synthetic world and the injected faults; a
+// failing CI run reproduces locally from this one number.
 const chaosSeed = 1337
+
+// chaosFaults is the soak's fault mix: ~30% of calls fail and another
+// 10% are slowed on every service, and whois is down outright.
+var chaosFaults = faultinject.Config{
+	Seed: chaosSeed,
+	Default: faultinject.ServiceFaults{
+		ErrorRate: 0.15,
+		Rate429:   0.05,
+		Rate5xx:   0.08,
+		HangRate:  0.02,
+		SlowRate:  0.10,
+		Latency:   time.Millisecond,
+	},
+	// Every whois call fails, so the breaker's 5 consecutive failures are
+	// certain whatever the worker interleaving.
+	PerService: map[string]faultinject.ServiceFaults{"whois": {ErrorRate: 1}},
+}
 
 // TestChaosSoak drives a study-sized run with ~30% of every service's
 // calls failing (transport errors, 5xx, rate limits, latency spikes,
-// hangs) plus a deterministic whois flap window, and asserts the
-// resilience contract: the run completes, every lost field is recorded on
-// its record, and the whois breaker demonstrably opened.
+// hangs) plus a whois outage, and asserts the resilience contract: the
+// run completes, every lost field is recorded on its record, and the
+// whois breaker demonstrably opened. Without breakers, the same curated
+// set enriched one record and one family at a time and 64×4 wide must
+// come out byte-identical: each fault is a function of its key, not of
+// call order.
 func TestChaosSoak(t *testing.T) {
 	w := corpus.Generate(corpus.Config{Seed: chaosSeed, Messages: 300})
 	sim, err := core.StartSimulation(w)
@@ -40,33 +62,10 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	reg := telemetry.NewRegistry()
-	faults := faultinject.New(faultinject.Config{
-		Seed: chaosSeed,
-		// ~30% of calls fail and another 10% are slowed, on every service.
-		Default: faultinject.ServiceFaults{
-			ErrorRate: 0.15,
-			Rate429:   0.05,
-			Rate5xx:   0.08,
-			HangRate:  0.02,
-			SlowRate:  0.10,
-			Latency:   time.Millisecond,
-		},
-		// whois flaps in hard windows: 20 consecutive down calls guarantee
-		// a breaker trip regardless of worker interleaving.
-		PerService: map[string]faultinject.ServiceFaults{
-			"whois": {FlapPeriod: 40, FlapDown: 20},
-		},
-	}, reg)
+	faults := faultinject.New(chaosFaults, reg)
 	breakers := resilience.New(resilience.Config{
 		Breaker: resilience.BreakerConfig{FailureThreshold: 5, OpenTimeout: 50 * time.Millisecond},
-		// Threshold 2: even with 7 in-flight successes from the previous
-		// up-window interleaving into the 20-call down-window, some run of
-		// failures reaches 2 (pigeonhole: 20 failures split into <= 8 runs).
-		PerService: map[string]resilience.BreakerConfig{
-			"whois": {FailureThreshold: 2, OpenTimeout: 20 * time.Millisecond},
-		},
 	}, reg)
-
 	// Composition order is the production one: pipeline -> breaker ->
 	// (cache would sit here) -> faults -> instrumented client.
 	ops := breakers.Wrap(faults.Wrap(core.OpsOf(sim.Services())))
@@ -127,11 +126,10 @@ func TestChaosSoak(t *testing.T) {
 		}
 	}
 
-	// Breaker transitions are visible: the whois flap windows must have
-	// tripped its breaker at least once, and short-circuited calls must
-	// never have reached the fault gate (gate calls = breaker admissions).
+	// Breaker transitions are visible: the whois outage must have tripped
+	// its breaker at least once, and the open breaker must have shed calls.
 	if got := snap.Counters["breaker.whois.opens"]; got == 0 {
-		t.Error("whois breaker never opened despite 50% flap windows")
+		t.Error("whois breaker never opened despite a full whois outage")
 	}
 	bs := breakers.Stats()["whois"]
 	if bs.ShortCircuits == 0 {
@@ -139,4 +137,43 @@ func TestChaosSoak(t *testing.T) {
 	}
 	t.Logf("records=%d degraded=%d fields=%d whois: opens=%d shorts=%d",
 		len(ds.Records), degradedRecs, degradedFields, bs.Opens, bs.ShortCircuits)
+
+	narrow := enrichRecords(t, sim, reports, 1, 1)
+	if wide := enrichRecords(t, sim, reports, 64, 4); !bytes.Equal(narrow, wide) {
+		t.Error("chaos records differ between 1×1 and 64×4 enrichment widths")
+	}
+}
+
+// enrichRecords curates reports and enriches the first 100 records
+// through chaosFaults with no breaker, workers records and steps families
+// at a time, and returns the records' JSON. The call timeout outlasts a
+// call's retry backoff, so only injected hangs reach it (each costs the
+// 1×1 run a second, hence the subset), and the record budget never fires.
+// The failure-rate abort is off: injected faults return at once while
+// real calls take a round trip, so a wide run's first completions are
+// mostly whois failures and can cross the 0.9 threshold on their own.
+func enrichRecords(t *testing.T, sim *core.Simulation, reports []forum.RawReport, workers, steps int) []byte {
+	t.Helper()
+	pipe, err := core.NewPipelineOver(faultinject.New(chaosFaults, nil).Wrap(core.OpsOf(sim.Services())), core.Options{
+		EnrichWorkers:    workers,
+		StepWorkers:      steps,
+		CallTimeout:      time.Second,
+		RecordBudget:     time.Minute,
+		AbortFailureRate: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := pipe.Curate(reports)
+	ds.Records = ds.Records[:min(100, len(ds.Records))]
+	start := time.Now()
+	if err := pipe.Enrich(context.Background(), ds); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d×%d: enriched %d records in %v", workers, steps, len(ds.Records), time.Since(start))
+	raw, err := json.Marshal(ds.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }

@@ -14,8 +14,8 @@ type Injector struct {
 }
 
 // New builds an injector recording into reg (nil is allowed: counters
-// become no-ops). Multi-method services (dnsdb, avscan) share one gate,
-// so a flapping window covers every method of the service.
+// become no-ops). Multi-method services (dnsdb, avscan) share one gate
+// and its counters; the op's field keeps their methods' draws apart.
 func New(cfg Config, reg *telemetry.Registry) *Injector {
 	in := &Injector{gates: make(map[string]*gate, 6)}
 	for _, name := range []string{"hlr", "whois", "ctlog", "dnsdb", "avscan", "shortener"} {
@@ -29,8 +29,8 @@ func New(cfg Config, reg *telemetry.Registry) *Injector {
 // services pass through ungated, so a targeted single-service outage
 // costs nothing on the healthy paths. Bulk-capable ops keep their Bulk
 // form through the fault layer: the bulk form gates each key
-// individually, so a flapping window degrades some slots of a batch
-// rather than hiding the batching tier's fast path entirely.
+// individually, so a fault degrades its own slot of a batch rather than
+// hiding the batching tier's fast path entirely.
 func (in *Injector) Wrap(o core.Ops) core.Ops {
 	o.HLR = gated(o.HLR, in)
 	o.Whois = gated(o.Whois, in)
@@ -44,39 +44,43 @@ func (in *Injector) Wrap(o core.Ops) core.Ops {
 	return o
 }
 
-// gated runs op's service gate before each call. An absent op, or one
-// whose service has no faults configured, passes through as it is.
+// gated runs op's service gate on each call's key before the call. An
+// absent op, or one whose service has no faults configured, passes
+// through as it is.
 func gated[K, V any](op core.Op[K, V], in *Injector) core.Op[K, V] {
 	g := in.gates[op.Service]
 	if op.Call == nil || !g.f.enabled() {
 		return op
 	}
-	call, bulk := op.Call, op.Bulk
+	call, bulk, field, key := op.Call, op.Bulk, op.Field, op.Key
 	op.Call = func(ctx context.Context, k K) (V, error) {
-		if err := g.before(ctx); err != nil {
+		if err := g.before(ctx, field, key(k), true); err != nil {
 			var zero V
 			return zero, err
 		}
 		return call(ctx, k)
 	}
 	if bulk != nil {
-		op.Bulk = func(ctx context.Context, ks []K) ([]V, []error) { return gateBatch(ctx, g, ks, bulk) }
+		op.Bulk = func(ctx context.Context, ks []K) ([]V, []error) {
+			return gateBatch(ctx, g, field, key, ks, bulk)
+		}
 	}
 	return op
 }
 
 // gateBatch applies one gate decision per key: keys the gate rejects get
-// that fault as their slot error, the survivors go upstream as a smaller
+// that fault as their slot error (a hung key fails at once rather than
+// stalling its batch-mates), the survivors go upstream as a smaller
 // batch, and the answers demultiplex back into their original slots. A
 // survivor the bulk answer has no slot for gets core.ErrMissingSlot.
-func gateBatch[K, V any](ctx context.Context, g *gate, keys []K,
+func gateBatch[K, V any](ctx context.Context, g *gate, field string, key func(K) string, keys []K,
 	bulk func(ctx context.Context, keys []K) ([]V, []error)) ([]V, []error) {
 	vals := make([]V, len(keys))
 	errs := make([]error, len(keys))
 	pass := make([]K, 0, len(keys))
 	slots := make([]int, 0, len(keys))
 	for i, k := range keys {
-		if err := g.before(ctx); err != nil {
+		if err := g.before(ctx, field, key(k), false); err != nil {
 			errs[i] = err
 			continue
 		}

@@ -1,16 +1,16 @@
 // Package faultinject turns the enrichment-service seam into a chaos
 // harness. Real measurement runs die on exactly the failures a clean
 // simulation never produces — timeouts, 5xx bursts, rate-limit storms,
-// hung connections, services flapping up and down — so this package
-// injects them deliberately: deterministic, seed-driven gates over
-// the per-service interfaces in internal/core that fail, slow, or hang a
+// hung connections — so this package injects them deliberately:
+// seed-driven gates over the core.Ops seam that fail, slow, or hang a
 // configurable fraction of calls before they reach the real client.
 //
-// Determinism is the point. Every gate draws from its own seeded source
-// (derived from Config.Seed and the service name), so a failing chaos run
-// reproduces locally from the same seed; flapping windows are driven by
-// the gate's call counter, not the wall clock, so a given call sequence
-// always hits the same windows.
+// Determinism is the point. A gate holds no state: each call's fault is
+// a pure function of (Config.Seed, service, field, lookup key), so every
+// call for one key gets the same fault however calls interleave, however
+// many shards split the records and whether a shard runs in this process
+// or in a worker. A failing chaos run reproduces locally from the same
+// seed, and records that share a failing key degrade together.
 //
 // Every injected fault increments "fault.<service>.injected" (plus a
 // per-kind counter) in the study's telemetry registry, so a chaos run's
@@ -20,19 +20,16 @@ package faultinject
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
-	"sync"
 	"time"
 
 	"github.com/smishkit/smishkit/internal/netutil"
 	"github.com/smishkit/smishkit/internal/telemetry"
 )
 
-// ErrInjected marks transport-style and flap failures produced by this
-// package; injected 429/5xx responses are plain *netutil.APIError values
-// instead, indistinguishable from a genuinely degraded upstream (which is
-// what the cache's serve-stale path and the breaker classifier must see).
+// ErrInjected marks transport-style failures produced by this package;
+// injected 429/5xx responses are plain *netutil.APIError values instead,
+// indistinguishable from a genuinely degraded upstream (which is what the
+// cache's serve-stale path and the breaker classifier must see).
 var ErrInjected = fmt.Errorf("faultinject: injected fault")
 
 // ServiceFaults configures the fault mix for one service. Rates are
@@ -47,31 +44,28 @@ type ServiceFaults struct {
 	// Rate5xx injects HTTP 503 server errors.
 	Rate5xx float64
 	// HangRate blocks the call until its context is cancelled — the hung
-	// connection a deadline budget exists to bound.
+	// connection a deadline budget exists to bound. Inside a bulk call a
+	// hang fails only its own slot, at once, with
+	// context.DeadlineExceeded: the error the per-key call returns once
+	// its timeout fires.
 	HangRate float64
 	// SlowRate delays the call by Latency before letting it through.
 	SlowRate float64
 	// Latency is the injected delay for SlowRate calls (default 2ms).
 	Latency time.Duration
-	// FlapPeriod/FlapDown model a flapping service deterministically: of
-	// every FlapPeriod consecutive calls, the first FlapDown fail outright
-	// (before any rate is drawn). Zero disables flapping.
-	FlapPeriod int
-	FlapDown   int
 }
 
 // enabled reports whether any fault is configured.
 func (f ServiceFaults) enabled() bool {
-	return f.ErrorRate > 0 || f.Rate429 > 0 || f.Rate5xx > 0 ||
-		f.HangRate > 0 || f.SlowRate > 0 || (f.FlapPeriod > 0 && f.FlapDown > 0)
+	return f.ErrorRate > 0 || f.Rate429 > 0 || f.Rate5xx > 0 || f.HangRate > 0 || f.SlowRate > 0
 }
 
 // Config seeds an Injector. Default applies to every service; PerService
 // replaces it wholesale for the named service (keyed by the telemetry
 // names: hlr, whois, ctlog, dnsdb, avscan, shortener).
 type Config struct {
-	// Seed drives every per-service random source; the same seed and call
-	// sequence reproduce the same faults.
+	// Seed keys every fault decision; the same seed and lookup key give
+	// the same fault.
 	Seed    int64
 	Default ServiceFaults
 	// PerService overrides Default for one service (full replacement, not
@@ -91,7 +85,6 @@ type action int
 
 const (
 	actPass action = iota
-	actFlap
 	actTransport
 	act429
 	act5xx
@@ -99,52 +92,63 @@ const (
 	actSlow
 )
 
-// gate is one service's fault source: a seeded RNG, a call counter for
-// flap windows, and the per-kind counters.
+// gate is one service's fault mix and per-kind counters. It holds no
+// decision state: decide is a pure function of its arguments.
 type gate struct {
 	service string
+	seed    int64
 	f       ServiceFaults
 
-	mu    sync.Mutex
-	rng   *rand.Rand
-	calls int
-
-	injected, transport, limited, server, hangs, slow, flapped *telemetry.Counter
+	injected, transport, limited, server, hangs, slow *telemetry.Counter
 }
 
 func newGate(service string, f ServiceFaults, seed int64, reg *telemetry.Registry) *gate {
 	if f.Latency == 0 {
 		f.Latency = 2 * time.Millisecond
 	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(service))
 	prefix := "fault." + service + "."
 	return &gate{
 		service:   service,
+		seed:      seed,
 		f:         f,
-		rng:       rand.New(rand.NewSource(seed ^ int64(h.Sum64()))),
 		injected:  reg.Counter(prefix + "injected"),
 		transport: reg.Counter(prefix + "errors"),
 		limited:   reg.Counter(prefix + "rate_limited"),
 		server:    reg.Counter(prefix + "server_errors"),
 		hangs:     reg.Counter(prefix + "hangs"),
 		slow:      reg.Counter(prefix + "latency_spikes"),
-		flapped:   reg.Counter(prefix + "flapped"),
 	}
 }
 
-// decide consumes exactly one counter tick and (outside flap windows) one
-// random draw, keeping the decision sequence deterministic per service.
-func (g *gate) decide() action {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	seq := g.calls
-	g.calls++
-	if g.f.FlapPeriod > 0 && g.f.FlapDown > 0 && seq%g.f.FlapPeriod < g.f.FlapDown {
-		return actFlap
+// draw maps (seed, service, field, key) to a uniform value in [0, 1):
+// FNV-1a over the seed and the three strings, each string closed by a NUL
+// so ("ab", "c") and ("a", "bc") differ, then murmur3's fmix64 finalizer
+// so nearby keys land far apart.
+func draw(seed int64, service, field, key string) float64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < 8; i++ {
+		h = (h ^ uint64(byte(seed>>(8*i)))) * prime
 	}
-	draw := g.rng.Float64()
-	for _, step := range []struct {
+	for _, s := range [...]string{service, field, key} {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * prime
+		}
+		h *= prime // the NUL separator: h ^ 0 == h
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return float64(h>>11) / (1 << 53)
+}
+
+// decide walks the rate ladder with the key's draw: every call for one
+// (field, key) pair gets the same action.
+func (g *gate) decide(field, key string) action {
+	d := draw(g.seed, g.service, field, key)
+	for _, step := range [...]struct {
 		rate float64
 		act  action
 	}{
@@ -154,25 +158,23 @@ func (g *gate) decide() action {
 		{g.f.HangRate, actHang},
 		{g.f.SlowRate, actSlow},
 	} {
-		if draw < step.rate {
+		if d < step.rate {
 			return step.act
 		}
-		draw -= step.rate
+		d -= step.rate
 	}
 	return actPass
 }
 
 // before runs the gate's decision for one call: it returns a non-nil
 // error to inject, sleeps through an injected latency spike, or lets the
-// call pass. Hangs block until ctx is cancelled.
-func (g *gate) before(ctx context.Context) error {
-	switch g.decide() {
+// call pass. A hang blocks until ctx is done when block is set, and
+// otherwise fails at once with context.DeadlineExceeded (a bulk slot,
+// whose batch-mates must not wait on it).
+func (g *gate) before(ctx context.Context, field, key string, block bool) error {
+	switch g.decide(field, key) {
 	case actPass:
 		return nil
-	case actFlap:
-		g.injected.Inc()
-		g.flapped.Inc()
-		return fmt.Errorf("faultinject: %s flapping (window down): %w", g.service, ErrInjected)
 	case actTransport:
 		g.injected.Inc()
 		g.transport.Inc()
@@ -188,6 +190,9 @@ func (g *gate) before(ctx context.Context) error {
 	case actHang:
 		g.injected.Inc()
 		g.hangs.Inc()
+		if !block {
+			return context.DeadlineExceeded
+		}
 		<-ctx.Done()
 		return ctx.Err()
 	case actSlow:

@@ -3,6 +3,12 @@ package faultinject
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,75 +19,123 @@ import (
 )
 
 // fakeHLR is a healthy downstream that counts how many calls get through.
-type fakeHLR struct{ calls int }
+type fakeHLR struct{ calls atomic.Int64 }
 
 func (f *fakeHLR) Lookup(context.Context, string) (hlr.Result, error) {
-	f.calls++
+	f.calls.Add(1)
 	return hlr.Result{Known: true}, nil
+}
+
+// bulkHLR is fakeHLR with a bulk form that records the keys it is sent.
+type bulkHLR struct {
+	fakeHLR
+	sent []string
+}
+
+func (f *bulkHLR) LookupBatch(_ context.Context, msisdns []string) ([]hlr.Result, []error) {
+	f.sent = append(f.sent, msisdns...)
+	vals := make([]hlr.Result, len(msisdns))
+	for i := range vals {
+		vals[i] = hlr.Result{Known: true}
+	}
+	return vals, make([]error, len(msisdns))
 }
 
 func wrapHLR(cfg Config, reg *telemetry.Registry, next core.HLRLookuper) core.HLRLookuper {
 	return New(cfg, reg).Wrap(core.OpsOf(core.Services{HLR: next})).Services().HLR
 }
 
-// TestDeterministicSequence is the reproducibility contract: two
-// injectors with the same seed and config produce the same pass/fail
-// decision at every call position.
-func TestDeterministicSequence(t *testing.T) {
-	cfg := Config{Seed: 42, Default: ServiceFaults{ErrorRate: 0.2, Rate5xx: 0.2}}
-	run := func() []bool {
-		svc := wrapHLR(cfg, nil, &fakeHLR{})
-		outcomes := make([]bool, 500)
-		for i := range outcomes {
-			_, err := svc.Lookup(context.Background(), "+447700900123")
-			outcomes[i] = err == nil
-		}
-		return outcomes
+// msisdns returns n distinct phone-number keys.
+func msisdns(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("+4477009%05d", i)
 	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at call %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	// A different seed must produce a different sequence somewhere.
-	cfg.Seed = 43
-	c := wrapHLR(cfg, nil, &fakeHLR{})
-	diverged := false
-	for i := range a {
-		_, err := c.Lookup(context.Background(), "+447700900123")
-		if (err == nil) != a[i] {
-			diverged = true
-			break
-		}
-	}
-	if !diverged {
-		t.Error("seed 43 reproduced seed 42's decision sequence exactly")
-	}
+	return keys
 }
 
-// TestInjectionRateAndTelemetry drives enough calls through a 30% error
-// mix to pin the realized rate near the configured one, and checks the
-// fault.<svc>.* counters account for every injection.
+// outcome is one call's result as a comparable string ("" for success).
+func outcome(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// TestDecisionsIgnoreCallOrder is the reproducibility contract: a key's
+// fault depends on the seed and the key alone, not on which calls came
+// before it or on which goroutine makes it. The same keys, shuffled
+// across 8 goroutines and each called twice, get the decisions a
+// sequential pass got; another seed decides differently.
+func TestDecisionsIgnoreCallOrder(t *testing.T) {
+	cfg := Config{Seed: 42, Default: ServiceFaults{ErrorRate: 0.2, Rate429: 0.1, Rate5xx: 0.2}}
+	keys := msisdns(1000)
+	want := make(map[string]string, len(keys))
+	svc := wrapHLR(cfg, nil, &fakeHLR{})
+	for _, k := range keys {
+		_, err := svc.Lookup(context.Background(), k)
+		want[k] = outcome(err)
+	}
+
+	shuffled := slices.Clone(keys)
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) {
+		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+	})
+	svc = wrapHLR(cfg, nil, &fakeHLR{})
+	const workers = 8
+	got := make([][]string, workers) // per goroutine: key, outcome pairs
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < 2*len(shuffled); i += workers {
+				k := shuffled[i%len(shuffled)]
+				_, err := svc.Lookup(context.Background(), k)
+				got[w] = append(got[w], k, outcome(err))
+			}
+		}()
+	}
+	wg.Wait()
+	for _, pairs := range got {
+		for i := 0; i < len(pairs); i += 2 {
+			if k, o := pairs[i], pairs[i+1]; o != want[k] {
+				t.Fatalf("key %s: %q concurrently, %q sequentially", k, o, want[k])
+			}
+		}
+	}
+
+	cfg.Seed = 43
+	other := wrapHLR(cfg, nil, &fakeHLR{})
+	for _, k := range keys {
+		if _, err := other.Lookup(context.Background(), k); outcome(err) != want[k] {
+			return
+		}
+	}
+	t.Error("seed 43 reproduced seed 42's decisions exactly")
+}
+
+// TestInjectionRateAndTelemetry drives 3,000 distinct keys through a 30%
+// error mix to pin the realized rate near the configured one, and checks
+// the fault.<svc>.* counters account for every injection.
 func TestInjectionRateAndTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	next := &fakeHLR{}
 	svc := wrapHLR(Config{Seed: 7, Default: ServiceFaults{ErrorRate: 0.2, Rate5xx: 0.1}}, reg, next)
 
-	const calls = 3000
+	keys := msisdns(3000)
 	failed := 0
-	for i := 0; i < calls; i++ {
-		if _, err := svc.Lookup(context.Background(), "+447700900123"); err != nil {
+	for _, k := range keys {
+		if _, err := svc.Lookup(context.Background(), k); err != nil {
 			failed++
 		}
 	}
-	rate := float64(failed) / calls
+	rate := float64(failed) / float64(len(keys))
 	if rate < 0.25 || rate > 0.35 {
 		t.Errorf("realized failure rate = %.3f, want ~0.30", rate)
 	}
-	if next.calls != calls-failed {
-		t.Errorf("downstream saw %d calls, want %d (failed calls must not reach it)",
-			next.calls, calls-failed)
+	if got := next.calls.Load(); got != int64(len(keys)-failed) {
+		t.Errorf("downstream saw %d calls, want %d (failed calls must not reach it)", got, len(keys)-failed)
 	}
 	snap := reg.Snapshot()
 	if got := snap.Counters["fault.hlr.injected"]; got != int64(failed) {
@@ -92,19 +146,45 @@ func TestInjectionRateAndTelemetry(t *testing.T) {
 	}
 }
 
-// TestFlappingWindowsAreDeterministic checks the call-counter windows: of
-// every 10 calls the first 4 fail, exactly, regardless of seed.
-func TestFlappingWindowsAreDeterministic(t *testing.T) {
-	svc := wrapHLR(Config{Seed: 1, Default: ServiceFaults{FlapPeriod: 10, FlapDown: 4}}, nil, &fakeHLR{})
-	for i := 0; i < 100; i++ {
-		_, err := svc.Lookup(context.Background(), "+447700900123")
-		wantDown := i%10 < 4
-		if (err != nil) != wantDown {
-			t.Fatalf("call %d: err=%v, want down=%v", i, err, wantDown)
+// TestBulkHangFailsOnlyItsSlot: inside a bulk call a hung key fails at
+// once with context.DeadlineExceeded, even under a context that never
+// ends, while its batch-mates go upstream and resolve.
+func TestBulkHangFailsOnlyItsSlot(t *testing.T) {
+	in := New(Config{Seed: 3, Default: ServiceFaults{HangRate: 0.5}}, nil)
+	next := &bulkHLR{}
+	op := in.Wrap(core.OpsOf(core.Services{HLR: next})).HLR
+	keys := msisdns(20)
+
+	done := make(chan []error)
+	go func() {
+		_, errs := op.Bulk(context.Background(), keys)
+		done <- errs
+	}()
+	var errs []error
+	select {
+	case errs = <-done:
+	case <-time.After(time.Second):
+		t.Fatal("a hung slot blocked its bulk call")
+	}
+	var hung, passed []string
+	for i, k := range keys {
+		if in.gates["hlr"].decide("hlr", k) != actHang {
+			passed = append(passed, k)
+			if errs[i] != nil {
+				t.Errorf("healthy key %s: err = %v", k, errs[i])
+			}
+			continue
 		}
-		if err != nil && !errors.Is(err, ErrInjected) {
-			t.Fatalf("flap failure not marked ErrInjected: %v", err)
+		hung = append(hung, k)
+		if !errors.Is(errs[i], context.DeadlineExceeded) {
+			t.Errorf("hung key %s: err = %v, want DeadlineExceeded", k, errs[i])
 		}
+	}
+	if len(hung) == 0 || len(passed) == 0 {
+		t.Fatalf("%d hung and %d healthy keys; the test needs both", len(hung), len(passed))
+	}
+	if !slices.Equal(next.sent, passed) {
+		t.Errorf("upstream was sent %v, want the healthy keys %v", next.sent, passed)
 	}
 }
 
@@ -142,8 +222,8 @@ func TestHangRespectsContext(t *testing.T) {
 	if time.Since(start) < 15*time.Millisecond {
 		t.Error("hang returned before the context deadline")
 	}
-	if next.calls != 0 {
-		t.Errorf("hung call reached the downstream (%d calls)", next.calls)
+	if n := next.calls.Load(); n != 0 {
+		t.Errorf("hung call reached the downstream (%d calls)", n)
 	}
 }
 
@@ -158,8 +238,8 @@ func TestLatencyInjection(t *testing.T) {
 	if d := time.Since(start); d < 10*time.Millisecond {
 		t.Errorf("slow call took %v, want >= 10ms", d)
 	}
-	if next.calls != 1 {
-		t.Errorf("downstream calls = %d, want 1", next.calls)
+	if n := next.calls.Load(); n != 1 {
+		t.Errorf("downstream calls = %d, want 1", n)
 	}
 }
 
@@ -167,7 +247,8 @@ func TestLatencyInjection(t *testing.T) {
 // skipping) and fault-free services pass through ungated.
 func TestWrapPreservesNilAndHealthy(t *testing.T) {
 	next := &fakeHLR{}
-	in := New(Config{Seed: 1, PerService: map[string]ServiceFaults{"whois": {ErrorRate: 1}}}, nil)
+	reg := telemetry.NewRegistry()
+	in := New(Config{Seed: 1, PerService: map[string]ServiceFaults{"whois": {ErrorRate: 1}}}, reg)
 	o := in.Wrap(core.OpsOf(core.Services{HLR: next}))
 	if o.Whois.Call != nil || o.CT.Call != nil || o.PDNS.Call != nil || o.ASN.Call != nil ||
 		o.Scan.Call != nil || o.GSB.Call != nil || o.Transparency.Call != nil || o.Expand.Call != nil {
@@ -178,8 +259,12 @@ func TestWrapPreservesNilAndHealthy(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if next.calls != 10 || in.gates["hlr"].calls != 0 {
-		t.Errorf("fault-free HLR service was gated: %d downstream calls, %d gate decisions, want 10 and 0",
-			next.calls, in.gates["hlr"].calls)
+	if n := next.calls.Load(); n != 10 {
+		t.Errorf("fault-free HLR service: %d downstream calls, want 10", n)
+	}
+	for name, v := range reg.Snapshot().Counters {
+		if strings.HasPrefix(name, "fault.hlr.") && v != 0 {
+			t.Errorf("fault-free HLR service was gated: %s = %d", name, v)
+		}
 	}
 }

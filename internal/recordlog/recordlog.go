@@ -50,6 +50,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/smishkit/smishkit/internal/checkpoint"
 	"github.com/smishkit/smishkit/internal/core"
 	"github.com/smishkit/smishkit/internal/corpus"
 	"github.com/smishkit/smishkit/internal/telemetry"
@@ -549,9 +550,10 @@ func (l *Log) maybeSnapshotLocked(now time.Time) error {
 	return nil
 }
 
-// snapshotLocked writes the full state as snapshot.json via temp file +
-// fsync + atomic rename + directory sync, so a crash at any point leaves
-// either the old snapshot or the new one, never a torn mix.
+// snapshotLocked writes the full state as snapshot.json through
+// checkpoint.WriteDurable (temp file + fsync + atomic rename + directory
+// sync), so a crash at any point leaves either the old snapshot or the
+// new one, never a torn mix.
 func (l *Log) snapshotLocked(now time.Time) error {
 	snap := snapshot{
 		Seq:     l.seq,
@@ -564,24 +566,8 @@ func (l *Log) snapshotLocked(now time.Time) error {
 	if err != nil {
 		return fmt.Errorf("recordlog: encode snapshot: %w", err)
 	}
-	final := filepath.Join(l.cfg.Dir, snapshotName)
-	tmp, err := os.CreateTemp(l.cfg.Dir, ".snapshot.tmp-*")
-	if err != nil {
-		return fmt.Errorf("recordlog: snapshot temp file: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	serr := tmp.Sync()
-	cerr := tmp.Close()
-	if werr != nil || serr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("recordlog: write snapshot: %w", errors.Join(werr, serr, cerr))
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("recordlog: commit snapshot: %w", err)
-	}
-	if err := syncDir(l.cfg.Dir); err != nil {
-		return fmt.Errorf("recordlog: sync snapshot dir: %w", err)
+	if err := checkpoint.WriteDurable(l.cfg.Dir, snapshotName, data); err != nil {
+		return fmt.Errorf("recordlog: %w", err)
 	}
 	l.lastSnap = now
 	l.stats.Snapshots++
@@ -711,18 +697,6 @@ func datasetEmpty(ds *core.Dataset) bool {
 		}
 	}
 	return true
-}
-
-// syncDir fsyncs a directory so a just-renamed file's directory entry is
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	return errors.Join(serr, cerr)
 }
 
 // Write renders a Stats snapshot as aligned human-readable text — the

@@ -14,18 +14,8 @@ import (
 // service. The enrichment budgets and the failure-rate abort live in
 // core.Options. The zero value selects defaults everywhere.
 type Config struct {
-	// Breaker is the default per-service breaker tuning.
+	// Breaker tunes every service's breaker.
 	Breaker BreakerConfig
-	// PerService overrides Breaker for one service (keyed hlr, whois,
-	// ctlog, dnsdb, avscan, shortener; full replacement).
-	PerService map[string]BreakerConfig
-}
-
-func (c Config) forService(name string) BreakerConfig {
-	if bc, ok := c.PerService[name]; ok {
-		return bc
-	}
-	return c.Breaker
 }
 
 // Breakers is the per-service breaker set decorating a core.Ops.
@@ -38,7 +28,7 @@ type Breakers struct {
 func New(cfg Config, reg *telemetry.Registry) *Breakers {
 	bs := &Breakers{perService: make(map[string]*Breaker, 6)}
 	for _, name := range []string{"hlr", "whois", "ctlog", "dnsdb", "avscan", "shortener"} {
-		bs.perService[name] = NewBreaker(name, cfg.forService(name), reg)
+		bs.perService[name] = NewBreaker(name, cfg.Breaker, reg)
 	}
 	return bs
 }

@@ -245,20 +245,3 @@ func TestWrapServicesShortCircuits(t *testing.T) {
 		}
 	}
 }
-
-// TestPerServiceBreakerConfig: a PerService override applies to that
-// service only.
-func TestPerServiceBreakerConfig(t *testing.T) {
-	bs := New(Config{
-		Breaker:    BreakerConfig{FailureThreshold: 100},
-		PerService: map[string]BreakerConfig{"whois": {FailureThreshold: 1}},
-	}, nil)
-	bs.Breaker("whois").Record(errBoom)
-	if got := bs.Breaker("whois").State(); got != StateOpen {
-		t.Errorf("whois state = %v, want open after 1 failure (threshold 1)", got)
-	}
-	bs.Breaker("hlr").Record(errBoom)
-	if got := bs.Breaker("hlr").State(); got != StateClosed {
-		t.Errorf("hlr state = %v, want closed (threshold 100)", got)
-	}
-}

@@ -205,11 +205,9 @@ func TestStackComposesTiersInOrder(t *testing.T) {
 			"hlr":   {SlowRate: 1, Latency: time.Nanosecond}, // every gate decision counts a spike
 			"whois": {ErrorRate: 1},
 		}},
-		Batch: &batchmux.Config{Window: 4, FlushInterval: time.Hour},
-		Cache: &enrichcache.Config{},
-		Resilience: &resilience.Config{PerService: map[string]resilience.BreakerConfig{
-			"whois": {FailureThreshold: 2, OpenTimeout: time.Hour},
-		}},
+		Batch:      &batchmux.Config{Window: 4, FlushInterval: time.Hour},
+		Cache:      &enrichcache.Config{},
+		Resilience: &resilience.Config{Breaker: resilience.BreakerConfig{FailureThreshold: 2, OpenTimeout: time.Hour}},
 	}, reg)
 	s := st.ops
 	count := func(name string) int64 { return reg.Counter(name).Value() }

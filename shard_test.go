@@ -356,25 +356,16 @@ func randomStackOptions(rng *rand.Rand) Options {
 	if coin() {
 		o.Batch = &BatchConfig{Window: rng.Intn(64), FlushInterval: dur()}
 	}
-	breaker := func() BreakerConfig {
-		return BreakerConfig{
+	if coin() {
+		o.Resilience = &ResilienceConfig{Breaker: BreakerConfig{
 			FailureThreshold: rng.Intn(10), OpenTimeout: dur(),
 			HalfOpenProbes: rng.Intn(4), ProbeSuccesses: rng.Intn(4),
-		}
-	}
-	if coin() {
-		r := &ResilienceConfig{Breaker: breaker()}
-		if coin() {
-			r.PerService = map[string]BreakerConfig{}
-			perService(func(n string) { r.PerService[n] = breaker() })
-		}
-		o.Resilience = r
+		}}
 	}
 	faults := func() ServiceFaults {
 		return ServiceFaults{
 			ErrorRate: rng.Float64() / 4, Rate429: rng.Float64() / 4, Rate5xx: rng.Float64() / 4,
 			HangRate: rng.Float64() / 4, SlowRate: rng.Float64() / 4, Latency: dur(),
-			FlapPeriod: rng.Intn(10), FlapDown: rng.Intn(3),
 		}
 	}
 	if coin() {

@@ -106,20 +106,24 @@ type (
 	BatchServiceStats = batchmux.ServiceStats
 
 	// FaultConfig seeds the deterministic chaos layer (Options.Faults):
-	// per-service error / 429 / 5xx / hang / latency rates and flapping
-	// windows, all driven by one seed so a failing run reproduces exactly.
+	// per-service error / 429 / 5xx / hang / latency rates. Each call's
+	// fault is a function of the seed and the call's lookup key alone, so
+	// a failing run reproduces exactly, sharded or not, and records that
+	// share a failing key degrade together. A hang inside a batched
+	// request fails only its own key, with context.DeadlineExceeded.
 	FaultConfig = faultinject.Config
 	// ServiceFaults is the fault mix for one service (FaultConfig.Default
 	// or a FaultConfig.PerService entry).
 	ServiceFaults = faultinject.ServiceFaults
 
 	// ResilienceConfig tunes the resilience layer (Options.Resilience):
-	// per-service circuit breakers. The per-record deadline budget,
+	// one circuit breaker per enrichment service, every one tuned by
+	// Breaker. The per-record deadline budget,
 	// per-call timeout and run-level failure-rate abort are
 	// PipelineOptions fields. &ResilienceConfig{} selects the documented
 	// defaults.
 	ResilienceConfig = resilience.Config
-	// BreakerConfig tunes one circuit breaker (failure threshold, open
+	// BreakerConfig tunes the circuit breakers (failure threshold, open
 	// timeout, half-open probe budget).
 	BreakerConfig = resilience.BreakerConfig
 	// ResilienceStats maps each enrichment service to its breaker
