@@ -306,7 +306,8 @@ func TestServeDurableQueryEndpoints(t *testing.T) {
 // indexes the log's own record list, which the round loop appends to).
 // After the drain, and again after a restart seeded from the log, the
 // projection's dataset must encode to the same JSON as the log's, records
-// and totals alike.
+// and totals alike, and Serve's returned records must be the log's own
+// list, not a copy.
 func TestServeProjectionSharesRecordLog(t *testing.T) {
 	dataDir := t.TempDir()
 	mkOpts := func(store CheckpointStore, rounds int, onReady func(string), onRound func(RoundInfo)) Options {
@@ -415,8 +416,12 @@ func TestServeProjectionSharesRecordLog(t *testing.T) {
 	if reads.Load() == 0 {
 		t.Fatal("readers never ran")
 	}
+	committed := study.rlog.Committed()
+	if len(first.Records) == 0 || &first.Records[0] != &committed.Records[0] {
+		t.Fatal("Serve returned a copy of the records instead of the log's own list")
+	}
 	firstJSON := encode(first)
-	if want := encode(study.rlog.Dataset()); firstJSON != want {
+	if want := encode(committed); firstJSON != want {
 		t.Fatalf("drained projection diverges from the record log:\n got: %s\nwant: %s", firstJSON, want)
 	}
 	if err := study.Close(); err != nil {
@@ -442,7 +447,7 @@ func TestServeProjectionSharesRecordLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	secondJSON := encode(second)
-	if want := encode(restarted.rlog.Dataset()); secondJSON != want {
+	if want := encode(restarted.rlog.Committed()); secondJSON != want {
 		t.Fatalf("seeded projection diverges from the record log:\n got: %s\nwant: %s", secondJSON, want)
 	}
 	if secondJSON != firstJSON {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"html"
 	"net/http"
-	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -228,8 +227,70 @@ func (s *SmishingEUServer) Handler() http.Handler {
 	return mux
 }
 
-// rowRe captures one table row of the report page.
-var rowRe = regexp.MustCompile(`<tr><td>(.*?)</td><td>(.*?)</td><td>(.*?)</td><td>(.*?)</td><td>(.*?)</td></tr>`)
+// euRow locates one report-table row in a page: doc[start:end] is the
+// whole row and cut[k] is where cell k ends (at its "</td>").
+type euRow struct {
+	start, end int
+	cut        [5]int
+}
+
+const (
+	euRowOpen  = "<tr><td>"
+	euCellSep  = "</td><td>"
+	euRowClose = "</td></tr>"
+)
+
+// nextEURow finds the first report row that starts at or after from. A
+// row is "<tr><td>", then five cells, each ending at the first
+// "</td><td>" after it starts (the fifth at the first "</td></tr>"), all
+// on one line. That is exactly what the lazy pattern
+// <tr><td>(.*?)</td><td>(.*?)</td><td>(.*?)</td><td>(.*?)</td><td>(.*?)</td></tr>
+// matches, without a regexp or a substring per cell. The header row
+// ("<tr><th>") never opens one. When the first "<tr><td>" found does not
+// complete a row, no later start on its line can, so the search goes on
+// from the next line.
+func nextEURow(doc string, from int) (euRow, bool) {
+	for from < len(doc) {
+		i := strings.Index(doc[from:], euRowOpen)
+		if i < 0 {
+			break
+		}
+		r := euRow{start: from + i}
+		eol := len(doc)
+		if j := strings.IndexByte(doc[r.start:], '\n'); j >= 0 {
+			eol = r.start + j
+		}
+		at := r.start + len(euRowOpen)
+		for k := range r.cut {
+			sep := euCellSep
+			if k == len(r.cut)-1 {
+				sep = euRowClose
+			}
+			j := strings.Index(doc[at:eol], sep)
+			if j < 0 {
+				at = -1
+				break
+			}
+			r.cut[k] = at + j
+			at += j + len(sep)
+		}
+		if at >= 0 {
+			r.end = at
+			return r, true
+		}
+		from = eol + 1
+	}
+	return euRow{}, false
+}
+
+// cell returns cell k of r, still HTML-escaped.
+func (r euRow) cell(doc string, k int) string {
+	begin := r.start + len(euRowOpen)
+	if k > 0 {
+		begin = r.cut[k-1] + len(euCellSep)
+	}
+	return doc[begin:r.cut[k]]
+}
 
 // SmishingEUCollector scrapes the HTML tables page by page — the paper's
 // custom weekly scraper (§3.1.3).
@@ -268,13 +329,19 @@ func (c *SmishingEUCollector) CollectSince(ctx ctxType, cur checkpoint.Cursor, s
 			return cur, fmt.Errorf("forum: smishing.eu page %d: %w", page, err)
 		}
 		doc := string(body)
-		rows := rowRe.FindAllStringSubmatch(doc, -1)
-		for i, row := range rows {
+		// Rows before skip were scraped in an earlier round: they are
+		// located, to keep the row count, but their cells are never read.
+		for i, from := 0, 0; ; i++ {
+			row, ok := nextEURow(doc, from)
+			if !ok {
+				break
+			}
+			from = row.end
 			if i < skip {
 				continue
 			}
-			date, country, sender, brand, msg := row[1], row[2], row[3], row[4], row[5]
-			if date == "Date" || strings.Contains(row[0], "<th>") {
+			date, country, sender, brand, msg := row.cell(doc, 0), row.cell(doc, 1), row.cell(doc, 2), row.cell(doc, 3), row.cell(doc, 4)
+			if date == "Date" || strings.Contains(doc[row.start:row.end], "<th>") {
 				continue
 			}
 			rep := RawReport{

@@ -630,14 +630,6 @@ func (l *Log) Committed() *core.Dataset {
 	}
 }
 
-// Dataset returns a copy of the full durable dataset (replayed + appended
-// this run) that the caller may modify.
-func (l *Log) Dataset() *core.Dataset {
-	out := l.Committed()
-	out.Records = append(make([]core.Record, 0, len(out.Records)), out.Records...)
-	return out
-}
-
 // Injects returns the journaled injection specs in append order.
 func (l *Log) Injects() []core.InjectSpec {
 	l.mu.Lock()

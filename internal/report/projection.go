@@ -3,7 +3,6 @@ package report
 import (
 	"context"
 	"errors"
-	"io"
 	"sync"
 	"time"
 
@@ -101,10 +100,10 @@ func (p *Projection) Submit(ctx context.Context, batch *core.Dataset, _ time.Tim
 		p.own.add(batch)
 	}
 	cur := p.src.Committed()
-	// Only the applyMu holder replaces p.ds, so it reads p.ds without
-	// p.mu. The query view has its own lock; feeding it outside p.mu keeps
-	// Dataset and Stats readers from waiting on the indexing.
-	p.view.Add(cur.Records[len(p.ds.Records):])
+	// The query view has its own lock; feeding it outside p.mu keeps
+	// Dataset and Stats readers from waiting on the indexing. It indexes
+	// the records past its last apply in place.
+	p.view.extend(cur.Records)
 	p.mu.Lock()
 	p.ds = cur
 	p.batches++
@@ -126,15 +125,15 @@ func (p *Projection) Close() {
 	p.closed = true
 }
 
-// Dataset returns a snapshot of the applied dataset: the record slice and
-// count maps are copied, so the caller can render or modify it while
-// later batches apply.
+// Dataset returns the applied dataset as the source's view, the way
+// Log.Committed does: Records is the source's own list, capped at its
+// length as of the last apply, and the count maps are copies. The records
+// are read-only: none is modified once committed, so the view stays valid
+// while later batches apply, and the caller must not modify it either.
 func (p *Projection) Dataset() *core.Dataset {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := cloneDataset(p.ds)
-	out.Records = append(make([]core.Record, 0, len(out.Records)), out.Records...)
-	return out
+	return cloneDataset(p.ds)
 }
 
 // ProjectionStats is a point-in-time reading of the projection.
@@ -156,11 +155,6 @@ func (p *Projection) Stats() ProjectionStats {
 // Query returns the serving-side index Submit keeps current — what the
 // /query/* endpoints answer from.
 func (p *Projection) Query() *QueryView { return p.view }
-
-// Render writes every table and figure from the current snapshot.
-func (p *Projection) Render(w io.Writer) error {
-	return RenderAll(w, p.Dataset())
-}
 
 // memSource is the record list a NewProjection owns. Only Submit, under
 // the projection's applyMu, touches it.

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/smishkit/smishkit/internal/core"
 	"github.com/smishkit/smishkit/internal/corpus"
@@ -57,10 +58,20 @@ func TestProjectionMergesBatches(t *testing.T) {
 		t.Fatalf("projection.apply observations = %d, want one per applied batch (2)", n)
 	}
 
-	// Snapshots are isolated from the live dataset.
-	ds.Records[0].ID = "mutated"
-	if p.Dataset().Records[0].ID != "a" {
-		t.Fatal("Dataset returned an aliased snapshot")
+	// Dataset is a view of the projection's list: it shares the records
+	// and a later apply neither grows it nor changes its totals.
+	if &p.Dataset().Records[0] != &ds.Records[0] {
+		t.Fatal("Dataset copied the records")
+	}
+	if err := p.Submit(ctx, batch("d"), time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if len(ds.Records) != 3 || cap(ds.Records) != 3 || ds.PostsByForum[corpus.ForumTwitter] != 3 {
+		t.Fatalf("earlier view changed after an apply: len/cap %d/%d, totals %v",
+			len(ds.Records), cap(ds.Records), ds.PostsByForum)
+	}
+	if n := len(p.Dataset().Records); n != 4 {
+		t.Fatalf("dataset after the third apply has %d records, want 4", n)
 	}
 }
 
@@ -92,8 +103,9 @@ func allocBytes(f func()) uint64 {
 
 // TestProjectionMergeCopiesNoRecords pins the single in-memory copy: a
 // projection over a list it does not own indexes a submitted batch in
-// place, so the apply allocates what QueryView.Add of the batch allocates
-// and little else. Copying the batch's records would add ~920 KB.
+// place, so the apply allocates what indexing the batch in place
+// allocates and little else. Copying the batch's records would add
+// ~920 KB.
 func TestProjectionMergeCopiesNoRecords(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -118,12 +130,47 @@ func TestProjectionMergeCopiesNoRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	indexed := allocBytes(func() { NewQueryView().Add(b.Records) })
+	indexed := allocBytes(func() { NewQueryView().extend(b.Records) })
 	if merged > indexed+64<<10 {
-		t.Fatalf("applying %d records allocated %d B, QueryView.Add alone %d B: the apply copies records", n, merged, indexed)
+		t.Fatalf("applying %d records allocated %d B, indexing them alone %d B: the apply copies records", n, merged, indexed)
 	}
 	if st := p.Stats(); st.Records != n {
 		t.Fatalf("projection holds %d records, want %d", st.Records, n)
+	}
+}
+
+// TestQueryViewIndexesNoRows pins the positional index: indexing a
+// 1,000-record batch in place allocates less than half a serving row per
+// record, so the view keeps no per-record row: a queryRec per record
+// would alone cost 168 B a record.
+func TestQueryViewIndexesNoRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n = 1000
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("r%04d", i)
+	}
+	b := batch(ids...)
+	for i := range b.Records {
+		b.Records[i].Domain = fmt.Sprintf("D%d.example", i%40) // lowered on the way in
+		b.Records[i].SenderRaw = fmt.Sprintf("+1555%07d", i%60)
+		if i%10 == 0 {
+			b.Records[i].Domain, b.Records[i].SenderRaw = "", "" // keyless
+		}
+	}
+	v := NewQueryView()
+	got := allocBytes(func() { v.extend(b.Records) })
+	if budget := uint64(n) * uint64(unsafe.Sizeof(queryRec{})) / 2; got > budget {
+		t.Fatalf("indexing %d records allocated %d B (%d B a record), budget %d B: the view keeps a row per record",
+			n, got, got/n, budget)
+	}
+	if &v.recs[0] != &b.Records[0] {
+		t.Fatal("the view copied the records it indexes")
+	}
+	if s := v.Summarize(1); s.Records != n {
+		t.Fatalf("summary total = %d, want %d", s.Records, n)
 	}
 }
 
@@ -203,7 +250,7 @@ func TestProjectionConvergesAfterFailedSubmit(t *testing.T) {
 	if got := p.Query().Summarize(0).Records; got != durable {
 		t.Fatalf("summary total = %d, durable count = %d", got, durable)
 	}
-	assertSameDataset(t, p.Dataset(), l.Dataset())
+	assertSameDataset(t, p.Dataset(), l.Committed())
 }
 
 // assertSameDataset fails unless got and want encode to the same JSON,

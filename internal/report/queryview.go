@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,32 +19,44 @@ import (
 // QueryView is the serving-side index over the projected dataset: the
 // projection's Submit feeds it every batch it applies, so the
 // /query/* endpoints answer from an always-current in-memory view without
-// copying the full dataset per request. It keeps a compact per-record
-// projection (id, forum, time, domain, sender, annotation labels) plus
-// inverted indexes by domain and sender, and clusters records into
-// campaigns with an incremental union-find over shared infrastructure —
-// the same linkage rule as internal/cluster (records sharing a domain or
-// a sender belong to one campaign), maintained online instead of
-// recomputed per render. A campaign's stable label is "c-" plus the
-// smallest record ID in the cluster. The union-find also keeps each
-// campaign's record count, so what Summarize costs follows the number of
-// distinct keys, however many records the view has taken in.
+// copying the full dataset per request. It indexes the records by list
+// position and keeps no per-record row: inverted indexes by domain and
+// sender hold positions, and an incremental union-find over positions
+// clusters records into campaigns — the same linkage rule as
+// internal/cluster (records sharing a domain or a sender belong to one
+// campaign; a record with neither is a campaign of its own), maintained
+// online instead of recomputed per render. A campaign's stable label is
+// "c-" plus the smallest record ID in the cluster. The union-find also
+// keeps each campaign's record count, so what Summarize costs follows the
+// number of distinct keys, however many records the view has taken in.
 type QueryView struct {
-	mu       sync.Mutex
-	recs     []queryRec
-	byDomain map[string][]int // lowercased domain -> indexes into recs
-	bySender map[string][]int // lowercased sender -> indexes into recs
+	mu sync.Mutex
+	// recs is the indexed record list. Under a projection it is the
+	// source's shared view (records are never modified once committed);
+	// Add builds a list of the view's own.
+	recs []core.Record
+	// byDomain and bySender map a lowercased key to the positions of its
+	// records, in list order. A key's first posting is its representative
+	// in the union-find.
+	byDomain map[string][]int32
+	bySender map[string][]int32
+	// keyless lists the records with neither a domain nor a sender: each
+	// is a campaign root forever.
+	keyless []int32
 
-	// Union-find over cluster keys: "d:"+domain, "s:"+sender, "r:"+id for
-	// records with neither. minID tracks each root's smallest record ID —
-	// the campaign label source — and size its record count; once Add
-	// returns, every root is one campaign, so len(size) counts them.
-	parent map[string]string
-	minID  map[string]string
-	size   map[string]int
+	// Union-find over record positions. A root is always the smallest
+	// position in its set, so a root with a domain (or sender) is that
+	// key's representative. size and minID are read at roots only: the
+	// campaign's record count and the position of its smallest record
+	// ID, the label source. campaigns counts the roots.
+	parent    []int32
+	size      []int32
+	minID     []int32
+	campaigns int
 }
 
-// queryRec is the compact serving projection of one core.Record.
+// queryRec is the compact serving projection of one core.Record, built
+// only for the rows a /query/reports page returns.
 type queryRec struct {
 	ID         string    `json:"id"`
 	Forum      string    `json:"forum"`
@@ -60,109 +73,116 @@ type queryRec struct {
 // NewQueryView returns an empty view.
 func NewQueryView() *QueryView {
 	return &QueryView{
-		byDomain: make(map[string][]int),
-		bySender: make(map[string][]int),
-		parent:   make(map[string]string),
-		minID:    make(map[string]string),
-		size:     make(map[string]int),
+		byDomain: make(map[string][]int32),
+		bySender: make(map[string][]int32),
 	}
 }
 
-// Add indexes an applied batch. Called by the projection's Submit with
-// every batch it applies, under no external lock.
+// Add copies records onto the end of the view's list and indexes them.
+// A projection does not call it: it indexes its source's records in place
+// (extend).
 func (v *QueryView) Add(records []core.Record) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	for _, r := range records {
-		idx := len(v.recs)
-		qr := queryRec{
-			ID:         r.ID,
-			Forum:      string(r.Forum),
-			PostedAt:   r.PostedAt,
-			Domain:     strings.ToLower(r.Domain),
-			Sender:     strings.ToLower(r.SenderRaw),
-			SenderKind: string(r.SenderKind),
-			ScamType:   string(r.Annotation.ScamType),
-			Brand:      r.Annotation.Brand,
-			Text:       r.Text,
+	v.indexLocked(append(v.recs, records...))
+}
+
+// extend indexes the records of all past the view's current length. all
+// must hold the records indexed so far as its prefix; the view keeps it
+// without copying.
+func (v *QueryView) extend(all []core.Record) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.indexLocked(all)
+}
+
+func (v *QueryView) indexLocked(all []core.Record) {
+	from := len(v.recs)
+	v.recs = all
+	v.parent = slices.Grow(v.parent, len(all)-from)
+	v.size = slices.Grow(v.size, len(all)-from)
+	v.minID = slices.Grow(v.minID, len(all)-from)
+	for i := from; i < len(all); i++ {
+		pos := int32(i)
+		v.parent = append(v.parent, pos)
+		v.size = append(v.size, 1)
+		v.minID = append(v.minID, pos)
+		v.campaigns++
+		r := &all[i]
+		domain, sender := strings.ToLower(r.Domain), strings.ToLower(r.SenderRaw)
+		if domain == "" && sender == "" {
+			v.keyless = append(v.keyless, pos)
+			continue
 		}
-		v.recs = append(v.recs, qr)
-		keys := []string{"r:" + r.ID}
-		if qr.Domain != "" {
-			v.byDomain[qr.Domain] = append(v.byDomain[qr.Domain], idx)
-			keys = append(keys, "d:"+qr.Domain)
+		if domain != "" {
+			v.joinLocked(v.byDomain, domain, pos)
 		}
-		if qr.Sender != "" {
-			v.bySender[qr.Sender] = append(v.bySender[qr.Sender], idx)
-			keys = append(keys, "s:"+qr.Sender)
+		if sender != "" {
+			v.joinLocked(v.bySender, sender, pos)
 		}
-		for _, k := range keys {
-			v.noteLocked(k, r.ID)
-		}
-		for i := 1; i < len(keys); i++ {
-			v.unionLocked(keys[0], keys[i])
-		}
-		// Every key of the record now shares one root, the root of its
-		// campaign key (campaignLocked), so keys[0] finds it as well.
-		v.size[v.findLocked(keys[0])]++
 	}
 }
 
-// noteLocked ensures a key exists in the union-find and folds the record
-// ID into its root's minimum.
-func (v *QueryView) noteLocked(key, recID string) {
-	root := v.findLocked(key)
-	if cur, ok := v.minID[root]; !ok || recID < cur {
-		v.minID[root] = recID
+// joinLocked posts pos under key and unions it with the key's
+// representative.
+func (v *QueryView) joinLocked(index map[string][]int32, key string, pos int32) {
+	posts := index[key]
+	index[key] = append(posts, pos)
+	if len(posts) > 0 {
+		v.unionLocked(posts[0], pos)
 	}
 }
 
-func (v *QueryView) findLocked(key string) string {
-	p, ok := v.parent[key]
-	if !ok {
-		v.parent[key] = key
-		return key
+func (v *QueryView) findLocked(x int32) int32 {
+	root := x
+	for v.parent[root] != root {
+		root = v.parent[root]
 	}
-	if p == key {
-		return key
+	for v.parent[x] != root { // path compression
+		x, v.parent[x] = v.parent[x], root
 	}
-	root := v.findLocked(p)
-	v.parent[key] = root // path compression
 	return root
 }
 
-func (v *QueryView) unionLocked(a, b string) {
+func (v *QueryView) unionLocked(a, b int32) {
 	ra, rb := v.findLocked(a), v.findLocked(b)
 	if ra == rb {
 		return
 	}
-	// Attach the lexicographically larger root under the smaller so the
-	// surviving root is deterministic regardless of merge order.
+	// The smaller position survives, so every root stays the first record
+	// of its campaign whatever order the merges come in.
 	if rb < ra {
 		ra, rb = rb, ra
 	}
 	v.parent[rb] = ra
-	if id, ok := v.minID[rb]; ok {
-		if cur, ok2 := v.minID[ra]; !ok2 || id < cur {
-			v.minID[ra] = id
-		}
-		delete(v.minID, rb)
+	v.size[ra] += v.size[rb]
+	if v.recs[v.minID[rb]].ID < v.recs[v.minID[ra]].ID {
+		v.minID[ra] = v.minID[rb]
 	}
-	if n, ok := v.size[rb]; ok {
-		v.size[ra] += n
-		delete(v.size, rb)
-	}
+	v.campaigns--
 }
 
-// campaignLocked returns the record's campaign label.
-func (v *QueryView) campaignLocked(r queryRec) string {
-	key := "r:" + r.ID
-	if r.Domain != "" {
-		key = "d:" + r.Domain
-	} else if r.Sender != "" {
-		key = "s:" + r.Sender
+// campaignIDLocked returns the smallest record ID in the campaign of the
+// record at pos: its label without the "c-".
+func (v *QueryView) campaignIDLocked(pos int32) string {
+	return v.recs[v.minID[v.findLocked(pos)]].ID
+}
+
+// rowLocked builds the serving row of the record at pos.
+func (v *QueryView) rowLocked(pos int32) queryRec {
+	r := &v.recs[pos]
+	return queryRec{
+		ID:         r.ID,
+		Forum:      string(r.Forum),
+		PostedAt:   r.PostedAt,
+		Domain:     strings.ToLower(r.Domain),
+		Sender:     strings.ToLower(r.SenderRaw),
+		SenderKind: string(r.SenderKind),
+		Campaign:   "c-" + v.campaignIDLocked(pos),
+		ScamType:   string(r.Annotation.ScamType),
+		Brand:      r.Annotation.Brand,
+		Text:       r.Text,
 	}
-	return "c-" + v.minID[v.findLocked(key)]
 }
 
 // ReportsQuery filters /query/reports. Zero values mean "no constraint";
@@ -233,7 +253,8 @@ type ReportsResult struct {
 }
 
 // Reports answers a filtered slice of the indexed records, ordered by
-// (posted_at, id) ascending, truncated to the query limit.
+// (posted_at, id) ascending, truncated to the query limit. Matching works
+// on positions; only the returned page's rows are built.
 func (v *QueryView) Reports(q ReportsQuery) ReportsResult {
 	limit := q.Limit
 	if limit <= 0 {
@@ -242,30 +263,36 @@ func (v *QueryView) Reports(q ReportsQuery) ReportsResult {
 	if limit > MaxQueryLimit {
 		limit = MaxQueryLimit
 	}
+	domain, sender := strings.ToLower(q.Domain), strings.ToLower(q.Sender)
+	// Every label is "c-" plus a record ID, so no other value matches.
+	campaignID, isLabel := strings.CutPrefix(q.Campaign, "c-")
 	v.mu.Lock()
 	defer v.mu.Unlock()
 
-	// Narrow the candidate set with the most selective index available.
-	var candidates []int
+	// Narrow the candidate set with the most selective index available;
+	// without a domain or sender every position is a candidate.
+	var candidates []int32
+	n := len(v.recs)
 	switch {
-	case q.Domain != "":
-		candidates = v.byDomain[strings.ToLower(q.Domain)]
-	case q.Sender != "":
-		candidates = v.bySender[strings.ToLower(q.Sender)]
-	default:
-		candidates = make([]int, len(v.recs))
-		for i := range v.recs {
-			candidates[i] = i
-		}
+	case domain != "":
+		candidates = v.byDomain[domain]
+		n = len(candidates)
+	case sender != "":
+		candidates = v.bySender[sender]
+		n = len(candidates)
 	}
 
-	var matched []queryRec
-	for _, i := range candidates {
-		r := v.recs[i]
-		if q.Domain != "" && r.Domain != strings.ToLower(q.Domain) {
-			continue
+	recs := v.recs
+	var matched []int32
+	for k := 0; k < n; k++ {
+		pos := int32(k)
+		if candidates != nil {
+			pos = candidates[k]
 		}
-		if q.Sender != "" && r.Sender != strings.ToLower(q.Sender) {
+		r := &recs[pos]
+		// Candidates drawn from a key's postings already match that key;
+		// only a sender beside a domain is left to check.
+		if domain != "" && sender != "" && strings.ToLower(r.SenderRaw) != sender {
 			continue
 		}
 		if !q.Since.IsZero() && r.PostedAt.Before(q.Since) {
@@ -274,8 +301,7 @@ func (v *QueryView) Reports(q ReportsQuery) ReportsResult {
 		if !q.Until.IsZero() && !r.PostedAt.Before(q.Until) {
 			continue
 		}
-		r.Campaign = v.campaignLocked(r)
-		if q.Campaign != "" && r.Campaign != q.Campaign {
+		if q.Campaign != "" && (!isLabel || v.campaignIDLocked(pos) != campaignID) {
 			continue
 		}
 		if !q.After.IsZero() {
@@ -288,25 +314,26 @@ func (v *QueryView) Reports(q ReportsQuery) ReportsResult {
 				continue
 			}
 		}
-		matched = append(matched, r)
+		matched = append(matched, pos)
 	}
 	sort.Slice(matched, func(a, b int) bool {
-		if !matched[a].PostedAt.Equal(matched[b].PostedAt) {
-			return matched[a].PostedAt.Before(matched[b].PostedAt)
+		ra, rb := &recs[matched[a]], &recs[matched[b]]
+		if !ra.PostedAt.Equal(rb.PostedAt) {
+			return ra.PostedAt.Before(rb.PostedAt)
 		}
-		return matched[a].ID < matched[b].ID
+		return ra.ID < rb.ID
 	})
 	res := ReportsResult{TotalMatched: len(matched)}
 	if len(matched) > limit {
 		matched = matched[:limit]
-		last := matched[len(matched)-1]
+		last := &recs[matched[len(matched)-1]]
 		res.NextCursor = Cursor{PostedAt: last.PostedAt, ID: last.ID}.Encode()
 	}
-	res.Reports = matched
-	res.Returned = len(matched)
-	if res.Reports == nil {
-		res.Reports = []queryRec{}
+	res.Reports = make([]queryRec, len(matched))
+	for i, pos := range matched {
+		res.Reports[i] = v.rowLocked(pos)
 	}
+	res.Returned = len(matched)
 	return res
 }
 
@@ -347,17 +374,30 @@ func (v *QueryView) Summarize(top int) Summary {
 		Records:   len(v.recs),
 		Domains:   len(v.byDomain),
 		Senders:   len(v.bySender),
-		Campaigns: len(v.size),
+		Campaigns: v.campaigns,
 	}
 	s.TopDomains = topOf(v.byDomain, top)
 	s.TopSenders = topOf(v.bySender, top)
 
 	// Rank campaigns by their bare smallest record ID: every label is that
 	// ID behind the same "c-", so the order is unchanged and only the rows
-	// kept pay for building a label.
-	camps := newLeaderboard(top, len(v.size))
-	for root, n := range v.size {
-		camps.offer(v.minID[root], n)
+	// kept pay for building a label. A root is the first record of its
+	// campaign, so it is the representative of its own domain and sender:
+	// each root is offered once, through its domain if it has one, else
+	// its sender, else the keyless list.
+	camps := newLeaderboard(top, v.campaigns)
+	for _, posts := range v.byDomain {
+		if root := posts[0]; v.parent[root] == root {
+			camps.offer(v.recs[v.minID[root]].ID, int(v.size[root]))
+		}
+	}
+	for _, posts := range v.bySender {
+		if root := posts[0]; v.parent[root] == root && v.recs[root].Domain == "" {
+			camps.offer(v.recs[v.minID[root]].ID, int(v.size[root]))
+		}
+	}
+	for _, root := range v.keyless {
+		camps.offer(v.recs[root].ID, 1)
 	}
 	s.TopCampaigns = camps.rows
 	for i := range s.TopCampaigns {
@@ -366,10 +406,10 @@ func (v *QueryView) Summarize(top int) Summary {
 	return s
 }
 
-func topOf(index map[string][]int, top int) []NameCount {
+func topOf(index map[string][]int32, top int) []NameCount {
 	lb := newLeaderboard(top, len(index))
-	for name, idxs := range index {
-		lb.offer(name, len(idxs))
+	for name, posts := range index {
+		lb.offer(name, len(posts))
 	}
 	return lb.rows
 }

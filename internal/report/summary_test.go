@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,25 +14,34 @@ import (
 
 // recountSummary is the reference Summarize is checked against: it derives
 // every leaderboard by visiting each record and counting its domain, its
-// sender and its campaign label.
+// sender and its campaign.
 func recountSummary(v *QueryView, top int) Summary {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	domains, senders, camps := map[string]int{}, map[string]int{}, map[string]int{}
-	for _, r := range v.recs {
-		if r.Domain != "" {
-			domains[r.Domain]++
+	domains, senders, roots := map[string]int{}, map[string]int{}, map[int32]int{}
+	for i, r := range v.recs {
+		if d := strings.ToLower(r.Domain); d != "" {
+			domains[d]++
 		}
-		if r.Sender != "" {
-			senders[r.Sender]++
+		if s := strings.ToLower(r.SenderRaw); s != "" {
+			senders[s]++
 		}
-		camps[v.campaignLocked(r)]++
+		roots[v.findLocked(int32(i))]++
 	}
-	board := func(counts map[string]int) []NameCount {
+	// Count campaigns by root, not by label: two records under one ID
+	// can head two campaigns.
+	camps := []NameCount{}
+	for root, n := range roots {
+		camps = append(camps, NameCount{Name: "c-" + v.recs[v.minID[root]].ID, Count: n})
+	}
+	rowsOf := func(counts map[string]int) []NameCount {
 		rows := []NameCount{}
 		for name, n := range counts {
 			rows = append(rows, NameCount{Name: name, Count: n})
 		}
+		return rows
+	}
+	board := func(rows []NameCount) []NameCount {
 		sort.Slice(rows, func(a, b int) bool {
 			if rows[a].Count != rows[b].Count {
 				return rows[a].Count > rows[b].Count
@@ -48,8 +58,8 @@ func recountSummary(v *QueryView, top int) Summary {
 		Domains:      len(domains),
 		Senders:      len(senders),
 		Campaigns:    len(camps),
-		TopDomains:   board(domains),
-		TopSenders:   board(senders),
+		TopDomains:   board(rowsOf(domains)),
+		TopSenders:   board(rowsOf(senders)),
 		TopCampaigns: board(camps),
 	}
 }
@@ -122,13 +132,14 @@ func TestSummarizeLateJoinAndEdgeRecords(t *testing.T) {
 		t.Fatalf("after the late join: campaigns=%d top=%+v, want 2 with c-a1 x3", s.Campaigns, s.TopCampaigns)
 	}
 
-	// A second record under n1's ID carries no domain or sender either; the
-	// shared ID key puts both in one campaign.
+	// A second record under n1's ID carries no domain or sender either.
+	// Only shared infrastructure links records, so it is a campaign of its
+	// own, as is n2.
 	v.Add([]core.Record{queryRecord("n1", "", "", at), queryRecord("n2", "", "", at)})
 	assertSummaryMatchesRecount(t, v, "after the duplicate ID")
 	s = v.Summarize(0)
-	if s.Campaigns != 3 || s.Records != 6 {
-		t.Fatalf("after the duplicate ID: campaigns=%d records=%d, want 3 and 6", s.Campaigns, s.Records)
+	if s.Campaigns != 4 || s.Records != 6 {
+		t.Fatalf("after the duplicate ID: campaigns=%d records=%d, want 4 and 6", s.Campaigns, s.Records)
 	}
 }
 

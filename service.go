@@ -295,6 +295,12 @@ func (s *Study) StatusURL() string {
 // Cancelling ctx is the clean shutdown: the in-flight round is drained
 // (for at most 30s) and the projected dataset so far is returned with a
 // nil error.
+//
+// The returned dataset is read-only. Its Records is the projection's
+// view of the committed records, not a copy: with a record log it is the
+// log's own list, so the daemon holds one copy of each record from the
+// append to this return. No record is modified once committed; callers
+// must not modify one either (sort or filter a slice of their own).
 func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 	var cfg ServiceConfig
 	if s.opts.Service != nil {
