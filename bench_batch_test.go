@@ -22,7 +22,6 @@ import (
 	"github.com/smishkit/smishkit/internal/dnsdb"
 	"github.com/smishkit/smishkit/internal/hlr"
 	"github.com/smishkit/smishkit/internal/senderid"
-	"github.com/smishkit/smishkit/internal/urlinfo"
 )
 
 // The corpus is deliberately skewed: records outnumber both sender pools,
@@ -152,10 +151,6 @@ func batchBenchSet(n int) []core.Record {
 	recs := make([]core.Record, n)
 	for i := range recs {
 		u := fmt.Sprintf("https://evil-clinic-%d.xyz/login", i%batchBenchDomains)
-		info, err := urlinfo.Parse(u)
-		if err != nil {
-			panic(err)
-		}
 		recs[i] = core.Record{
 			ID:         fmt.Sprintf("bb-%d", i),
 			Forum:      corpus.ForumSmishtank,
@@ -163,7 +158,6 @@ func batchBenchSet(n int) []core.Record {
 			SenderRaw:  fmt.Sprintf("+44770090%04d", i%batchBenchPhones),
 			SenderKind: senderid.KindPhone,
 			ShownURL:   u,
-			URLInfo:    info,
 		}
 	}
 	return recs

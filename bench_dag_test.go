@@ -19,7 +19,6 @@ import (
 	"github.com/smishkit/smishkit/internal/hlr"
 	"github.com/smishkit/smishkit/internal/senderid"
 	"github.com/smishkit/smishkit/internal/telemetry"
-	"github.com/smishkit/smishkit/internal/urlinfo"
 	"github.com/smishkit/smishkit/internal/whois"
 )
 
@@ -106,10 +105,6 @@ func benchEnrichSet(n int) []core.Record {
 	recs := make([]core.Record, n)
 	for i := range recs {
 		u := fmt.Sprintf("https://evil-clinic-%d.xyz/login", i)
-		info, err := urlinfo.Parse(u)
-		if err != nil {
-			panic(err)
-		}
 		recs[i] = core.Record{
 			ID:         fmt.Sprintf("bench-%d", i),
 			Forum:      corpus.ForumSmishtank,
@@ -117,7 +112,6 @@ func benchEnrichSet(n int) []core.Record {
 			SenderRaw:  "+447700900123",
 			SenderKind: senderid.KindPhone,
 			ShownURL:   u,
-			URLInfo:    info,
 		}
 	}
 	return recs

@@ -6,7 +6,8 @@
 // distinct key; this tier turns those misses into bulk requests.
 //
 // Per batchable lookup (HLR MSISDNs, VirusTotal scans, passive-DNS
-// resolutions, GSB status) it provides:
+// resolutions, Safe Browsing lookups; the transparency report's
+// gsb_status has no bulk form) it provides:
 //
 //   - windowed accumulation: concurrent single-key calls park in a
 //     per-service window that flushes as one bulk request when it reaches

@@ -17,7 +17,6 @@ import (
 	"github.com/smishkit/smishkit/internal/hlr"
 	"github.com/smishkit/smishkit/internal/senderid"
 	"github.com/smishkit/smishkit/internal/telemetry"
-	"github.com/smishkit/smishkit/internal/urlinfo"
 	"github.com/smishkit/smishkit/internal/whois"
 )
 
@@ -69,17 +68,12 @@ func allFailingServices() Services {
 // phone sender plus a non-shortened landing URL on scammer-owned
 // infrastructure.
 func dagRecord(i int) Record {
-	u := fmt.Sprintf("https://evil-clinic-%d.xyz/login", i)
-	rec := Record{
+	return Record{
 		ID:         fmt.Sprintf("rec-%04d", i),
 		SenderKind: senderid.KindPhone,
 		SenderRaw:  "+447700900123",
-		ShownURL:   u,
+		ShownURL:   fmt.Sprintf("https://evil-clinic-%d.xyz/login", i),
 	}
-	if info, err := urlinfo.Parse(u); err == nil {
-		rec.URLInfo = info
-	}
-	return rec
 }
 
 // dagFamilies is the full per-record family set, in familyNames order,

@@ -334,11 +334,8 @@ func (p *Pipeline) curateOne(rep forum.RawReport) (Record, curationStatus) {
 		Timestamp:  fields.Timestamp,
 		ShownURL:   fields.PrimaryURL(),
 	}
-	if rec.ShownURL != "" {
-		if info, err := urlinfo.Parse(rec.ShownURL); err == nil {
-			rec.URLInfo = info
-			rec.Shortener = info.Shortener
-		}
+	if info, err := urlinfo.Parse(rec.ShownURL); err == nil {
+		rec.Shortener = info.Shortener
 	}
 	return rec, curatedOK
 }
@@ -698,11 +695,11 @@ func hasASPair(names, countries []string, name, country string) bool {
 // else's infrastructure (shorteners, chat deep links), where WHOIS/CT/pDNS
 // describe the platform rather than the scammer.
 func isSharedPlatform(rec *Record) bool {
-	if rec.URLInfo.Messaging != "" {
+	if _, isShort := urlinfo.Shorteners[rec.Domain]; isShort {
 		return true
 	}
-	_, isShort := urlinfo.Shorteners[rec.Domain]
-	return isShort
+	info, err := urlinfo.Parse(rec.ShownURL)
+	return err == nil && info.Messaging != ""
 }
 
 // splitShort decomposes "https://bit.ly/abc" into ("bit.ly", "abc"),

@@ -17,7 +17,6 @@ import (
 	"github.com/smishkit/smishkit/internal/extract"
 	"github.com/smishkit/smishkit/internal/hlr"
 	"github.com/smishkit/smishkit/internal/senderid"
-	"github.com/smishkit/smishkit/internal/urlinfo"
 	"github.com/smishkit/smishkit/internal/whois"
 )
 
@@ -44,11 +43,10 @@ type Record struct {
 	Timestamp  extract.ParsedTime
 
 	// URL facts.
-	ShownURL  string       // as it appeared in the text (may be shortened)
-	FinalURL  string       // after shortener expansion ("" if unresolvable)
-	URLInfo   urlinfo.Info // parsed from the shown URL
-	Shortener string       // shortener service name ("" if none)
-	Domain    string       // registrable domain of the landing URL
+	ShownURL  string // as it appeared in the text (may be shortened)
+	FinalURL  string // after shortener expansion ("" if unresolvable)
+	Shortener string // shortener service name ("" if none)
+	Domain    string // registrable domain of the landing URL
 
 	// Enrichment.
 	HLR          hlr.Result // phone senders only (zero otherwise)

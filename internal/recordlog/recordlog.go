@@ -213,6 +213,10 @@ type Log struct {
 	totals   totals
 	injects  []core.InjectSpec
 	lastSnap time.Time
+	// snapSeq is the last sequence number a snapshot holds; Open sets it
+	// to the replayed sequence, so only frames appended since count as
+	// unsnapshotted.
+	snapSeq  uint64
 	stats    Stats
 	closed   bool
 	closeErr error
@@ -249,6 +253,7 @@ func Open(cfg Config, reg *telemetry.Registry) (*Log, error) {
 	if err := l.openAndReplay(); err != nil {
 		return nil, err
 	}
+	l.snapSeq = l.seq
 	l.stats.Replayed = int64(len(l.records))
 	l.ctr.replayed.Add(l.stats.Replayed)
 	l.ctr.logBytes.Set(l.size)
@@ -570,6 +575,7 @@ func (l *Log) snapshotLocked(now time.Time) error {
 		return fmt.Errorf("recordlog: %w", err)
 	}
 	l.lastSnap = now
+	l.snapSeq = snap.Seq
 	l.stats.Snapshots++
 	l.stats.LastSnapshot = snap.SavedAt
 	l.stats.SnapshotBytes = int64(len(data))
@@ -650,9 +656,9 @@ func (l *Log) Stats() Stats {
 	return st
 }
 
-// Close snapshots once more (so the next open replays an empty tail) and
-// closes the file. Idempotent: the first call does the work, every call
-// reports its error.
+// Close snapshots once more when frames were appended since the last
+// snapshot (so the next open replays an empty tail) and closes the file.
+// Idempotent: the first call does the work, every call reports its error.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -661,7 +667,7 @@ func (l *Log) Close() error {
 	}
 	l.closed = true
 	var errs []error
-	if l.stats.Appends > 0 {
+	if l.seq > l.snapSeq {
 		if err := l.snapshotLocked(time.Now()); err != nil {
 			errs = append(errs, err)
 		}

@@ -457,6 +457,71 @@ func TestCloseSnapshotsDirtyState(t *testing.T) {
 	}
 }
 
+// TestCloseAfterSnapshotWritesNoSecond pins that Close snapshots only
+// frames the last snapshot does not hold: a drained daemon snapshots once
+// and then closes, and that close must not marshal and fsync the whole
+// dataset again. A reopened log that appends nothing writes none either.
+func TestCloseAfterSnapshotWritesNoSecond(t *testing.T) {
+	dir := t.TempDir()
+	// A negative interval turns interval snapshots off, so every snapshot
+	// counted below is an explicit one or Close's.
+	open := func(reg *telemetry.Registry) *Log {
+		t.Helper()
+		l, err := Open(Config{Dir: dir, SnapshotInterval: -1}, reg)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		return l
+	}
+	reg := telemetry.NewRegistry()
+	l := open(reg)
+	if _, err := l.Append(testBatch("a", "b"), time.Now()); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if err := l.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if n := reg.Counter("recordlog.snapshots").Value(); n != 1 {
+		t.Fatalf("recordlog.snapshots = %d after Append, Snapshot, Close; want 1", n)
+	}
+
+	reg2 := telemetry.NewRegistry()
+	l2 := open(reg2)
+	if got := ids(l2.Committed()); !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Fatalf("after reopen, IDs = %v", got)
+	}
+	if _, err := l2.Append(testBatch("c"), time.Now()); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if err := l2.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if _, err := l2.Append(testBatch("d"), time.Now()); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if n := reg2.Counter("recordlog.snapshots").Value(); n != 2 {
+		t.Fatalf("recordlog.snapshots = %d with a frame appended after the last snapshot; want 2", n)
+	}
+
+	reg3 := telemetry.NewRegistry()
+	l3 := open(reg3)
+	if got := ids(l3.Committed()); !reflect.DeepEqual(got, []string{"a", "b", "c", "d"}) {
+		t.Fatalf("after second reopen, IDs = %v", got)
+	}
+	if err := l3.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if n := reg3.Counter("recordlog.snapshots").Value(); n != 0 {
+		t.Fatalf("recordlog.snapshots = %d for a reopened log with no appends; want 0", n)
+	}
+}
+
 // TestWriteAndFsyncTimedPerFrame pins the recordlog.write and
 // recordlog.fsync histograms: one observation each per appended frame,
 // batch and inject frames alike, and none for a fully deduplicated batch

@@ -148,7 +148,9 @@ func Table6(records []core.Record) (landing, shortened *stats.Counter) {
 	for _, r := range records {
 		if r.Shortener != "" && r.ShownURL != "" && !seenShort[r.ShownURL] {
 			seenShort[r.ShownURL] = true
-			shortened.Add(r.URLInfo.TLD)
+			// Curation sets Shortener only on a shown URL that parses.
+			info, _ := urlinfo.Parse(r.ShownURL)
+			shortened.Add(info.TLD)
 		}
 		if r.FinalURL == "" || seenLanding[r.FinalURL] {
 			continue

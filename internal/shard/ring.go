@@ -33,6 +33,7 @@ import (
 	"strings"
 
 	"github.com/smishkit/smishkit/internal/core"
+	"github.com/smishkit/smishkit/internal/urlinfo"
 )
 
 // DefaultReplicas is the virtual-node count per shard when the caller does
@@ -166,17 +167,18 @@ func hashKey(key string) uint64 {
 }
 
 // KeyOf returns a record's stable routing key: the registrable domain of
-// the shown URL when curation extracted one, else the sender ID, else the
-// record's own ID. The prefixes keep the key spaces disjoint (a domain
-// that happens to equal a phone number must not collide), mirroring the
-// "d:"/"s:" key scheme of the campaign union-find.
+// the shown URL (lowercase, as urlinfo.Parse derives it) when the URL
+// parses, else the sender ID, else the record's own ID. The prefixes keep
+// the key spaces disjoint (a domain that happens to equal a phone number
+// must not collide), mirroring the "d:"/"s:" key scheme of the campaign
+// union-find.
 //
 // The key uses only fields curation fills in — never enrichment output —
 // so routing is decided before any service call and is identical on every
 // run and across process boundaries.
 func KeyOf(rec *core.Record) string {
-	if d := rec.URLInfo.Domain; d != "" {
-		return "d:" + strings.ToLower(d)
+	if info, err := urlinfo.Parse(rec.ShownURL); err == nil {
+		return "d:" + info.Domain
 	}
 	if s := strings.ToLower(strings.TrimSpace(rec.SenderRaw)); s != "" {
 		return "s:" + s

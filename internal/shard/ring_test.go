@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/smishkit/smishkit/internal/core"
-	"github.com/smishkit/smishkit/internal/urlinfo"
 )
 
 // syntheticKeys returns n distinct domain-style keys. Balance and remap
@@ -166,7 +165,7 @@ func TestKeyOf(t *testing.T) {
 			rec: core.Record{
 				ID:        "r1",
 				SenderRaw: "+447700900123",
-				URLInfo:   urlinfo.Info{Domain: "Evil-Clinic.XYZ"},
+				ShownURL:  "https://Evil-Clinic.XYZ/login",
 			},
 			want: "d:evil-clinic.xyz",
 		},

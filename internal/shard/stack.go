@@ -81,8 +81,8 @@ type Stack struct {
 //	process: instrumented client <- faults <- batchmux
 //	shard:   cache <- breaker <- pipeline
 //
-// Faults sit inside the batching tier so a flapping window degrades
-// individual slots of a batch, not the tier itself; batchmux sits inside
+// Faults sit inside the batching tier so an injected fault degrades one
+// slot of a batch, not the tier itself; batchmux sits inside
 // the cache so only cache misses reach a window and every flushed answer
 // is cached on the way back out; breakers sit outside the cache so hits
 // cost them nothing and upstream 5xx reach the serve-stale path before

@@ -211,8 +211,8 @@ type Options struct {
 	// "batch.<service>.*"; Study.Stats().Batch reads the same numbers as a
 	// typed snapshot.
 	Batch *BatchConfig
-	// Faults, when non-nil, injects deterministic faults (errors, 429/5xx
-	// bursts, hangs, latency spikes, flapping windows) between the cache
+	// Faults, when non-nil, injects deterministic faults (transport
+	// errors, 429/5xx responses, hangs, latency spikes) between the cache
 	// and the real service clients — chaos testing for the pipeline's
 	// degraded paths. Injections land in the collector under
 	// "fault.<service>.*".
