@@ -8,9 +8,8 @@
 //	         [-cache-stats] [-batch] [-batch-stats] [-chaos RATE]
 //	         [-shards N] [-shard-procs] [-shard-failover]
 //	         [-shard-probe-interval D] [-shard-restart-max N]
-//	         [-serve] [-poll-interval D] [-serve-rounds N] [-checkpoint-dir DIR]
-//	         [-data-dir DIR] [-status-file FILE] [-cpuprofile FILE]
-//	         [-memprofile FILE]
+//	         [-serve] [-poll-interval D] [-serve-rounds N] [-data-dir DIR]
+//	         [-status-file FILE] [-cpuprofile FILE] [-memprofile FILE]
 //
 // -shards N partitions enrichment by stable key (registrable domain,
 // falling back to sender ID) across N shard instances, each owning its own
@@ -29,10 +28,13 @@
 // With -serve, smishctl runs as a long-lived daemon: it polls the forums
 // on -poll-interval, feeds new reports through the same pipeline a batch
 // run uses, and keeps the report tables current; Ctrl-C drains
-// the in-flight round and prints the final report. -checkpoint-dir makes
-// the collection cursors survive restarts; -data-dir makes the enriched
-// dataset itself survive (cursors + record log + inject journal under one
-// directory), so a killed daemon restarts without re-enriching history.
+// the in-flight round and prints the final report. -data-dir makes the
+// serving state survive restarts: each round's enriched records and the
+// collection cursors it moved commit in one fsynced frame of a record log
+// under DIR/records, next to the inject journal, so a killed daemon
+// resumes collection where it committed without re-enriching history. A
+// DIR/checkpoints cursor manifest left by an earlier build is read for
+// any forum the log holds no cursor for, and never written.
 package main
 
 import (
@@ -80,8 +82,7 @@ func run() error {
 	serve := flag.Bool("serve", false, "run as a long-lived daemon: poll the forums incrementally and keep the report projection current")
 	pollInterval := flag.Duration("poll-interval", 2*time.Second, "idle time between daemon collection rounds (with -serve)")
 	serveRounds := flag.Int("serve-rounds", 0, "stop the daemon after N rounds (0 = run until interrupted; with -serve)")
-	checkpointDir := flag.String("checkpoint-dir", "", "persist collection cursors in a JSON manifest (cursors.json) under this directory so a restarted daemon resumes where it left off (with -serve)")
-	dataDir := flag.String("data-dir", "", "persist the full serving state under this directory: enriched records in a snapshot+compaction record log ('records/'), injected-wave journal, and collection cursors ('checkpoints/', unless -checkpoint-dir overrides) — a restarted daemon replays instead of re-enriching (with -serve)")
+	dataDir := flag.String("data-dir", "", "persist the full serving state under this directory: enriched records, the collection cursors they were collected up to, and the injected-wave journal in a snapshot+compaction record log ('records/') — a restarted daemon resumes where it committed and replays instead of re-enriching (with -serve)")
 	statusFile := flag.String("status-file", "", "write the daemon's status URL to this file once it is listening, for script orchestration (with -serve)")
 	liveWaves := flag.Int("live-waves", 3, "hold back this many fixture waves and release one per round, so the daemon sees reports arrive over time (with -serve)")
 	shards := flag.Int("shards", 0, "partition enrichment across N key-sharded instances, each owning its own cache and breakers over shared batch windows (0 = unsharded; output is record-identical for any N)")
@@ -177,20 +178,14 @@ func run() error {
 				}
 			},
 		}
-		if *checkpointDir != "" {
-			store, err := smishkit.NewFileCheckpoints(*checkpointDir)
-			if err != nil {
-				return fmt.Errorf("-checkpoint-dir: %w", err)
-			}
-			opts.Service.Checkpoints = store
-		}
 		if *dataDir != "" {
+			// The record log commits the cursors with the records they
+			// produced. A cursor manifest written by an earlier build is
+			// the resume point for any forum the log has no cursor for.
 			opts.Durability = &smishkit.DurabilityConfig{Dir: filepath.Join(*dataDir, "records")}
-			// Cursors without the record log (or the reverse) would resume
-			// collection but lose the dataset (or the reverse), so -data-dir
-			// provides both; an explicit -checkpoint-dir still wins.
-			if *checkpointDir == "" {
-				store, err := smishkit.NewFileCheckpoints(filepath.Join(*dataDir, "checkpoints"))
+			ckDir := filepath.Join(*dataDir, "checkpoints")
+			if fi, err := os.Stat(ckDir); err == nil && fi.IsDir() {
+				store, err := smishkit.NewFileCheckpoints(ckDir)
 				if err != nil {
 					return fmt.Errorf("-data-dir: %w", err)
 				}

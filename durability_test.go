@@ -1,15 +1,20 @@
 package smishkit
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"io/fs"
 	"net/http"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/smishkit/smishkit/internal/recordlog"
 	"github.com/smishkit/smishkit/internal/report"
 )
 
@@ -452,5 +457,162 @@ func TestServeProjectionSharesRecordLog(t *testing.T) {
 	}
 	if secondJSON != firstJSON {
 		t.Fatal("restarted projection differs from the projection before the restart")
+	}
+}
+
+// copyTree copies every regular file under src to the same path under dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if err := os.MkdirAll(filepath.Join(dst, filepath.Dir(rel)), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// getBody reads one GET of url and returns its body as served.
+func getBody(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read %s: %v", url, err)
+	}
+	return body
+}
+
+// TestServeRestartAfterAppend copies a durable daemon's data directory
+// inside OnRound, right after a committing round's one log append, and
+// boots a new Study from the copy with no cursor store. The records and
+// the cursors that produced them were committed together, so the new
+// daemon's first round collects nothing, and its /query/summary is the
+// body the first daemon served before the copy, byte for byte.
+func TestServeRestartAfterAppend(t *testing.T) {
+	dataDir, copyDir := t.TempDir(), t.TempDir()
+	mkOpts := func(dir string, rounds int, onReady func(string), onRound func(RoundInfo)) Options {
+		return Options{
+			Seed:       53,
+			Messages:   200,
+			Durability: &DurabilityConfig{Dir: filepath.Join(dir, "records")},
+			Service: &ServiceConfig{
+				PollInterval: 5 * time.Millisecond,
+				MaxRounds:    rounds,
+				OnReady:      onReady,
+				OnRound:      onRound,
+			},
+		}
+	}
+	var study *Study
+	var before []byte
+	study, err := NewStudy(mkOpts(dataDir, 3, nil, func(info RoundInfo) {
+		if info.Err != nil {
+			t.Errorf("round %d: %v", info.Round, info.Err)
+		}
+		switch info.Round {
+		case 1:
+			if _, err := study.InjectWave(InjectSpec{Seed: 5, Messages: 40}); err != nil {
+				t.Errorf("inject: %v", err)
+			}
+		case 2:
+			if info.NewReports == 0 {
+				t.Error("round 2 collected none of the injected wave")
+			}
+			before = getBody(t, study.StatusURL()+"/query/summary")
+			copyTree(t, dataDir, copyDir)
+		}
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer study.Close()
+	if _, err := study.Serve(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if before == nil {
+		t.Fatal("round 2 never copied the data directory")
+	}
+
+	var after []byte
+	firstRound := -1
+	restarted, err := NewStudy(mkOpts(copyDir, 1, func(url string) {
+		after = getBody(t, url+"/query/summary")
+	}, func(info RoundInfo) {
+		if info.Err != nil {
+			t.Errorf("restart round %d: %v", info.Round, info.Err)
+		}
+		firstRound = info.NewReports
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restarted.Close()
+	if _, err := restarted.Serve(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if firstRound != 0 {
+		t.Errorf("restarted daemon's first round collected %d reports, want 0", firstRound)
+	}
+	if !bytes.Equal(after, before) {
+		t.Errorf("restarted /query/summary differs from the body served before the copy:\n got: %s\nwant: %s", after, before)
+	}
+}
+
+// TestCursorOnlyLogTurnsHoldbackOff boots a study over a record log whose
+// only frame moved a cursor. The cursor says the forums were already
+// consumed, so NewStudy must seed every fixture up front (no wave left to
+// release), as it does for a log that holds records.
+func TestCursorOnlyLogTurnsHoldbackOff(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		cursor   bool
+		withWave bool
+	}{{"empty log", false, true}, {"cursor-only log", true, false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if tc.cursor {
+				l, err := recordlog.Open(recordlog.Config{Dir: dir}, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := l.Append(&Dataset{}, time.Now(), Cursor{Source: "smishtank", Offset: 3}); err != nil {
+					t.Fatal(err)
+				}
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			study, err := NewStudy(Options{
+				Seed:       61,
+				Messages:   40,
+				Durability: &DurabilityConfig{Dir: dir},
+				Service:    &ServiceConfig{LiveWaves: 2},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer study.Close()
+			if got := study.Sim.ReleaseWave(); got != tc.withWave {
+				t.Errorf("a wave was held back: %v, want %v", got, tc.withWave)
+			}
+		})
 	}
 }

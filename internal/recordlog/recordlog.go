@@ -1,16 +1,14 @@
-// Package recordlog makes the enriched dataset durable. The service daemon
-// loses every in-memory structure on exit; cursors (internal/checkpoint)
-// already let a restarted daemon resume *collection* without duplicates,
-// but the enriched records themselves had to be rebuilt by re-enriching
-// the world. This package closes that gap with an append-only record log
-// plus periodic snapshots:
+// Package recordlog makes the served dataset durable. The service daemon
+// loses every in-memory structure on exit; this package keeps what a
+// restarted daemon needs to resume exactly where the previous one
+// committed, in an append-only record log plus periodic snapshots:
 //
-//   - Every committed round appends one length-prefixed, CRC-framed batch
-//     of enriched records to records.log, fsynced before the round's
-//     cursors are saved. A crash between the append and the cursor save
-//     therefore re-collects (and re-enriches) at most one round — and the
-//     log deduplicates the re-appended records by ID, so the dataset never
-//     double-counts.
+//   - Every committing round appends one CRC-framed, fsynced batch to
+//     records.log: its fresh enriched records, the curation totals and the
+//     collection cursors (internal/checkpoint) it moved. That one write is
+//     the round's commit, so a crash never leaves records durable without
+//     the cursors that produced them. Records also dedup by ID, so a round
+//     re-collected from cursors older than the log never double-counts.
 //   - Injected load waves (core.InjectSpec) are journaled in the same log.
 //     A restarted process replays them into its freshly booted simulation,
 //     so the forum servers regain the injected posts the durable cursors
@@ -19,17 +17,17 @@
 //     restart cost: open loads the snapshot and replays only the log tail
 //     appended after it. When the log outgrows CompactThreshold the log is
 //     snapshotted and truncated — restart cost stays one snapshot + tail
-//     no matter how long the daemon has been running.
+//     no matter how long the daemon has been running. A snapshot carries
+//     the latest cursor of every source.
 //
 // Frame format, little-endian:
 //
 //	[1 byte kind][4 byte payload length][4 byte IEEE CRC32 of payload][payload]
 //
-// Payloads are JSON. Batch frames carry the round's *fresh* records plus
-// the cumulative curation totals after the frame, so replaying a log with
-// duplicated frames (the crash window above) still reconstructs exact
-// totals: records dedup by ID, totals are absolute, and frames covered by
-// the snapshot are skipped by sequence number.
+// Payloads are JSON. Batch totals are cumulative, so replaying a log with
+// duplicated frames still reconstructs exact state: records dedup by ID,
+// totals are absolute, the last cursor per source wins, and frames covered
+// by the snapshot are skipped by sequence number.
 //
 // On open, a torn final frame (the write the crash interrupted) is
 // truncated away and counted in recordlog.truncated_tail; a frame whose
@@ -81,13 +79,13 @@ func (c Config) withDefaults() Config {
 // Stats is the log's scoreboard, mirrored into the telemetry registry
 // under "recordlog.*".
 type Stats struct {
-	// Appends counts frames written (record batches plus inject journal
+	// Appends counts frames written (round commits plus inject journal
 	// entries) since open.
 	Appends int64 `json:"appends"`
 	// Replayed counts records restored on open (snapshot + log tail).
 	Replayed int64 `json:"replayed"`
 	// Deduped counts appended records dropped because their ID was already
-	// in the log — the crash-window double-count protection firing.
+	// in the log — a round re-collected from cursors older than the log.
 	Deduped int64 `json:"deduped"`
 	// Snapshots counts snapshot files written since open.
 	Snapshots int64 `json:"snapshots"`
@@ -113,7 +111,7 @@ type Stats struct {
 
 // Frame kinds.
 const (
-	kindBatch  = 1 // one committed round's fresh records + cumulative totals
+	kindBatch  = 1 // one committed round's fresh records, cumulative totals and moved cursors
 	kindInject = 2 // one journaled core.InjectSpec
 )
 
@@ -156,6 +154,8 @@ type batchFrame struct {
 	CommittedAt time.Time     `json:"committed_at"`
 	Records     []core.Record `json:"records"`
 	Totals      totals        `json:"totals"`
+	// Cursors are the ones the round moved (none in an older log).
+	Cursors []checkpoint.Cursor `json:"cursors,omitempty"`
 }
 
 // injectFrame is the payload of a kindInject frame.
@@ -173,6 +173,8 @@ type snapshot struct {
 	Injects []core.InjectSpec `json:"injects,omitempty"`
 	Records []core.Record     `json:"records"`
 	Totals  totals            `json:"totals"`
+	// Cursors is the latest committed cursor of every source.
+	Cursors map[string]checkpoint.Cursor `json:"cursors,omitempty"`
 }
 
 // counters bundles the telemetry instruments the log maintains.
@@ -211,6 +213,7 @@ type Log struct {
 	seen     map[string]struct{}
 	records  []core.Record
 	totals   totals
+	cursors  map[string]checkpoint.Cursor // latest committed cursor per source
 	injects  []core.InjectSpec
 	lastSnap time.Time
 	// snapSeq is the last sequence number a snapshot holds; Open sets it
@@ -225,7 +228,8 @@ type Log struct {
 // Open opens (creating if needed) the log directory, loads the newest
 // snapshot, and replays the log tail: torn final frames are truncated,
 // corrupt frames rejected (with everything after them), records deduped by
-// ID, and totals taken from the last valid frame. reg may be nil (metrics
+// ID, totals taken from the last valid frame, and each source's cursor
+// from the last valid frame that moved it. reg may be nil (metrics
 // go to a private registry).
 func Open(cfg Config, reg *telemetry.Registry) (*Log, error) {
 	cfg = cfg.withDefaults()
@@ -239,13 +243,11 @@ func Open(cfg Config, reg *telemetry.Registry) (*Log, error) {
 		return nil, fmt.Errorf("recordlog: create dir: %w", err)
 	}
 	l := &Log{
-		cfg:  cfg,
-		ctr:  newCounters(reg),
-		seen: make(map[string]struct{}),
-		totals: totals{
-			PostsByForum:  make(map[corpus.Forum]int),
-			ImagesByForum: make(map[corpus.Forum]int),
-		},
+		cfg:     cfg,
+		ctr:     newCounters(reg),
+		seen:    make(map[string]struct{}),
+		cursors: make(map[string]checkpoint.Cursor),
+		totals:  totals{}.clone(), // empty, with non-nil count maps
 	}
 	if err := l.loadSnapshot(); err != nil {
 		return nil, err
@@ -279,16 +281,10 @@ func (l *Log) loadSnapshot() error {
 	l.seq = snap.Seq
 	l.records = snap.Records
 	l.injects = snap.Injects
-	if snap.Totals.PostsByForum != nil || snap.Totals.ImagesByForum != nil ||
-		snap.Totals.DecoysRejected != 0 || snap.Totals.EmptyDropped != 0 {
-		l.totals = snap.Totals.clone()
-		if l.totals.PostsByForum == nil {
-			l.totals.PostsByForum = make(map[corpus.Forum]int)
-		}
-		if l.totals.ImagesByForum == nil {
-			l.totals.ImagesByForum = make(map[corpus.Forum]int)
-		}
+	for src, c := range snap.Cursors {
+		l.cursors[src] = c
 	}
+	l.totals = snap.Totals.clone() // clone never leaves a nil count map
 	for _, r := range snap.Records {
 		l.seen[r.ID] = struct{}{}
 	}
@@ -314,93 +310,30 @@ func (l *Log) openAndReplay() error {
 	}
 
 	snapSeq := l.seq
-	var lastTotals *totals
-	off := 0
 	valid := 0 // bytes covered by fully valid frames
-	for off < len(data) {
-		if len(data)-off < frameHeader {
+	for valid < len(data) {
+		rest := data[valid:]
+		if len(rest) < frameHeader {
 			l.stats.TruncatedTail++
 			l.ctr.truncatedTail.Inc()
 			break
 		}
-		kind := data[off]
-		length := binary.LittleEndian.Uint32(data[off+1 : off+5])
-		sum := binary.LittleEndian.Uint32(data[off+5 : off+9])
-		if length > maxFrame {
-			// A length this large is a scribbled header, not a frame.
-			l.stats.CorruptFrames++
-			l.ctr.corruptFrames.Inc()
-			break
-		}
-		end := off + frameHeader + int(length)
-		if end > len(data) {
+		length := binary.LittleEndian.Uint32(rest[1:5])
+		end := frameHeader + int(length)
+		if length <= maxFrame && end > len(rest) {
 			// The final append never completed: a torn tail, not corruption.
 			l.stats.TruncatedTail++
 			l.ctr.truncatedTail.Inc()
 			break
 		}
-		payload := data[off+frameHeader : end]
-		if crc32.ChecksumIEEE(payload) != sum {
+		// A length past maxFrame is a scribbled header, not a frame.
+		if length > maxFrame || crc32.ChecksumIEEE(rest[frameHeader:end]) != binary.LittleEndian.Uint32(rest[5:9]) ||
+			!l.replayFrame(rest[0], rest[frameHeader:end], snapSeq) {
 			l.stats.CorruptFrames++
 			l.ctr.corruptFrames.Inc()
 			break
 		}
-		switch kind {
-		case kindBatch:
-			var fr batchFrame
-			if err := json.Unmarshal(payload, &fr); err != nil {
-				l.stats.CorruptFrames++
-				l.ctr.corruptFrames.Inc()
-				off = len(data) + 1 // force truncation at `valid`
-				break
-			}
-			if fr.Seq > l.seq {
-				l.seq = fr.Seq
-			}
-			if fr.Seq > snapSeq {
-				for _, r := range fr.Records {
-					if _, dup := l.seen[r.ID]; dup {
-						continue
-					}
-					l.seen[r.ID] = struct{}{}
-					l.records = append(l.records, r)
-				}
-				t := fr.Totals.clone()
-				lastTotals = &t
-			}
-		case kindInject:
-			var fr injectFrame
-			if err := json.Unmarshal(payload, &fr); err != nil {
-				l.stats.CorruptFrames++
-				l.ctr.corruptFrames.Inc()
-				off = len(data) + 1
-				break
-			}
-			if fr.Seq > l.seq {
-				l.seq = fr.Seq
-			}
-			if fr.Seq > snapSeq {
-				l.injects = append(l.injects, fr.Spec)
-			}
-		default:
-			l.stats.CorruptFrames++
-			l.ctr.corruptFrames.Inc()
-			off = len(data) + 1
-		}
-		if off > len(data) { // corrupt payload detected inside the switch
-			break
-		}
-		off = end
-		valid = end
-	}
-	if lastTotals != nil {
-		l.totals = *lastTotals
-		if l.totals.PostsByForum == nil {
-			l.totals.PostsByForum = make(map[corpus.Forum]int)
-		}
-		if l.totals.ImagesByForum == nil {
-			l.totals.ImagesByForum = make(map[corpus.Forum]int)
-		}
+		valid += end
 	}
 	if valid < len(data) {
 		if err := f.Truncate(int64(valid)); err != nil {
@@ -421,18 +354,61 @@ func (l *Log) openAndReplay() error {
 	return nil
 }
 
-// Append logs one committed round. Records whose ID the log already holds
-// are dropped (and counted in recordlog.deduped) — the protection that
-// makes a crash between a log append and the round's cursor save safe to
-// replay. The returned dataset holds only the fresh records (plus the
-// batch's curation bookkeeping) and is what the caller should feed to the
-// live projection; it is empty when the whole batch was a replay, in which
-// case nothing is written.
-func (l *Log) Append(ds *core.Dataset, at time.Time) (*core.Dataset, error) {
+// replayFrame applies one CRC-checked frame to the replayed state; the
+// state of a frame the snapshot already holds is skipped. It reports false
+// for an unknown kind or a payload that does not decode.
+func (l *Log) replayFrame(kind byte, payload []byte, snapSeq uint64) bool {
+	var seq uint64
+	switch kind {
+	case kindBatch:
+		var fr batchFrame
+		if json.Unmarshal(payload, &fr) != nil {
+			return false
+		}
+		if seq = fr.Seq; seq > snapSeq {
+			for _, r := range fr.Records {
+				if _, dup := l.seen[r.ID]; !dup {
+					l.seen[r.ID] = struct{}{}
+					l.records = append(l.records, r)
+				}
+			}
+			l.totals = fr.Totals.clone()
+			for _, c := range fr.Cursors {
+				l.cursors[c.Source] = c
+			}
+		}
+	case kindInject:
+		var fr injectFrame
+		if json.Unmarshal(payload, &fr) != nil {
+			return false
+		}
+		if seq = fr.Seq; seq > snapSeq {
+			l.injects = append(l.injects, fr.Spec)
+		}
+	default:
+		return false
+	}
+	l.seq = max(l.seq, seq)
+	return true
+}
+
+// Append commits one round: its fresh records, curation bookkeeping and
+// moved cursors go into one fsynced frame, so a crash leaves all of them
+// durable or none. Records whose ID the log already holds are dropped
+// (counted in recordlog.deduped), with the bookkeeping when the whole
+// batch was a replay. The returned dataset holds what was kept, for the
+// live projection. A round with nothing fresh and no moved cursor writes
+// nothing.
+func (l *Log) Append(ds *core.Dataset, at time.Time, moved ...checkpoint.Cursor) (*core.Dataset, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return nil, errors.New("recordlog: log closed")
+	}
+	for _, c := range moved {
+		if c.Source == "" {
+			return nil, errors.New("recordlog: cursor has no source")
+		}
 	}
 	fresh := &core.Dataset{
 		PostsByForum:  cloneForumMap(ds.PostsByForum),
@@ -447,34 +423,36 @@ func (l *Log) Append(ds *core.Dataset, at time.Time) (*core.Dataset, error) {
 		fresh.Records = append(fresh.Records, r)
 	}
 	if len(ds.Records) > 0 && len(fresh.Records) == 0 {
-		// Every record was already logged: this is a re-collected round from
-		// the crash window (appended, cursors never saved). Its bookkeeping
-		// was counted when the records first landed, so drop it whole.
-		return &core.Dataset{
+		// Its bookkeeping was counted when the records first landed.
+		fresh = &core.Dataset{
 			PostsByForum:  make(map[corpus.Forum]int),
 			ImagesByForum: make(map[corpus.Forum]int),
-		}, nil
+		}
+	} else {
+		fresh.DecoysRejected = ds.DecoysRejected
+		fresh.EmptyDropped = ds.EmptyDropped
 	}
-	fresh.DecoysRejected = ds.DecoysRejected
-	fresh.EmptyDropped = ds.EmptyDropped
-	if len(fresh.Records) == 0 && datasetEmpty(fresh) {
+	if len(moved) == 0 && datasetEmpty(fresh) {
 		return fresh, nil // nothing worth a frame
 	}
 
-	for f, n := range ds.PostsByForum {
-		l.totals.PostsByForum[f] += n
+	// The totals change only once the frame holding them is durable.
+	next := l.totals.clone()
+	for f, n := range fresh.PostsByForum {
+		next.PostsByForum[f] += n
 	}
-	for f, n := range ds.ImagesByForum {
-		l.totals.ImagesByForum[f] += n
+	for f, n := range fresh.ImagesByForum {
+		next.ImagesByForum[f] += n
 	}
-	l.totals.DecoysRejected += ds.DecoysRejected
-	l.totals.EmptyDropped += ds.EmptyDropped
+	next.DecoysRejected += fresh.DecoysRejected
+	next.EmptyDropped += fresh.EmptyDropped
 
 	frame := batchFrame{
 		Seq:         l.seq + 1,
 		CommittedAt: at,
 		Records:     fresh.Records,
-		Totals:      l.totals,
+		Totals:      next,
+		Cursors:     moved,
 	}
 	payload, err := json.Marshal(frame)
 	if err != nil {
@@ -484,6 +462,10 @@ func (l *Log) Append(ds *core.Dataset, at time.Time) (*core.Dataset, error) {
 		return nil, err
 	}
 	l.seq = frame.Seq
+	l.totals = next
+	for _, c := range moved {
+		l.cursors[c.Source] = c.Clone()
+	}
 	for _, r := range fresh.Records {
 		l.seen[r.ID] = struct{}{}
 	}
@@ -566,6 +548,7 @@ func (l *Log) snapshotLocked(now time.Time) error {
 		Injects: l.injects,
 		Records: l.records,
 		Totals:  l.totals,
+		Cursors: l.cursors,
 	}
 	data, err := json.Marshal(snap)
 	if err != nil {
@@ -634,6 +617,18 @@ func (l *Log) Committed() *core.Dataset {
 		DecoysRejected: l.totals.DecoysRejected,
 		EmptyDropped:   l.totals.EmptyDropped,
 	}
+}
+
+// Cursors returns the latest committed cursor of every source the log
+// holds one for.
+func (l *Log) Cursors() map[string]checkpoint.Cursor {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make(map[string]checkpoint.Cursor, len(l.cursors))
+	for src, c := range l.cursors {
+		out[src] = c.Clone()
+	}
+	return out
 }
 
 // Injects returns the journaled injection specs in append order.

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/smishkit/smishkit/internal/checkpoint"
 	"github.com/smishkit/smishkit/internal/core"
 	"github.com/smishkit/smishkit/internal/corpus"
 	"github.com/smishkit/smishkit/internal/extract"
@@ -97,9 +98,10 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAppendDedupsByRecordID pins the crash-window protection: a batch
-// whose records are already logged writes nothing and returns an empty
-// fresh set, so neither the log nor the projection double-counts.
+// TestAppendDedupsByRecordID pins the re-collection protection: a batch
+// whose records are already logged, and that moved no cursor, writes
+// nothing and returns an empty fresh set, so neither the log nor the
+// projection double-counts.
 func TestAppendDedupsByRecordID(t *testing.T) {
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
@@ -111,8 +113,7 @@ func TestAppendDedupsByRecordID(t *testing.T) {
 	}
 	sizeBefore := l.Stats().LogBytes
 
-	// Same round again — the re-collection after a crash between append
-	// and cursor save.
+	// Same round again — re-collected from cursors older than the log.
 	fresh, err := l.Append(testBatch("a", "b"), at)
 	if err != nil {
 		t.Fatalf("replay Append: %v", err)
@@ -582,5 +583,161 @@ func TestCommittedIsAStableView(t *testing.T) {
 	}
 	if view.PostsByForum[corpus.ForumTwitter] != 2 {
 		t.Fatalf("earlier view's totals changed: %v", view.PostsByForum)
+	}
+}
+
+// testCursor is a cursor of source at a position, stamped at a fixed time
+// so it survives a JSON round trip unchanged.
+func testCursor(source string, offset int) checkpoint.Cursor {
+	return checkpoint.Cursor{
+		Source:  source,
+		Offset:  offset,
+		Updated: time.Date(2026, 8, 2, 9, 0, offset, 0, time.UTC),
+	}
+}
+
+// durableState is everything Open recovers that a round commits: record
+// IDs, curation totals and cursors, encoded so two states compare as
+// strings.
+func durableState(t *testing.T, l *Log) string {
+	t.Helper()
+	ds := l.Committed()
+	data, err := json.Marshal(struct {
+		IDs            []string
+		Posts          map[corpus.Forum]int
+		DecoysRejected int
+		Cursors        map[string]checkpoint.Cursor
+	}{ids(ds), ds.PostsByForum, ds.DecoysRejected, l.Cursors()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestTornRoundFrameIsAllOrNothing cuts the bytes the last round's Append
+// wrote at every offset, and separately flips a byte of its CRC. Each time
+// Open must recover either the state before that round or the state after
+// it — records, totals and cursors together — and never the records
+// without the cursors that produced them.
+func TestTornRoundFrameIsAllOrNothing(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, nil)
+	at := time.Date(2026, 8, 2, 9, 0, 0, 0, time.UTC)
+	if _, err := l.Append(testBatch("a", "b"), at, testCursor("twitter", 1), testCursor("reddit", 1)); err != nil {
+		t.Fatal(err)
+	}
+	before, start := durableState(t, l), l.Stats().LogBytes
+	last := testBatch("c", "d")
+	last.DecoysRejected = 3
+	if _, err := l.Append(last, at.Add(time.Second), testCursor("twitter", 2), testCursor("pastebin", 1)); err != nil {
+		t.Fatal(err)
+	}
+	after, end := durableState(t, l), l.Stats().LogBytes
+	if before == after {
+		t.Fatal("the last round changed nothing")
+	}
+	if err := l.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, logName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(data)) != end {
+		t.Fatalf("log holds %d bytes, stats said %d", len(data), end)
+	}
+
+	reopen := func(log []byte) string {
+		t.Helper()
+		if err := os.WriteFile(path, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l := mustOpen(t, dir, nil)
+		defer l.f.Close() // no Close snapshot: the next reopen reads the log again
+		return durableState(t, l)
+	}
+	for cut := start; cut < end; cut++ {
+		if got := reopen(data[:cut]); got != before {
+			t.Fatalf("cut at byte %d of the round's %d..%d: recovered\n%s\nwant the state before the round\n%s", cut, start, end, got, before)
+		}
+	}
+	if got := reopen(data); got != after {
+		t.Fatalf("intact log recovered\n%s\nwant\n%s", got, after)
+	}
+	flipped := append([]byte(nil), data...)
+	flipped[start+5] ^= 0xFF // first CRC byte of the round's frame
+	if got := reopen(flipped); got != before {
+		t.Fatalf("flipped CRC: recovered\n%s\nwant the state before the round\n%s", got, before)
+	}
+}
+
+// TestCursorsCommitWithTheirRound pins that a round commits its moved
+// cursors even when it has no fresh record — a round that only moved a
+// cursor, and one whose records were all logged already — and that
+// snapshots and compaction carry the latest cursor of every source.
+func TestCursorsCommitWithTheirRound(t *testing.T) {
+	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	l := mustOpen(t, dir, reg)
+	at := time.Date(2026, 8, 2, 9, 0, 0, 0, time.UTC)
+	if _, err := l.Append(testBatch("a", "b"), at, testCursor("twitter", 1)); err != nil {
+		t.Fatal(err)
+	}
+	empty := &core.Dataset{}
+	if fresh, err := l.Append(empty, at, testCursor("smishtank", 4)); err != nil || !datasetEmpty(fresh) {
+		t.Fatalf("cursor-only round: fresh %+v, err %v", fresh, err)
+	}
+	if fresh, err := l.Append(testBatch("a", "b"), at, testCursor("twitter", 2)); err != nil || !datasetEmpty(fresh) {
+		t.Fatalf("deduplicated round: fresh %+v, err %v", fresh, err)
+	}
+	if _, err := l.Append(empty, at); err != nil { // nothing to commit: no frame
+		t.Fatal(err)
+	}
+	if _, err := l.Append(empty, at, checkpoint.Cursor{}); err == nil {
+		t.Fatal("Append took a cursor with no source")
+	}
+	if n := reg.Counter("recordlog.appends").Value(); n != 3 {
+		t.Fatalf("recordlog.appends = %d, want one frame per committing round (3)", n)
+	}
+	want := durableState(t, l)
+	if c := l.Cursors(); len(c) != 2 || c["twitter"].Offset != 2 || c["smishtank"].Offset != 4 {
+		t.Fatalf("cursors after the rounds: %+v", c)
+	}
+	if ds := l.Committed(); len(ds.Records) != 2 || ds.PostsByForum[corpus.ForumTwitter] != 2 {
+		t.Fatalf("a round without fresh records changed the dataset: %d records, %d posts",
+			len(ds.Records), ds.PostsByForum[corpus.ForumTwitter])
+	}
+	if err := l.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The first Append snapshotted, so the cursors past it replay from the
+	// log tail.
+	l2 := mustOpen(t, dir, nil)
+	if got := durableState(t, l2); got != want {
+		t.Fatalf("replayed from snapshot + tail:\n%s\nwant\n%s", got, want)
+	}
+	l2.f.Close()
+
+	// Compaction leaves only the snapshot to carry every cursor.
+	l3, err := Open(Config{Dir: dir, CompactThreshold: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l3.Append(empty, at, testCursor("pastebin", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if st := l3.Stats(); st.Compactions != 1 || st.LogBytes != 0 {
+		t.Fatalf("compactions %d, log %d bytes; want a compacted, empty log", st.Compactions, st.LogBytes)
+	}
+	want = durableState(t, l3)
+	l3.f.Close()
+	l4 := mustOpen(t, dir, nil)
+	defer l4.Close()
+	if got := durableState(t, l4); got != want {
+		t.Fatalf("replayed from the compacted snapshot:\n%s\nwant\n%s", got, want)
+	}
+	if len(l4.Cursors()) != 3 {
+		t.Fatalf("compacted snapshot carries %d cursors, want 3", len(l4.Cursors()))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net"
 	"net/http"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"github.com/smishkit/smishkit/internal/checkpoint"
 	"github.com/smishkit/smishkit/internal/core"
 	"github.com/smishkit/smishkit/internal/forum"
+	"github.com/smishkit/smishkit/internal/recordlog"
 	"github.com/smishkit/smishkit/internal/report"
 	"github.com/smishkit/smishkit/internal/telemetry"
 )
@@ -47,11 +49,12 @@ func NewFileCheckpoints(dir string) (CheckpointStore, error) { return checkpoint
 type ServiceConfig struct {
 	// PollInterval is the idle time between collection rounds (default 2s).
 	PollInterval time.Duration
-	// Checkpoints persists the forums' cursors. After every successful
-	// round the cursors whose position moved are committed in one atomic
-	// Save; a round that moved none writes nothing. Default: an in-memory
-	// store, which survives repeated Serve calls on one Study but not a
-	// process restart; use NewFileCheckpoints for durability.
+	// Checkpoints persists the forums' cursors when the study has no record
+	// log: each round that moved a cursor commits the moved ones in one
+	// atomic Save. With Options.Durability the log commits the cursors with
+	// their records, and this store is only read, as the resume point of a
+	// source the log holds no cursor for. Default: a fresh in-memory store
+	// per Serve call; use NewFileCheckpoints for durability without a log.
 	Checkpoints CheckpointStore
 	// MaxRounds stops the daemon after that many rounds (0 = run until ctx
 	// is cancelled).
@@ -170,16 +173,19 @@ type serveState struct {
 	recent    []recentCommit // committed rounds, pruned to the last 60s
 	statusURL string
 	proj      *report.Projection
-	store     CheckpointStore
+	cursors   map[string]Cursor    // committed cursor per source
 	roundHist *telemetry.Histogram // completed-round wall time
 	injected  func() int           // simulation's injected-post total
 }
 
-// commitCounts records one committed round's per-forum counts and prunes
-// entries that have aged out of the trailing window.
-func (st *serveState) commitCounts(bySrc map[string]int, total int, now time.Time) {
+// commitRound records one committed round's moved cursors and per-forum
+// counts, and prunes entries that have aged out of the trailing window.
+func (st *serveState) commitRound(bySrc map[string]int, total int, moved []Cursor, now time.Time) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	for _, c := range moved {
+		st.cursors[c.Source] = c
+	}
 	st.reports += total
 	st.recent = append(st.recent, recentCommit{at: now, bySrc: bySrc, total: total})
 	st.pruneLocked(now)
@@ -204,7 +210,10 @@ func (st *serveState) stats() ServiceStats {
 		Reports:       st.reports,
 		Reports1m:     make(map[string]int, len(forum.Sources)),
 		StatusURL:     st.statusURL,
-		Cursors:       map[string]Cursor{},
+		Cursors:       make(map[string]Cursor, len(st.cursors)),
+	}
+	for src, c := range st.cursors {
+		out.Cursors[src] = c.Clone()
 	}
 	st.pruneLocked(time.Now())
 	for _, src := range forum.Sources {
@@ -216,7 +225,7 @@ func (st *serveState) stats() ServiceStats {
 		}
 		out.Reports1mTotal += rc.total
 	}
-	proj, store, hist, injected := st.proj, st.store, st.roundHist, st.injected
+	proj, hist, injected := st.proj, st.roundHist, st.injected
 	st.mu.Unlock()
 	if hist != nil {
 		hs := hist.Stats()
@@ -233,11 +242,6 @@ func (st *serveState) stats() ServiceStats {
 	}
 	if proj != nil {
 		out.Records = proj.Stats().Records
-	}
-	if store != nil {
-		if all, err := store.All(); err == nil {
-			out.Cursors = all
-		}
 	}
 	return out
 }
@@ -284,13 +288,14 @@ func (s *Study) StatusURL() string {
 
 // Serve runs the study as a long-running daemon: every PollInterval it
 // asks all forum collectors, concurrently, for reports newer than their
-// durable cursors, pushes the new batch through the study's shard group,
+// committed cursors, pushes the new batch through the study's shard group,
 // applies the result to the incrementally-maintained report projection,
-// and commits the cursors that moved in one atomic Save. Rounds are
-// atomic — a collector or pipeline failure discards the round's partial
-// progress and leaves every cursor where it was, so an interrupted daemon
-// resumed from the same CheckpointStore re-collects exactly the reports
-// it never committed (no duplicates, no holes).
+// and commits it with the cursors that moved: in one record-log frame, or
+// without a log in one CheckpointStore Save. Rounds are atomic — a
+// collector or pipeline failure discards the round's partial progress and
+// leaves every cursor where it was, so an interrupted daemon resumed from
+// the same log or store re-collects exactly the reports it never
+// committed (no duplicates, no holes).
 //
 // Cancelling ctx is the clean shutdown: the in-flight round is drained
 // (for at most 30s) and the projected dataset so far is returned with a
@@ -309,7 +314,12 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 	cfg = cfg.withDefaults()
 
 	reg := s.Pipe.Telemetry()
-	st := &serveState{store: cfg.Checkpoints}
+	// The loop keeps the live cursors; st.cursors the committed ones.
+	cursors, err := resumeCursors(s.rlog, cfg.Checkpoints)
+	if err != nil {
+		return nil, err
+	}
+	st := &serveState{cursors: maps.Clone(cursors)}
 	// With a record log the projection indexes the log's own records, so
 	// the daemon holds one in-memory copy of each committed record.
 	if s.rlog != nil {
@@ -394,17 +404,6 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 		return nil, err
 	}
 
-	// Load the resume point for every source up front; the loop keeps the
-	// live cursors in memory and the store holds only committed positions.
-	cursors := make(map[string]Cursor, len(collectors))
-	for _, src := range forum.Sources {
-		if cur, ok, err := cfg.Checkpoints.Load(src); err != nil {
-			return nil, fmt.Errorf("smishkit: load checkpoint %s: %w", src, err)
-		} else if ok {
-			cursors[src] = cur
-		}
-	}
-
 	lagGauges := make(map[string]*telemetry.Gauge, len(forum.Sources))
 	for _, src := range forum.Sources {
 		lagGauges[src] = reg.Gauge("collect.cursor_lag." + src)
@@ -433,7 +432,6 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 	stageCollect := reg.Histogram("serve.stage.collect")
 	stageProcess := reg.Histogram("serve.stage.process")
 	stageAppend := reg.Histogram("serve.stage.append")
-	stageCursors := reg.Histogram("serve.stage.cursors")
 	commits := reg.Counter("checkpoint.commits")
 
 	released := 0
@@ -492,73 +490,61 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 			break
 		}
 
-		// Process the round's batch, then commit its cursors.
+		// Process the round's batch, then commit it with the cursors it moved.
 		collectedAt := time.Now()
-		committed := true
-		if len(batch) > 0 {
+		var moved []Cursor
+		for _, src := range forum.Sources {
+			if cur, ok := staged[src]; ok && !cur.SamePosition(cursors[src]) {
+				moved = append(moved, cur)
+			}
+		}
+		var err error
+		if len(batch) > 0 || len(moved) > 0 {
 			procCtx, cancel := context.WithTimeout(drainBase, drainTimeout)
-			// The shard group scatters results back into curation order
-			// before the commit, for any shard count.
-			ds, err := s.group.Run(procCtx, batch)
-			stageProcess.Observe(time.Since(collectedAt))
+			ds := &Dataset{}
+			if len(batch) > 0 {
+				// The shard group scatters results back into curation order
+				// before the commit, for any shard count.
+				ds, err = s.group.Run(procCtx, batch)
+				stageProcess.Observe(time.Since(collectedAt))
+			}
 			if err == nil {
 				appendStart := time.Now()
 				if s.rlog != nil {
-					// Durable-first commit ordering: the round's records
-					// reach the fsynced log before the projection sees them
-					// and before any cursor commits. A crash after the
-					// append re-collects at most this round, and the log
-					// dedups the re-appended records by ID. The projection
-					// indexes the log's records by position, so it never
-					// double-counts them, and a round whose Submit failed
-					// after its Append is covered by the next apply.
-					ds, err = s.rlog.Append(ds, collectedAt)
+					// The round's one durable write: records and moved
+					// cursors in one fsynced frame, before the projection
+					// sees the records. The projection indexes the log by
+					// position, so a Submit that fails after the Append is
+					// covered by the next apply.
+					ds, err = s.rlog.Append(ds, collectedAt, moved...)
 				}
-				if err == nil {
+				if err == nil && len(batch) > 0 {
 					err = st.proj.Submit(procCtx, ds, collectedAt)
+				}
+				if err == nil && s.rlog == nil && len(moved) > 0 {
+					err = cfg.Checkpoints.Save(moved...)
 				}
 				stageAppend.Observe(time.Since(appendStart))
 			}
 			cancel()
-			if err != nil {
-				committed = false
-				if info.Err == nil {
-					info.Err = fmt.Errorf("smishkit: round %d: %w", round, err)
-				}
-			}
 		}
-		if committed {
-			info.NewReports = len(batch)
-			// One atomic Save commits every cursor whose position moved; a
-			// round that moved none writes nothing. Unless the Save fails,
-			// the live cursors take the staged ones, so their Updated stamps
-			// keep the lag gauges current on empty rounds too. A failed Save
-			// advances no cursor: the next round re-collects the reports,
+		if err != nil {
+			// No cursor advances: the next round re-collects the reports,
 			// and a record log drops the ones it already holds.
-			var moved []Cursor
-			for _, src := range forum.Sources {
-				if cur, ok := staged[src]; ok && !cur.SamePosition(cursors[src]) {
-					moved = append(moved, cur)
-				}
+			if info.Err == nil {
+				info.Err = fmt.Errorf("smishkit: round %d: %w", round, err)
 			}
-			var err error
+		} else {
+			info.NewReports = len(batch)
 			if len(moved) > 0 {
-				saveStart := time.Now()
-				if err = cfg.Checkpoints.Save(moved...); err == nil {
-					commits.Inc()
-				}
-				stageCursors.Observe(time.Since(saveStart))
+				commits.Inc()
 			}
-			if err != nil {
-				if info.Err == nil {
-					info.Err = fmt.Errorf("smishkit: save checkpoints: %w", err)
-				}
-			} else {
-				for src, cur := range staged {
-					cursors[src] = cur
-				}
+			// The live cursors take the staged ones, moved or not, so their
+			// Updated stamps keep the lag gauges current on empty rounds too.
+			for src, cur := range staged {
+				cursors[src] = cur
 			}
-			st.commitCounts(stagedN, len(batch), time.Now())
+			st.commitRound(stagedN, len(batch), moved, time.Now())
 		}
 		setLag()
 		st.roundHist.Observe(sp.End())
@@ -591,6 +577,30 @@ func (s *Study) Serve(ctx context.Context) (*Dataset, error) {
 		}
 	}
 	return st.proj.Dataset(), nil
+}
+
+// resumeCursors returns the committed cursor of every source that has one:
+// the record log's, else the store's. The fallback resumes a data
+// directory written when cursors lived in their own file.
+func resumeCursors(rlog *recordlog.Log, store CheckpointStore) (map[string]Cursor, error) {
+	out := map[string]Cursor{}
+	if rlog != nil {
+		out = rlog.Cursors()
+	}
+	if store == nil {
+		return out, nil
+	}
+	for _, src := range forum.Sources {
+		if _, ok := out[src]; ok {
+			continue
+		}
+		if cur, ok, err := store.Load(src); err != nil {
+			return nil, fmt.Errorf("smishkit: load checkpoint %s: %w", src, err)
+		} else if ok {
+			out[src] = cur
+		}
+	}
+	return out, nil
 }
 
 // collectStage is one forum's share of a round: the reports its collector

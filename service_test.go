@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -432,10 +435,11 @@ func (s *countingStore) count() int {
 	return s.saves
 }
 
-// TestServeCommitsOncePerMovedRound pins the commit path: a round that
-// moved any cursor makes exactly one Save carrying only the moved cursors,
-// a round that moved none makes no Save, and the daemon's own telemetry
-// (checkpoint.commits, serve.stage.*) tells the same story.
+// TestServeCommitsOncePerMovedRound pins the commit path without a record
+// log: a round that moved any cursor makes exactly one Save carrying only
+// the moved cursors, a round that moved none makes no Save, and the
+// daemon's own telemetry (checkpoint.commits, serve.stage.*) tells the
+// same story.
 func TestServeCommitsOncePerMovedRound(t *testing.T) {
 	store := &countingStore{t: t, inner: NewMemCheckpoints()}
 	const rounds = 4
@@ -503,11 +507,105 @@ func TestServeCommitsOncePerMovedRound(t *testing.T) {
 		"serve.stage.collect":  rounds,
 		"serve.stage.process":  int64(moved),
 		"serve.stage.append":   int64(moved),
-		"serve.stage.cursors":  int64(store.count()),
 	}
 	for name, want := range hists {
 		if got := snap.Histograms[name].Count; got != want {
 			t.Errorf("%s count = %d, want %d", name, got, want)
+		}
+	}
+}
+
+// TestServeRecordLogCommitsOncePerMovedRound is the record-log variant:
+// each round that moved a cursor makes exactly one fsynced log frame and
+// no Save, so recordlog.appends and recordlog.fsync each count committing
+// rounds plus injected waves, the cursor store's directory never gets a
+// cursors.json, and /status serves the five cursors the log committed.
+func TestServeRecordLogCommitsOncePerMovedRound(t *testing.T) {
+	dir := t.TempDir()
+	file, err := NewFileCheckpoints(filepath.Join(dir, "checkpoints"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &countingStore{t: t, inner: file}
+	reg := NewCollector()
+	appends := reg.Counter("recordlog.appends")
+	fsyncs := reg.Histogram("recordlog.fsync")
+	commits := reg.Counter("checkpoint.commits")
+	const rounds = 5
+	var study *Study
+	var lastAppends, lastFsyncs, lastCommits int64
+	var committing, injected int
+	var status ServiceStats
+	study, err = NewStudy(Options{
+		Seed:       41,
+		Messages:   300,
+		Collector:  reg,
+		Durability: &DurabilityConfig{Dir: filepath.Join(dir, "records")},
+		Service: &ServiceConfig{
+			PollInterval: 5 * time.Millisecond,
+			MaxRounds:    rounds,
+			LiveWaves:    1, // round 1: backlog, round 2: the wave, round 3: the injection
+			Checkpoints:  store,
+			OnRound: func(info RoundInfo) {
+				if info.Err != nil {
+					t.Errorf("round %d: %v", info.Round, info.Err)
+				}
+				a, f, c := appends.Value(), fsyncs.Stats().Count, commits.Value()
+				if a-lastAppends != c-lastCommits || f-lastFsyncs != c-lastCommits {
+					t.Errorf("round %d: %d appends, %d fsyncs, %d cursor commits; want one frame per committing round",
+						info.Round, a-lastAppends, f-lastFsyncs, c-lastCommits)
+				}
+				if info.NewReports > 0 && c-lastCommits != 1 {
+					t.Errorf("round %d collected %d reports but committed %d times", info.Round, info.NewReports, c-lastCommits)
+				}
+				committing += int(c - lastCommits)
+				if info.Round == 2 {
+					if _, err := study.InjectWave(InjectSpec{Seed: 77, Messages: 30}); err != nil {
+						t.Errorf("inject: %v", err)
+					}
+					injected++
+				}
+				if info.Round == rounds {
+					if err := getJSON(study.StatusURL()+"/status", &status); err != nil {
+						t.Errorf("GET /status: %v", err)
+					}
+				}
+				lastAppends, lastFsyncs, lastCommits = appends.Value(), fsyncs.Stats().Count, commits.Value()
+			},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer study.Close()
+	if _, err := study.Serve(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	t.Logf("%d of %d rounds committed, %d injected waves", committing, rounds, injected)
+	if committing < 3 || committing == rounds {
+		t.Fatalf("%d of %d rounds committed; want the backlog, the wave and the injection, and idle rounds", committing, rounds)
+	}
+	if a, f := appends.Value(), fsyncs.Stats().Count; a != int64(committing+injected) || f != a {
+		t.Errorf("recordlog.appends = %d, recordlog.fsync count = %d; want %d committing rounds + %d injected waves",
+			a, f, committing, injected)
+	}
+	if n := store.count(); n != 0 {
+		t.Errorf("the cursor store saw %d Saves; the record log commits the cursors", n)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "checkpoints", "cursors.json")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("cursors.json written next to the record log (stat err %v)", err)
+	}
+	if _, ok := study.Stats().Telemetry.Histograms["serve.stage.cursors"]; ok {
+		t.Error("serve.stage.cursors is registered; the cursors commit inside serve.stage.append")
+	}
+	logged := study.rlog.Cursors()
+	if len(status.Cursors) != 5 || len(logged) != 5 {
+		t.Fatalf("/status lists %d cursors, the log holds %d; want all five sources", len(status.Cursors), len(logged))
+	}
+	for src, cur := range logged {
+		if !status.Cursors[src].SamePosition(cur) {
+			t.Errorf("/status cursor %s = %+v, the log committed %+v", src, status.Cursors[src], cur)
 		}
 	}
 }

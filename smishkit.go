@@ -384,20 +384,18 @@ func NewStudy(opts Options) (*Study, error) {
 		// whose held-back posts were already published before it went down;
 		// re-staging them as future waves would make the forums appear to
 		// republish content the cursors have consumed. Seed everything up
-		// front instead so a restarted daemon collects nothing twice. The
-		// same applies when the record log carries prior state: its inject
-		// journal is replayed below, and holdback waves released after
-		// injections would land on the injection timeline in a different
-		// order than the original run observed them.
-		if st := opts.Service.Checkpoints; st != nil {
-			if all, err := st.All(); err == nil && len(all) > 0 {
-				simCfg.HoldbackWaves = 0
-			}
+		// front instead so a restarted daemon collects nothing twice. Serve
+		// resumes from the same cursors read here. The same applies when the
+		// record log carries prior state: its inject journal is replayed
+		// below, and holdback waves released after injections would land on
+		// the injection timeline in a different order than the original run
+		// observed them.
+		cursors, err := resumeCursors(rlog, opts.Service.Checkpoints)
+		if err != nil {
+			return nil, errors.Join(err, closeLog(rlog))
 		}
-		if rlog != nil {
-			if rst := rlog.Stats(); rst.Records > 0 || rst.Injects > 0 {
-				simCfg.HoldbackWaves = 0
-			}
+		if len(cursors) > 0 || rlog != nil && rlog.Stats().Records+rlog.Stats().Injects > 0 {
+			simCfg.HoldbackWaves = 0
 		}
 	}
 	sim, err := core.StartSimulationCfg(w, reg, simCfg)
